@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--alpha", type=float, required=True, help="planted fraction in (0, 1)")
     group = p_gen.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=float, help="G(n, p) edge probability outside the planted set")
-    group.add_argument("--d", type=int, help="exact outside-vertex degree instead of G(n, p)")
+    group.add_argument("--d", type=int, help="distinct neighbors each outside vertex picks, instead of G(n, p)")
     p_gen.add_argument("--maximal", action="store_true", help="wire orphan outside vertices into the planted set (gnp only)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="output path")
@@ -210,7 +210,7 @@ def _cmd_run(args) -> int:
     else:
         records = run_experiment(config)
     if args.json:
-        summary = aggregate(records, ratio_threshold=args.threshold if hasattr(args, "threshold") else None)
+        summary = aggregate(records)
         print(json.dumps(summary.__dict__, indent=2, sort_keys=True))
     else:
         sys.stdout.write(records_to_csv(records))

@@ -95,29 +95,31 @@ def build_graph(n: int, edges) -> Graph:
         raise ValueError(
             f"edge ({int(arr[i, 0])}, {int(arr[i, 1])}) has an endpoint outside range(0, {n})"
         )
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    keep = lo != hi
-    # encode each pair as lo * n + hi; unique both dedupes and sorts
-    codes = np.unique(lo[keep] * np.int64(n) + hi[keep])
-    lo, hi = codes // n, codes % n
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    indices = dst[order]
-    counts = np.bincount(src, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return Graph(n, offsets, indices.astype(np.int64, copy=False))
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    # encode both orientations of each pair as src * n + dst: the sorted codes
+    # list every row in turn with ascending neighbors, and repeats sit adjacent
+    u, v = arr[:, 0], arr[:, 1]
+    codes = _sorted_unique(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
+    offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
+    indices = np.remainder(codes, n, out=codes)
+    return Graph(n, offsets, indices)
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Sort ``a`` in place and return its distinct values, ascending."""
+    a.sort()
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
 
 
 def _sorted_ids(vertices, n: int) -> np.ndarray:
     """Unique ascending id array from any iterable of vertex ids."""
     if isinstance(vertices, np.ndarray):
-        ids = np.unique(vertices.astype(np.int64, copy=False))
+        ids = vertices.astype(np.int64).ravel()
     else:
         ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
-        ids = np.unique(ids)
+    ids = _sorted_unique(ids)
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         raise ValueError(f"vertex ids must lie in range(0, {n})")
     return ids

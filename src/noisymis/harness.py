@@ -11,9 +11,11 @@ serial and parallel runs agree.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -166,9 +168,18 @@ def trial_seeds(config: ExperimentConfig) -> list[int]:
     return [derive_seed(config.seed_base, i) for i in range(config.trials)]
 
 
+@functools.lru_cache(maxsize=1)
+def _read_instance_cached(path, stamp: tuple) -> PlantedInstance:
+    return read_instance(path)
+
+
 def _build_instance(spec: dict, trial_seed: int) -> PlantedInstance:
     if "path" in spec:
-        return read_instance(spec["path"])
+        path = spec["path"]
+        st = os.stat(path)
+        # instances are immutable, so the trials a process runs on one file
+        # share a single parse for as long as its size and mtime stay put
+        return _read_instance_cached(path, (os.path.abspath(path), st.st_mtime_ns, st.st_size))
     kind = spec.get("generator")
     kwargs = {k: v for k, v in spec.items() if k != "generator"}
     kwargs["seed"] = derive_seed(trial_seed, "instance")

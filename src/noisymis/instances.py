@@ -14,6 +14,7 @@ with two special trailing comment lines: ``# planted: <ids>`` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,40 @@ def _split_planted(n: int, alpha: float, rng: np.random.Generator) -> tuple[np.n
     return np.sort(perm[:k]), np.sort(perm[k:])
 
 
+def _skip_sample(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Ascending ranks in ``range(total)``, each kept independently with probability ``p``.
+
+    Geometric skipping (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005):
+    the gaps between consecutive kept ranks are i.i.d. Geometric(p), so the
+    cost is proportional to the number of ranks kept, not to ``total``.
+    """
+    if p == 0.0 or total == 0:
+        return np.zeros(0, dtype=np.int64)
+    chunks: list[np.ndarray] = []
+    last = -1
+    while True:
+        expected = (total - 1 - last) * p
+        steps = rng.geometric(p, size=int(expected + 4.0 * math.sqrt(expected)) + 16)
+        # any step past the end may be shortened to one that still ends past it;
+        # that keeps the running sum far from int64 overflow for tiny p
+        np.minimum(steps, total + 1, out=steps)
+        ranks = last + np.cumsum(steps)
+        if ranks[-1] >= total:
+            chunks.append(ranks[: np.searchsorted(ranks, total)])
+            return np.concatenate(chunks)
+        chunks.append(ranks)
+        last = int(ranks[-1])
+
+
+def _unrank_pairs(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the colex rank ``j * (j - 1) / 2 + i`` of index pairs ``i < j``."""
+    j = ((1.0 + np.sqrt(8.0 * ranks + 1.0)) / 2.0).astype(np.int64)
+    # rounding in the float root can leave j one off either way for large ranks
+    j -= j * (j - 1) // 2 > ranks
+    j += (j + 1) * j // 2 <= ranks
+    return ranks - j * (j - 1) // 2, j
+
+
 def gen_planted_gnp(n: int, alpha: float, p: float, seed: int, ensure_maximal: bool = False) -> PlantedInstance:
     """Random graph around a hidden independent set.
 
@@ -77,30 +112,18 @@ def gen_planted_gnp(n: int, alpha: float, p: float, seed: int, ensure_maximal: b
         raise ValueError(f"p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    planted_deg = np.zeros(n, dtype=np.int64)
-    outside_list = outside.tolist()
-    for i, u in enumerate(outside_list):
-        later = outside[i + 1 :]
-        hit = later[rng.random(later.size) < p]
-        if hit.size:
-            srcs.append(np.full(hit.size, u, dtype=np.int64))
-            dsts.append(hit)
-        hit = planted[rng.random(planted.size) < p]
-        if hit.size:
-            srcs.append(np.full(hit.size, u, dtype=np.int64))
-            dsts.append(hit)
-            planted_deg[u] += hit.size
+    k = planted.size
+    # outside-outside pairs, colex-ranked over outside indices i < j
+    i, j = _unrank_pairs(_skip_sample(outside.size * (outside.size - 1) // 2, p, rng))
+    # outside-planted pairs, ranked as outside index * k + planted index
+    a, b = np.divmod(_skip_sample(outside.size * k, p, rng), k)
+    srcs = [outside[i], outside[a]]
+    dsts = [outside[j], planted[b]]
     if ensure_maximal:
-        for u in outside_list:
-            if planted_deg[u] == 0:
-                srcs.append(np.asarray([u], dtype=np.int64))
-                dsts.append(np.asarray([rng.choice(planted)], dtype=np.int64))
-    if srcs:
-        edges = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+        lonely = outside[np.bincount(a, minlength=outside.size) == 0]
+        srcs.append(lonely)
+        dsts.append(rng.choice(planted, size=lonely.size))
+    edges = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
     params = {
         "generator": "gnp",
         "n": n,
@@ -110,6 +133,30 @@ def gen_planted_gnp(n: int, alpha: float, p: float, seed: int, ensure_maximal: b
         "ensure_maximal": ensure_maximal,
     }
     return PlantedInstance(build_graph(n, edges), frozenset(planted.tolist()), params)
+
+
+def _distinct_picks(rng: np.random.Generator, rows: int, d: int, high: int) -> np.ndarray:
+    """``rows`` independent uniform ``d``-subsets of ``range(high)``, one sorted row each.
+
+    Draws with replacement, then redraws only the surplus copies of any
+    repeated value until every row is distinct.  Each step treats all values
+    alike, so the law of a finished row is invariant under relabeling values
+    and is therefore uniform over ``d``-subsets; unlike redrawing whole rows,
+    this also finishes quickly when ``d`` is close to ``high``.
+    """
+    picks = rng.integers(0, high, size=(rows, d))
+    picks.sort(axis=1)
+    todo, sub = np.arange(rows), picks
+    while True:
+        surplus = np.zeros(sub.shape, dtype=bool)
+        np.equal(sub[:, 1:], sub[:, :-1], out=surplus[:, 1:])
+        repeated = surplus.any(axis=1)
+        if not repeated.any():
+            return picks
+        todo, sub, surplus = todo[repeated], sub[repeated], surplus[repeated]
+        sub[surplus] = rng.integers(0, high, size=int(surplus.sum()))
+        sub.sort(axis=1)
+        picks[todo] = sub
 
 
 def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> PlantedInstance:
@@ -127,17 +174,9 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
         raise ValueError(f"infeasible parameters: d * (1 - alpha) = {d * (1 - alpha)} exceeds alpha * n = {alpha * n}")
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    for u in outside.tolist():
-        nbrs = rng.choice(n - 1, size=d, replace=False).astype(np.int64)
-        nbrs[nbrs >= u] += 1  # skip u itself; picks stay uniform over the rest
-        srcs.append(np.full(d, u, dtype=np.int64))
-        dsts.append(nbrs)
-    if srcs:
-        edges = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+    nbrs = _distinct_picks(rng, outside.size, d, n - 1)
+    nbrs += nbrs >= outside[:, None]  # skip u itself; picks stay uniform over the rest
+    edges = np.stack([np.repeat(outside, d), nbrs.ravel()], axis=1)
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
     return PlantedInstance(build_graph(n, edges), frozenset(planted.tolist()), params)
 

@@ -7,6 +7,7 @@ import pytest
 
 from noisymis.graph import (
     EXACT_MIS_MAX_N,
+    _sorted_ids,
     build_graph,
     exact_mis,
     greedy_mis,
@@ -62,6 +63,74 @@ def test_build_graph_empty():
     assert g.n == 0 and g.m == 0 and g.max_degree == 0
     g1 = build_graph(3, [])
     assert g1.m == 0 and g1.degrees().tolist() == [0, 0, 0]
+
+
+def reference_csr(n, edges):
+    """CSR arrays as the np.unique + np.lexsort build produced them."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    keep = lo != hi
+    codes = np.unique(lo[keep] * np.int64(n) + hi[keep])
+    lo, hi = codes // n, codes % n
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    indices = dst[order]
+    counts = np.bincount(src, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, indices.astype(np.int64, copy=False)
+
+
+def reference_sorted_ids(vertices):
+    if isinstance(vertices, np.ndarray):
+        return np.unique(vertices.astype(np.int64, copy=False))
+    return np.unique(np.fromiter((int(v) for v in vertices), dtype=np.int64))
+
+
+def messy_edge_lists(rng):
+    """Seeded edge lists with self-loops, repeats and both orientations."""
+    yield 0, []
+    yield 1, [(0, 0)]
+    yield 7, []
+    for n in (2, 3, 10, 57, 400):
+        for m in (1, n // 2 + 1, 4 * n):
+            arr = rng.integers(0, n, size=(m, 2))
+            extra = [arr[rng.integers(0, m, size=m // 3 + 1)]]  # repeats
+            extra.append(arr[rng.integers(0, m, size=m // 3 + 1)][:, ::-1])  # reversed
+            loops = rng.integers(0, n, size=m // 5 + 1)
+            extra.append(np.stack([loops, loops], axis=1))
+            arr = np.concatenate([arr, *extra])
+            yield n, arr[rng.permutation(len(arr))]
+
+
+def test_build_graph_matches_reference_csr():
+    rng = np.random.default_rng(11)
+    for n, edges in messy_edge_lists(rng):
+        offsets, indices = reference_csr(n, edges)
+        for given in (edges, [tuple(e) for e in np.asarray(edges).tolist()]):
+            g = build_graph(n, given)
+            assert np.array_equal(g.offsets, offsets) and g.offsets.dtype == offsets.dtype
+            assert np.array_equal(g.indices, indices) and g.indices.dtype == indices.dtype
+
+
+def test_sorted_ids_matches_reference():
+    rng = np.random.default_rng(12)
+    arrays = [np.zeros(0, dtype=np.int32), np.array(4), np.array([[3, 1], [1, 0]])]
+    for size in (1, 2, 9, 300):
+        arr = rng.integers(0, 50, size=size)
+        arrays += [arr, arr.astype(np.int32), arr.astype(np.uint16)]
+    for arr in arrays:
+        before = arr.copy()
+        expected = reference_sorted_ids(arr)
+        got = _sorted_ids(arr, 50)
+        assert np.array_equal(got, expected) and got.dtype == expected.dtype
+        assert np.array_equal(arr, before)  # the caller's array stays unsorted
+        ids = arr.ravel().tolist()
+        for other in (ids, frozenset(ids), iter(ids)):
+            got = _sorted_ids(other, 50)
+            assert np.array_equal(got, expected) and got.dtype == expected.dtype
 
 
 def test_graph_is_immutable():

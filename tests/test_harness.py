@@ -138,6 +138,21 @@ def test_instance_path_reused_across_trials(tmp_path):
     assert len({(r.output_size, r.ratio) for r in records}) == 1
 
 
+def test_instance_file_parsed_once_per_process(tmp_path, monkeypatch):
+    reads = []
+    real_read = harness.read_instance
+    monkeypatch.setattr(harness, "read_instance", lambda path: reads.append(path) or real_read(path))
+    path = tmp_path / "fixed.txt"
+    write_instance(gen_planted_gnp(40, 0.5, 0.1, seed=3), path)
+    cfg = gnp_config(instance={"path": str(path)}, trials=3)
+    assert {r.n for r in run_experiment(cfg)} == {40}
+    assert len(reads) == 1
+    # a rewritten file is parsed again
+    write_instance(gen_planted_gnp(50, 0.5, 0.1, seed=3), path)
+    assert {r.n for r in run_experiment(cfg)} == {50}
+    assert len(reads) == 2
+
+
 def test_generated_instances_differ_per_trial():
     records = run_experiment(gnp_config(trials=4))
     assert len({r.seed for r in records}) == 4

@@ -1,10 +1,13 @@
 """Planted-instance generators and instance file I/O."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import noisymis.instances as instances
 from noisymis.graph import build_graph, exact_mis, is_independent_set
 from noisymis.instances import (
     PlantedInstance,
@@ -119,6 +122,105 @@ def test_bounded_degree_determinism():
     a = gen_planted_bounded_degree(200, 0.4, 6, seed=2)
     b = gen_planted_bounded_degree(200, 0.4, 6, seed=2)
     assert a.graph == b.graph and a.planted == b.planted
+
+
+# -- sampler distributions -------------------------------------------------------------
+# Seeds are fixed, so each test is deterministic; a p-value under 1e-3 means the
+# sampler's law differs from the specified one, not bad luck on a rerun.
+
+
+def binomial_gof_pvalue(counts, trials, p):
+    """Chi-square goodness of fit of ``counts`` to Binomial(trials, p), in ~decile bins."""
+    dist = stats.binom(trials, p)
+    right = np.unique(dist.ppf(np.linspace(0.1, 0.9, 9)))  # inclusive right bin edges
+    probs = np.diff(np.concatenate([[0.0], dist.cdf(right), [1.0]]))
+    observed = np.bincount(np.searchsorted(right, counts), minlength=probs.size)
+    return stats.chisquare(observed, probs * len(counts)).pvalue
+
+
+def test_gnp_pair_frequencies_match_p():
+    n, alpha, p, seeds = 8, 0.5, 0.3, 3000
+    allowed = np.zeros((n, n))
+    hits = np.zeros((n, n))
+    for seed in range(seeds):
+        inst = gen_planted_gnp(n, alpha, p, seed=seed)
+        adj = np.zeros((n, n), dtype=bool)
+        for u in range(n):
+            adj[u, inst.graph.neighbors(u)] = True
+        inside = planted_mask(inst)
+        assert not adj[np.ix_(inside, inside)].any()
+        allowed += ~np.outer(inside, inside)
+        hits += adj
+    iu = np.triu_indices(n, 1)
+    a, h = allowed[iu], hits[iu]
+    statistic = float(np.sum((h - a * p) ** 2 / (a * p * (1 - p))))
+    assert stats.chi2.sf(statistic, df=a.size) > 1e-3
+
+
+def test_gnp_universe_edge_counts_are_binomial():
+    n, alpha, p = 30, 0.3, 0.2
+    k = math.floor(alpha * n)
+    inner_pairs, cross_pairs = (n - k) * (n - k - 1) // 2, (n - k) * k
+    inner, cross = [], []
+    for seed in range(1500):
+        inst = gen_planted_gnp(n, alpha, p, seed=seed)
+        g = inst.graph
+        inside = planted_mask(inst)
+        owner = np.repeat(np.arange(n), g.degrees())
+        ends_inside = inside[owner].astype(int) + inside[g.indices]
+        assert not np.any(ends_inside == 2)
+        inner.append(int(np.sum(ends_inside == 0)) // 2)
+        cross.append(int(np.sum(ends_inside == 1)) // 2)
+    assert binomial_gof_pvalue(np.array(inner), inner_pairs, p) > 1e-3
+    assert binomial_gof_pvalue(np.array(cross), cross_pairs, p) > 1e-3
+
+
+def test_unrank_pairs_inverts_colex_rank():
+    # exhaustive at small ranks, then both sides of triangular numbers up to
+    # ~2**61, where the float square root alone lands one off
+    m = np.arange(2**31 - 2000, 2**31, dtype=np.int64)
+    for ranks in (np.arange(100_000), np.concatenate([m * (m - 1) // 2, m * (m - 1) // 2 - 1])):
+        i, j = instances._unrank_pairs(ranks)
+        assert np.all((0 <= i) & (i < j)) and np.array_equal(j * (j - 1) // 2 + i, ranks)
+
+
+def test_distinct_picks_are_uniform_subsets():
+    rng = np.random.default_rng(21)
+    high, d, rows = 6, 3, 20000
+    picks = instances._distinct_picks(rng, rows, d, high)
+    assert picks.shape == (rows, d)
+    assert np.all(np.diff(picks, axis=1) > 0) and picks.min() >= 0 and picks.max() < high
+    subsets = {c: i for i, c in enumerate(itertools.combinations(range(high), d))}
+    observed = np.bincount([subsets[tuple(row)] for row in picks.tolist()], minlength=len(subsets))
+    assert stats.chisquare(observed).pvalue > 1e-3
+    # a row that must use every value still finishes
+    full = instances._distinct_picks(rng, 50, high, high)
+    assert np.array_equal(full, np.tile(np.arange(high), (50, 1)))
+
+
+def test_bounded_degree_picks_are_distinct_and_uniform(monkeypatch):
+    n, alpha, d = 7, 0.5, 2
+    captured = []
+
+    def capture(count, edges):
+        captured.append(np.array(edges))
+        return build_graph(count, edges)
+
+    monkeypatch.setattr(instances, "build_graph", capture)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for seed in range(2000):
+        inst = gen_planted_bounded_degree(n, alpha, d, seed=seed)
+        src, dst = captured.pop().T
+        outside = np.flatnonzero(~planted_mask(inst))
+        assert np.array_equal(np.unique(src), outside)
+        for u in outside:
+            picks = dst[src == u]
+            assert len(picks) == d and len(set(picks.tolist())) == d and u not in picks
+        np.add.at(counts, (src, dst), 1)
+    for u in range(n):
+        others = np.delete(counts[u], u)
+        assert others.sum() > 0
+        assert stats.chisquare(others).pvalue > 1e-3
 
 
 # -- file I/O ---------------------------------------------------------------------------
