@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, induced_subgraph, vertex_cover_2approx
+from .graph import Graph, _induce, _matched_mask, _sorted_ids, induced_subgraph
+from .graph import vertex_cover_2approx  # noqa: F401  (bench/traced.py times calls through this binding)
 from .oracle import Oracle, ModeError, BANDIT_BERNOULLI, BANDIT_GAUSSIAN
 
 __all__ = [
@@ -111,7 +112,12 @@ def elimination_round(survivors, oracle: Oracle, q: int) -> frozenset:
     (Gaussian) is strictly below ``q / 2``; exact ties survive.  Requires a
     non-persistent oracle, since repeated queries must carry fresh noise.
     """
-    verts = np.fromiter(sorted(survivors), dtype=np.int64, count=len(survivors))
+    verts = _sorted_ids(survivors, oracle.n)
+    return frozenset(verts[_majority(verts, oracle, q)].tolist())
+
+
+def _majority(verts: np.ndarray, oracle: Oracle, q: int) -> np.ndarray:
+    """``elimination_round``'s vote on an ascending id array, as a keep mask over it."""
     if oracle.config.mode == BANDIT_BERNOULLI:
         counts = oracle.query_yes_counts(verts, q)
         keep = 2 * counts >= q
@@ -120,7 +126,7 @@ def elimination_round(survivors, oracle: Oracle, q: int) -> frozenset:
         keep = sums >= q / 2.0
     else:
         raise ModeError("elimination needs a non-persistent oracle; repeated queries must be fresh")
-    return frozenset(verts[keep].tolist())
+    return keep
 
 
 def cover_complement(g: Graph, vertices) -> frozenset:
@@ -131,11 +137,7 @@ def cover_complement(g: Graph, vertices) -> frozenset:
     matched edge spends at most one member per outsider).
     """
     sub, ids = induced_subgraph(g, vertices)
-    cover = vertex_cover_2approx(sub)
-    keep = np.ones(sub.n, dtype=bool)
-    if cover:
-        keep[np.fromiter(cover, dtype=np.int64, count=len(cover))] = False
-    return frozenset(ids[keep].tolist())
+    return frozenset(ids[~_matched_mask(sub)].tolist())
 
 
 def run_bandit(
@@ -163,10 +165,10 @@ def run_bandit(
         params = replace(params, epsilon=oracle.config.epsilon)
 
     if initial is None:
-        survivors = frozenset(range(g.n))
+        survivors = np.arange(g.n, dtype=np.int64)
     else:
-        survivors = frozenset(int(v) for v in initial)
-    n_eff = len(survivors)
+        survivors = _sorted_ids(initial, g.n)
+    n_eff = survivors.size
     result = BanditResult(independent_set=frozenset(), best_round=0)
     if n_eff == 0:
         result.terminated_reason = "survivors-empty"
@@ -175,33 +177,41 @@ def run_bandit(
     budget = query_budget(n_eff, params)
     spent = 0
     r = 0
+    best = survivors[:0]
+    candidate = None
     while True:
         r += 1
         q = query_schedule(r, params)
-        before = len(survivors)
-        survivors = elimination_round(survivors, oracle, q)
+        before = survivors.size
+        keep = _majority(survivors, oracle, q)
+        survivors = survivors[keep]
         spent += before * q
-        candidate = cover_complement(g, survivors)
-        cover_size = len(survivors) - len(candidate)
-        if len(candidate) > len(result.independent_set):
-            result.independent_set = candidate
+        # survivors only shrink and ``sub`` is always G[survivors]: later rounds
+        # induce from it by position, and a round that drops nobody keeps the
+        # previous candidate, which depends on the survivors alone
+        if candidate is None or survivors.size != before:
+            sub = _induce(g, survivors) if candidate is None else _induce(sub, np.flatnonzero(keep))
+            candidate = survivors[~_matched_mask(sub)]
+        if candidate.size > best.size:
+            best = candidate
             result.best_round = r
         result.trace.append(
             RoundRecord(
                 r=r,
                 q=q,
                 survivors_before=before,
-                survivors_after=len(survivors),
-                cover_size=cover_size,
-                candidate_size=len(candidate),
+                survivors_after=survivors.size,
+                cover_size=survivors.size - candidate.size,
+                candidate_size=candidate.size,
                 cumulative_queries=spent,
             )
         )
         if spent > budget:
             result.terminated_reason = "budget"
             break
-        if not survivors:
+        if not survivors.size:
             result.terminated_reason = "survivors-empty"
             break
+    result.independent_set = frozenset(best.tolist())
     result.total_queries = spent
     return result

@@ -79,13 +79,14 @@ def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, see
 def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None = None) -> frozenset:
     """Promote vertices that ``base_alg`` selects consistently, round by round.
 
-    ``base_alg(residual)`` must return a vertex subset given the residual
-    id set; each round reruns it ``reps_per_round`` times and promotes the
-    vertices selected in at least half the runs, removing them from the
-    residual.  After the last round every leftover vertex is queried
-    directly ``final_queries`` times and promoted on a majority of yes
-    answers.  Requires the non-persistent Bernoulli oracle (the final sweep
-    votes by repetition).
+    ``base_alg(residual)`` gets the residual ids as a ``frozenset`` and may
+    return any iterable of ids; ids outside ``range(n)`` or outside the
+    residual are ignored, and so are repeats within one run.  Each round
+    reruns it ``reps_per_round`` times and promotes the vertices selected in
+    at least half the runs, removing them from the residual.  After the last
+    round every leftover vertex is queried directly ``final_queries`` times
+    and promoted on a majority of yes answers.  Requires the non-persistent
+    Bernoulli oracle (the final sweep votes by repetition).
     """
     params = params or AmplifyParams()
     if oracle.config.mode != BANDIT_BERNOULLI:
@@ -110,25 +111,27 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     if rounds < 0 or reps < 1 or final_q < 1:
         raise ValueError("rounds must be >= 0, reps_per_round and final_queries >= 1")
 
-    residual = frozenset(range(n))
-    promoted: set[int] = set()
+    residual = np.ones(n, dtype=bool)
+    promoted = np.zeros(n, dtype=bool)
     for _ in range(rounds):
-        if not residual:
+        if not residual.any():
             break
+        residual_ids = frozenset(np.flatnonzero(residual).tolist())
         votes = np.zeros(n, dtype=np.int64)
         for _ in range(reps):
-            picked = base_alg(residual)
-            hits = [v for v in picked if v in residual]
-            if hits:
-                votes[hits] += 1
-        selected = frozenset(np.flatnonzero(2 * votes >= reps).tolist())
+            picked = np.fromiter(base_alg(residual_ids), dtype=np.int64)
+            # ids outside range(n) are dropped before they can index (a negative
+            # one would wrap around); repeats within one run count once
+            picked = picked[(picked >= 0) & (picked < n)]
+            votes[picked[residual[picked]]] += 1
+        selected = 2 * votes >= reps
         promoted |= selected
-        residual -= selected
-    if residual:
-        leftovers = np.fromiter(sorted(residual), dtype=np.int64, count=len(residual))
+        residual &= ~selected
+    leftovers = np.flatnonzero(residual)
+    if leftovers.size:
         counts = oracle.query_yes_counts(leftovers, final_q)
-        promoted |= set(leftovers[2 * counts >= final_q].tolist())
-    return frozenset(promoted)
+        promoted[leftovers[2 * counts >= final_q]] = True
+    return frozenset(np.flatnonzero(promoted).tolist())
 
 
 def run_greedy_baseline(g: Graph, order=None) -> frozenset:

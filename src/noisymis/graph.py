@@ -1,9 +1,12 @@
 """Immutable CSR graphs plus the combinatorial routines shared by every solver.
 
-Vertex sets are plain ``frozenset`` objects of 0-based ids; all ids live in
-``range(g.n)``.  Graphs are simple (no self-loops, no parallel edges) and
-undirected, with every neighbor list stored in ascending order so that scan
-order, and therefore each algorithm built on top, is deterministic.
+Vertex ids are 0-based and live in ``range(g.n)``.  Inside the library a
+vertex set is an ascending int64 id array or a boolean mask over
+``range(g.n)``; public functions accept any iterable of ids and return
+``frozenset`` objects, converting once at that boundary.  Graphs are simple
+(no self-loops, no parallel edges) and undirected, with every neighbor list
+stored in ascending order so that scan order, and therefore each algorithm
+built on top, is deterministic.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ class Graph:
 
     ``indices[offsets[v]:offsets[v + 1]]`` is the ascending neighbor list of
     ``v``.  Instances are immutable after construction and safe to share
-    across concurrent trials.
+    across concurrent trials.  Equality and hashing both go by content; the
+    lazily built owner array and hash are caches, not content.
     """
 
-    __slots__ = ("n", "m", "offsets", "indices")
+    __slots__ = ("n", "m", "offsets", "indices", "_owner", "_hash")
 
     def __init__(self, n: int, offsets: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -45,6 +49,8 @@ class Graph:
         self.indices = indices
         for arr in (self.offsets, self.indices):
             arr.setflags(write=False)
+        self._owner = None
+        self._hash = None
 
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
@@ -55,6 +61,18 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    def owner(self) -> np.ndarray:
+        """Source vertex of every CSR slot, so edge ``j`` is ``(owner()[j], indices[j])``.
+
+        Built on first use and cached (read-only); every edge-wise routine
+        shares this one array.
+        """
+        if self._owner is None:
+            owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+            owner.setflags(write=False)
+            self._owner = owner
+        return self._owner
 
     @property
     def max_degree(self) -> int:
@@ -68,8 +86,12 @@ class Graph:
             and np.array_equal(self.indices, other.indices)
         )
 
-    def __hash__(self):  # identity-based; content equality stays available via ==
-        return id(self)
+    def __hash__(self):
+        if self._hash is None:
+            # hash int64 bytes, so graphs equal under == hash equal whatever their dtypes
+            content = (np.asarray(a, dtype=np.int64).tobytes() for a in (self.offsets, self.indices))
+            self._hash = hash((self.n, *content))
+        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -117,6 +139,8 @@ def _sorted_ids(vertices, n: int) -> np.ndarray:
     """Unique ascending id array from any iterable of vertex ids."""
     if isinstance(vertices, np.ndarray):
         ids = vertices.astype(np.int64).ravel()
+    elif isinstance(vertices, (set, frozenset)):
+        ids = np.fromiter(vertices, dtype=np.int64, count=len(vertices))
     else:
         ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
     ids = _sorted_unique(ids)
@@ -132,17 +156,25 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     the rank of each kept id inside the ascending ``ids`` array.
     """
     ids = _sorted_ids(vertices, g.n)
+    return _induce(g, ids), ids
+
+
+def _induce(g: Graph, ids: np.ndarray) -> Graph:
+    """Induced subgraph on the ascending distinct ids ``ids``, renumbered by rank."""
     mask = np.zeros(g.n, dtype=bool)
     mask[ids] = True
-    new_id = np.cumsum(mask) - 1
-    owner = np.repeat(np.arange(g.n), g.degrees())
-    slot = mask[owner] & mask[g.indices]
-    sub_src = new_id[owner[slot]]
-    sub_indices = new_id[g.indices[slot]].astype(np.int64)
-    counts = np.bincount(sub_src, minlength=ids.size)
+    owner = g.owner()
+    slot = mask[owner]
+    slot &= mask[g.indices]
     offsets = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return Graph(ids.size, offsets, sub_indices), ids
+    if not slot.any():
+        return Graph(ids.size, offsets, np.zeros(0, dtype=np.int64))
+    # row lengths come from the old ids, so no renumbered copy of the kept
+    # slots' owners is ever alive next to the renumbered neighbor ids
+    np.cumsum(np.bincount(owner[slot], minlength=g.n)[ids], out=offsets[1:])
+    new_id = np.cumsum(mask, dtype=np.int64) - 1
+    sub_indices = new_id[g.indices[slot]]
+    return Graph(ids.size, offsets, sub_indices)
 
 
 def greedy_mis(g: Graph, order=None) -> frozenset:
@@ -176,20 +208,28 @@ def vertex_cover_2approx(g: Graph) -> frozenset:
     Edges are scanned lowest endpoint first (ascending u, then ascending v
     within N(u)); both endpoints of every matched edge enter the cover.
     """
-    n = g.n
-    offsets = g.offsets.tolist()
+    return frozenset(np.flatnonzero(_matched_mask(g)).tolist())
+
+
+def _matched_mask(g: Graph) -> np.ndarray:
+    """Mask of the vertices that ``vertex_cover_2approx``'s greedy matching covers.
+
+    Isolated vertices can never be matched, so only vertices of nonzero
+    degree are scanned; the matching is the same as a scan over every id.
+    """
+    offsets = g.offsets
+    active = np.flatnonzero(offsets[1:] != offsets[:-1])
+    matched = bytearray(g.n)
     indices = g.indices.tolist()
-    matched = [False] * n
-    for u in range(n):
+    for u, start, stop in zip(active.tolist(), offsets[active].tolist(), offsets[active + 1].tolist()):
         if matched[u]:
             continue
-        for j in range(offsets[u], offsets[u + 1]):
+        for j in range(start, stop):
             v = indices[j]
             if not matched[v]:
-                matched[u] = True
-                matched[v] = True
+                matched[u] = matched[v] = 1
                 break
-    return frozenset(v for v in range(n) if matched[v])
+    return np.frombuffer(matched, dtype=bool)
 
 
 def _member_mask(g: Graph, s) -> np.ndarray:
@@ -213,8 +253,7 @@ def is_maximal_independent_set(g: Graph, s) -> bool:
     if bool(np.any(owner_in & neighbor_in)):
         return False
     touched = np.zeros(g.n, dtype=bool)
-    owner = np.repeat(np.arange(g.n), g.degrees())
-    touched[owner[neighbor_in]] = True
+    touched[g.owner()[neighbor_in]] = True
     return bool(np.all(mask | touched))
 
 
@@ -270,7 +309,7 @@ def exact_mis(g: Graph) -> frozenset:
 
 def write_edgelist(g: Graph, path) -> None:
     """Write ``n m`` then one ``u v`` line per edge (u < v, ascending)."""
-    owner = np.repeat(np.arange(g.n), g.degrees())
+    owner = g.owner()
     fwd = owner < g.indices
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.m}\n")

@@ -260,7 +260,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
         queries = oracle.total_queries
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if not is_independent_set(g, output):
-        raise RuntimeError(f"trial seed={seed} algorithm={algorithm}: output failed the independence check")
+        raise RuntimeError(f"{_trial_name(seed, algorithm)}: output failed the independence check")
     alpha = instance.params.get("alpha", len(planted) / g.n if g.n else 0.0)
     record = TrialRecord(
         algorithm=algorithm,
@@ -282,6 +282,10 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
     return record, detail
 
 
+def _trial_name(seed: int, algorithm: str) -> str:
+    return f"trial seed={seed} algorithm={algorithm}"
+
+
 def _run_trial_task(payload: tuple[dict, int]) -> TrialRecord:
     config_dict, seed = payload
     record, _ = run_trial(ExperimentConfig.from_dict(config_dict), seed)
@@ -295,9 +299,19 @@ def run_experiment(config: ExperimentConfig, collect_details: bool = False):
     records: list[TrialRecord] = []
     details: dict[int, object] = {}
     if config.workers > 1 and not collect_details:
-        payload = [(config.to_dict(), s) for s in seeds]
+        config_dict = config.to_dict()
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_run_trial_task, payload))
+            futures = [pool.submit(_run_trial_task, (config_dict, s)) for s in seeds]
+            for s, future in zip(seeds, futures):
+                try:
+                    records.append(future.result())
+                except Exception as exc:
+                    # a worker's traceback names no trial, so say which one failed
+                    pool.shutdown(cancel_futures=True)
+                    name = _trial_name(s, config.algorithm)
+                    if str(exc).startswith(name):
+                        raise
+                    raise RuntimeError(f"{name}: {type(exc).__name__}: {exc}") from exc
     else:
         for s in seeds:
             record, detail = run_trial(config, s)

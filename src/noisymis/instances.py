@@ -50,8 +50,7 @@ def is_planted_maximal(instance: PlantedInstance) -> bool:
     g = instance.graph
     mask = planted_mask(instance)
     touched = np.zeros(g.n, dtype=bool)
-    owner = np.repeat(np.arange(g.n), g.degrees())
-    touched[owner[mask[g.indices]]] = True
+    touched[g.owner()[mask[g.indices]]] = True
     return bool(np.all(mask | touched))
 
 
@@ -184,7 +183,7 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
 def write_instance(instance: PlantedInstance, path) -> None:
     """Edge-list file plus ``# planted:`` and ``# params:`` comment lines."""
     g = instance.graph
-    owner = np.repeat(np.arange(g.n), g.degrees())
+    owner = g.owner()
     fwd = owner < g.indices
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.m}\n")

@@ -65,8 +65,7 @@ def neighbor_yes_counts(g: Graph, oracle: Oracle) -> np.ndarray:
     if not oracle.config.is_persistent:
         raise ModeError("neighbor votes need a persistent oracle; answers must not change between reads")
     answers = oracle.query_bool_many(np.arange(g.n, dtype=np.int64))
-    owner = np.repeat(np.arange(g.n), g.degrees())
-    counts = np.bincount(owner, weights=answers[g.indices].astype(np.float64), minlength=g.n)
+    counts = np.bincount(g.owner(), weights=answers[g.indices].astype(np.float64), minlength=g.n)
     return counts.astype(np.int64)
 
 

@@ -169,6 +169,33 @@ def test_amplify_round_votes_ignore_nonresidual_vertices():
     assert len(seen) == 2
 
 
+def test_amplify_drops_bad_ids_and_accepts_any_iterable():
+    # negative and out-of-range ids carry no vote (a negative id must not wrap
+    # around onto another vertex), repeats count once per run, and a base that
+    # yields a generator works like one that returns a set
+    n = 6
+    from noisymis.instances import PlantedInstance
+
+    inst = PlantedInstance(graph=build_graph(n, []), planted=frozenset(), params={})
+    o = make_oracle(inst, bern(0.5, seed=15))
+    runs = [[-1, -6, 6, 99, 2, 2, 2], [-1, -6, 6, 99, 2], (v for v in (3, 3, -3, 4)), iter([])]
+
+    def base(residual):
+        assert isinstance(residual, frozenset)
+        return runs.pop(0)
+
+    # a noiseless oracle answers no for every vertex, so only votes promote;
+    # 2 of 4 runs name vertex 2; vertices 5 (via -1) and 0 (via -6) must not count
+    out = run_amplify(base, o, n, AmplifyParams(rounds=1, reps_per_round=4, final_queries=1))
+    assert out == {2}
+    assert not runs
+    # a base that returns a bare generator over several rounds
+    o2 = make_oracle(inst, bern(0.5, seed=16))
+    out = run_amplify(lambda residual: (v for v in sorted(residual) if v % 2), o2, n,
+                      AmplifyParams(rounds=2, reps_per_round=3, final_queries=1))
+    assert out == {1, 3, 5}
+
+
 def test_amplify_validation():
     inst = gen_planted_gnp(30, 0.5, 0.1, seed=0)
     base = lambda residual: inst.planted & residual

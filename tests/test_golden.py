@@ -60,7 +60,7 @@ def _ledger(o) -> dict:
     }
 
 
-def _next_draw(o) -> float:
+def _next_draw(o) -> int | float:
     """The oracle's next fresh answer, which pins the RNG stream position."""
     if o.config.mode == BANDIT_GAUSSIAN:
         return float(o.query_reward_sums(np.array([0]), 4)[0])

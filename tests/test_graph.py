@@ -7,6 +7,7 @@ import pytest
 
 from noisymis.graph import (
     EXACT_MIS_MAX_N,
+    Graph,
     _sorted_ids,
     build_graph,
     exact_mis,
@@ -146,6 +147,22 @@ def test_graph_equality_is_structural():
     assert a != build_graph(3, [(0, 1)])
 
 
+def test_graph_hash_agrees_with_equality():
+    a = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    b = build_graph(5, [(4, 3), (2, 1), (1, 0), (0, 1)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the cached owner array is not content: building it changes neither
+    before = hash(a)
+    a.owner()
+    assert hash(a) == before and a == b
+    # equal content held in another integer dtype still hashes equal
+    c = Graph(5, a.offsets.astype(np.int32), a.indices.astype(np.int32))
+    assert c == a and hash(c) == hash(a)
+    assert build_graph(5, [(0, 1)]) not in {a}
+    assert len({build_graph(0, []), build_graph(0, []), build_graph(1, [])}) == 2
+
+
 def test_neighbor_lists_sorted():
     rng = np.random.default_rng(5)
     g = random_graph(rng, 12, 0.4)
@@ -257,6 +274,59 @@ def test_cover_covers_all_edges_and_is_2approx():
         assert len(cover) <= 2 * optimum
         # complement of a cover is independent
         assert is_independent_set(g, frozenset(range(g.n)) - cover)
+
+
+def reference_cover(g):
+    """The cover as first written: a greedy matching scanned over every vertex id."""
+    n = g.n
+    offsets = g.offsets.tolist()
+    indices = g.indices.tolist()
+    matched = [False] * n
+    for u in range(n):
+        if matched[u]:
+            continue
+        for j in range(offsets[u], offsets[u + 1]):
+            v = indices[j]
+            if not matched[v]:
+                matched[u] = True
+                matched[v] = True
+                break
+    return frozenset(v for v in range(n) if matched[v])
+
+
+def sparse_graphs(rng):
+    """Seeded graphs where most vertices are isolated, plus the edge cases."""
+    yield build_graph(0, [])
+    yield build_graph(1, [])
+    yield build_graph(9, [])
+    yield build_graph(9, [(7, 8)])
+    for n in (5, 40, 300):
+        for m in (1, n // 10 + 1, n // 2, 2 * n):
+            hubs = rng.choice(n, size=max(2, n // 8), replace=False)
+            yield build_graph(n, rng.choice(hubs, size=(m, 2)))
+            yield build_graph(n, rng.integers(0, n, size=(m, 2)))
+
+
+def test_cover_matches_all_vertex_reference():
+    rng = np.random.default_rng(31)
+    for g in sparse_graphs(rng):
+        assert vertex_cover_2approx(g) == reference_cover(g)
+        sub, ids = induced_subgraph(g, rng.permutation(g.n)[: g.n // 2])
+        assert vertex_cover_2approx(sub) == reference_cover(sub)
+
+
+def test_cover_against_networkx_matching():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(32)
+    for g in sparse_graphs(rng):
+        cover = vertex_cover_2approx(g)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from((u, v) for u in range(g.n) for v in g.neighbors(u).tolist() if u < v)
+        assert all(u in cover or v in cover for u, v in ref.edges)
+        # any cover needs one endpoint per edge of a maximum matching, so
+        # twice the matching size bounds a 2-approximation from above
+        assert len(cover) <= 2 * len(nx.max_weight_matching(ref, maxcardinality=True))
 
 
 # -- membership predicates ----------------------------------------------------

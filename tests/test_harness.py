@@ -300,3 +300,19 @@ def test_csv_header_and_cell_errors(tmp_path):
     path.write_text(",".join(CSV_COLUMNS) + "\ngreedy,10\n")
     with pytest.raises(ValueError, match="cells"):
         records_from_csv(path)
+
+
+def test_worker_errors_name_seed_and_algorithm(tmp_path):
+    cfg = gnp_config(
+        algorithm="persistent",
+        oracle={"epsilon": 0.25, "mode": "persistent-random"},
+        params={"not_a_knob": 1},
+        trials=2,
+        workers=2,
+    )
+    first = trial_seeds(cfg)[0]
+    with pytest.raises(RuntimeError, match=rf"trial seed={first} algorithm=persistent: ValueError: .*not_a_knob"):
+        run_experiment(cfg)
+    missing = gnp_config(instance={"path": str(tmp_path / "absent.txt")}, workers=2)
+    with pytest.raises(RuntimeError, match=rf"trial seed={trial_seeds(missing)[0]} algorithm=greedy: FileNotFoundError"):
+        run_experiment(missing)
