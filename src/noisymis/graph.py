@@ -111,28 +111,38 @@ def build_graph(n: int, edges) -> Graph:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be an iterable of id pairs")
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
-        i = int(np.flatnonzero(bad.any(axis=1))[0])
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        i = int(np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))[0])
         raise ValueError(
             f"edge ({int(arr[i, 0])}, {int(arr[i, 1])}) has an endpoint outside range(0, {n})"
         )
-    arr = arr[arr[:, 0] != arr[:, 1]]
+    loops = arr[:, 0] == arr[:, 1]
+    if loops.any():
+        arr = arr[~loops]
     # encode both orientations of each pair as src * n + dst: the sorted codes
     # list every row in turn with ascending neighbors, and repeats sit adjacent
-    u, v = arr[:, 0], arr[:, 1]
-    codes = _sorted_unique(np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u]))
+    k = len(arr)
+    codes = np.empty(2 * k, dtype=np.int64)
+    fwd, rev = codes[:k], codes[k:]
+    np.multiply(arr[:, 0], n, out=fwd)
+    fwd += arr[:, 1]
+    np.multiply(arr[:, 1], n, out=rev)
+    rev += arr[:, 0]
+    codes = _sorted_unique(codes)
     offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
     indices = np.remainder(codes, n, out=codes)
     return Graph(n, offsets, indices)
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Sort ``a`` in place and return its distinct values, ascending."""
+    """Sort ``a`` in place and return its distinct values, ascending.
+
+    Without repeats that is ``a`` itself, so no copy is made.
+    """
     a.sort()
     first = np.ones(a.size, dtype=bool)
     np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
+    return a if first.all() else a[first]
 
 
 def _sorted_ids(vertices, n: int) -> np.ndarray:
@@ -233,6 +243,7 @@ def _matched_mask(g: Graph) -> np.ndarray:
 
 
 def _member_mask(g: Graph, s) -> np.ndarray:
+    """Boolean mask over ``range(g.n)`` of the ids in ``s``; an id outside it raises ``ValueError``."""
     mask = np.zeros(g.n, dtype=bool)
     mask[_sorted_ids(s, g.n)] = True
     return mask

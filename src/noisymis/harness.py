@@ -17,7 +17,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,6 +298,9 @@ def run_experiment(config: ExperimentConfig, collect_details: bool = False):
     records: list[TrialRecord] = []
     details: dict[int, object] = {}
     if config.workers > 1 and not collect_details:
+        # imported here: serial runs, the common case, skip the pool machinery's import cost
+        from concurrent.futures import ProcessPoolExecutor
+
         config_dict = config.to_dict()
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(_run_trial_task, (config_dict, s)) for s in seeds]

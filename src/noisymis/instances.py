@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_graph, is_independent_set
+from .graph import Graph, _member_mask, build_graph, is_independent_set
 
 __all__ = [
     "PlantedInstance",
@@ -40,9 +40,7 @@ class PlantedInstance:
 
 
 def planted_mask(instance: PlantedInstance) -> np.ndarray:
-    mask = np.zeros(instance.graph.n, dtype=bool)
-    mask[np.fromiter(instance.planted, dtype=np.int64, count=len(instance.planted))] = True
-    return mask
+    return _member_mask(instance.graph, instance.planted)
 
 
 def is_planted_maximal(instance: PlantedInstance) -> bool:
@@ -111,18 +109,7 @@ def gen_planted_gnp(n: int, alpha: float, p: float, seed: int, ensure_maximal: b
         raise ValueError(f"p must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
-    k = planted.size
-    # outside-outside pairs, colex-ranked over outside indices i < j
-    i, j = _unrank_pairs(_skip_sample(outside.size * (outside.size - 1) // 2, p, rng))
-    # outside-planted pairs, ranked as outside index * k + planted index
-    a, b = np.divmod(_skip_sample(outside.size * k, p, rng), k)
-    srcs = [outside[i], outside[a]]
-    dsts = [outside[j], planted[b]]
-    if ensure_maximal:
-        lonely = outside[np.bincount(a, minlength=outside.size) == 0]
-        srcs.append(lonely)
-        dsts.append(rng.choice(planted, size=lonely.size))
-    edges = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
+    edges = _gnp_edges(planted, outside, p, ensure_maximal, rng)
     params = {
         "generator": "gnp",
         "n": n,
@@ -132,6 +119,31 @@ def gen_planted_gnp(n: int, alpha: float, p: float, seed: int, ensure_maximal: b
         "ensure_maximal": ensure_maximal,
     }
     return PlantedInstance(build_graph(n, edges), frozenset(planted.tolist()), params)
+
+
+def _gnp_edges(planted: np.ndarray, outside: np.ndarray, p: float, ensure_maximal: bool, rng) -> np.ndarray:
+    """The ``(m, 2)`` edge array of ``gen_planted_gnp``, filled in place.
+
+    The sampled ranks and endpoint indices are locals, so they are freed
+    before the caller builds the graph.
+    """
+    k = planted.size
+    # outside-outside pairs, colex-ranked over outside indices i < j
+    i, j = _unrank_pairs(_skip_sample(outside.size * (outside.size - 1) // 2, p, rng))
+    # outside-planted pairs, ranked as outside index * k + planted index
+    a, b = np.divmod(_skip_sample(outside.size * k, p, rng), k)
+    lonely = outside[np.bincount(a, minlength=outside.size) == 0] if ensure_maximal else outside[:0]
+    edges = np.empty((i.size + a.size + lonely.size, 2), dtype=np.int64)
+    mid, end = i.size, i.size + a.size
+    # mode="clip" lets take write into a column view unbuffered; every index is in range
+    np.take(outside, i, out=edges[:mid, 0], mode="clip")
+    np.take(outside, j, out=edges[:mid, 1], mode="clip")
+    np.take(outside, a, out=edges[mid:end, 0], mode="clip")
+    np.take(planted, b, out=edges[mid:end, 1], mode="clip")
+    if ensure_maximal:
+        edges[end:, 0] = lonely
+        edges[end:, 1] = rng.choice(planted, size=lonely.size)
+    return edges
 
 
 def _distinct_picks(rng: np.random.Generator, rows: int, d: int, high: int) -> np.ndarray:
@@ -173,9 +185,12 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
         raise ValueError(f"infeasible parameters: d * (1 - alpha) = {d * (1 - alpha)} exceeds alpha * n = {alpha * n}")
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
-    nbrs = _distinct_picks(rng, outside.size, d, n - 1)
+    edges = np.empty((outside.size, d, 2), dtype=np.int64)
+    edges[:, :, 0] = outside[:, None]
+    nbrs = edges[:, :, 1]
+    nbrs[...] = _distinct_picks(rng, outside.size, d, n - 1)
     nbrs += nbrs >= outside[:, None]  # skip u itself; picks stay uniform over the rest
-    edges = np.stack([np.repeat(outside, d), nbrs.ravel()], axis=1)
+    edges = edges.reshape(-1, 2)
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
     return PlantedInstance(build_graph(n, edges), frozenset(planted.tolist()), params)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .graph import is_independent_set
+from .graph import _member_mask, is_independent_set
 
 __all__ = [
     "PERSISTENT_RANDOM",
@@ -305,6 +305,4 @@ def make_oracle(instance, config: OracleConfig) -> Oracle:
     g = instance.graph
     if not is_independent_set(g, instance.planted):
         raise ValueError("planted set is not independent in the instance graph")
-    members = np.zeros(g.n, dtype=bool)
-    members[np.fromiter((int(v) for v in instance.planted), dtype=np.int64, count=len(instance.planted))] = True
-    return Oracle(members, config)
+    return Oracle(_member_mask(g, instance.planted), config)

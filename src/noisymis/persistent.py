@@ -58,15 +58,18 @@ class PersistentReport:
 def neighbor_yes_counts(g: Graph, oracle: Oracle) -> np.ndarray:
     """Number of neighbors of each vertex that the oracle claims are members.
 
-    Queries each vertex exactly once (answers are materialized in one batch;
-    by persistence this is equivalent to querying inside the per-vertex
-    loop).  Requires a persistent Bernoulli oracle.
+    Queries every vertex exactly once, in one batch, then reads each
+    neighbor's answer through the CSR neighbor lists: an int64 running sum
+    of the answers in ``indices`` order, taken at ``offsets``, gives each
+    row's count.  Requires a persistent Bernoulli oracle, whose answers do
+    not change between reads.
     """
     if not oracle.config.is_persistent:
         raise ModeError("neighbor votes need a persistent oracle; answers must not change between reads")
     answers = oracle.query_bool_many(np.arange(g.n, dtype=np.int64))
-    counts = np.bincount(g.owner(), weights=answers[g.indices].astype(np.float64), minlength=g.n)
-    return counts.astype(np.int64)
+    running = np.zeros(len(g.indices) + 1, dtype=np.int64)
+    np.cumsum(answers[g.indices], out=running[1:])
+    return np.diff(running[g.offsets])
 
 
 def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):
@@ -123,7 +126,8 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
     surviving_mask = ~low_mask & (yes <= thresholds)
     keep = np.flatnonzero(low_mask | surviving_mask)
     if keep.size:
-        sub, ids = induced_subgraph(g, keep)
+        # when nothing was filtered out the induced subgraph is g itself
+        sub, ids = (g, keep) if keep.size == n else induced_subgraph(g, keep)
         order = _greedy_order(sub, params.greedy_order, params.order_seed)
         chosen = greedy_mis(sub, order)
         independent = frozenset(ids[sorted(chosen)].tolist())

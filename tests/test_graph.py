@@ -55,6 +55,8 @@ def test_build_graph_dedupes_and_drops_self_loops():
 def test_build_graph_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"\(0, 5\)"):
         build_graph(5, [(0, 5)])
+    with pytest.raises(ValueError, match=r"edge \(2, 7\) has an endpoint outside range\(0, 5\)"):
+        build_graph(5, [(0, 1), (2, 7), (9, 1)])
     with pytest.raises(ValueError):
         build_graph(3, [(-1, 0)])
 
@@ -103,7 +105,13 @@ def messy_edge_lists(rng):
             loops = rng.integers(0, n, size=m // 5 + 1)
             extra.append(np.stack([loops, loops], axis=1))
             arr = np.concatenate([arr, *extra])
-            yield n, arr[rng.permutation(len(arr))]
+            arr = arr[rng.permutation(len(arr))]
+            yield n, arr
+            yield n, arr[arr[:, 0] != arr[:, 1]]  # loop-free: build_graph skips its loop filter
+    # loop-free and repeat-free: the sorted codes are used without a dedup copy
+    lo, hi = np.triu_indices(30, 1)
+    pick = rng.random(lo.size) < 0.3
+    yield 30, np.stack([hi[pick], lo[pick]], axis=1)
 
 
 def test_build_graph_matches_reference_csr():

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from noisymis.graph import build_graph, is_independent_set
-from noisymis.instances import PlantedInstance, gen_planted_gnp
-from noisymis.oracle import BANDIT_BERNOULLI, ModeError, OracleConfig, make_oracle
+from noisymis.graph import build_graph, greedy_mis, induced_subgraph, is_independent_set
+from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp
+from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, make_oracle
 from noisymis.persistent import (
     PersistentParams,
+    _greedy_order,
     neighbor_yes_counts,
     run_persistent,
     survival_threshold,
@@ -60,6 +61,31 @@ def test_yes_counts_rejects_nonpersistent():
         neighbor_yes_counts(inst.graph, o)
 
 
+def reference_yes_counts(g, answers):
+    """Yes-counts as the owner-array bincount over float weights produced them."""
+    counts = np.bincount(g.owner(), weights=answers[g.indices].astype(np.float64), minlength=g.n)
+    return counts.astype(np.int64)
+
+
+def test_yes_counts_match_owner_bincount_reference():
+    rng = np.random.default_rng(21)
+    graphs = [build_graph(0, []), build_graph(1, []), build_graph(6, [])]
+    for n in (2, 9, 50, 400):
+        for m in (1, n, 5 * n):
+            # endpoints come from a random half of the ids: the rest are isolated, empty rows
+            active = rng.choice(n, size=max(1, n // 2), replace=False)
+            graphs.append(build_graph(n, active[rng.integers(0, active.size, size=(m, 2))]))
+    for i, g in enumerate(graphs):
+        members = rng.random(g.n) < 0.4
+        mode = ("persistent-random", "persistent-kwise")[i % 2]
+        cfg = OracleConfig(epsilon=0.2, mode=mode, seed=i)
+        answers = Oracle(members, cfg).query_bool_many(np.arange(g.n, dtype=np.int64))
+        got = neighbor_yes_counts(g, Oracle(members, cfg))
+        expected = reference_yes_counts(g, answers)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert any(g.m == 0 and g.n > 0 for g in graphs) and any(g.n == 0 for g in graphs)
+
+
 # -- survival threshold --------------------------------------------------------
 
 
@@ -91,6 +117,27 @@ def test_empty_graph():
     o = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=0))
     report = run_persistent(g, o)
     assert report.independent_set == frozenset()
+
+
+def test_unfiltered_run_uses_the_graph_itself():
+    # every degree is at most the default cutoff 36 ln n, so every vertex is
+    # kept: the run must not build the owner array or an induced copy, and
+    # must report what the run through induced_subgraph(g, range(n)) gives
+    inst = gen_planted_bounded_degree(3000, 0.3, 8, seed=5)
+    g = inst.graph
+    assert g.max_degree <= 36 * math.log(g.n)
+    cfg = OracleConfig(epsilon=0.25, mode="persistent-random", seed=6)
+    policies = ("id", "degree", "random")
+    reports = [run_persistent(g, make_oracle(inst, cfg), PersistentParams(greedy_order=p, order_seed=2)) for p in policies]
+    assert g._owner is None
+    sub, ids = induced_subgraph(g, range(g.n))
+    yes = neighbor_yes_counts(g, make_oracle(inst, cfg))
+    for policy, report in zip(policies, reports):
+        chosen = greedy_mis(sub, _greedy_order(sub, policy, 2))
+        assert np.array_equal(report.yes_counts, yes)
+        assert report.low_degree == frozenset(range(g.n)) and report.surviving == frozenset()
+        assert report.independent_set == frozenset(ids[sorted(chosen)].tolist())
+        assert report.stats["num_selected"] == len(chosen)
 
 
 def test_two_level_instance_recovers_planted_exactly():
