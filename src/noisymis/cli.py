@@ -20,6 +20,7 @@ import sys
 
 from .graph import exact_mis, is_independent_set
 from .harness import (
+    ALGORITHMS,
     ExperimentConfig,
     aggregate,
     records_from_csv,
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run seeded trials and emit one CSV record per trial")
     p_run.add_argument("--config", help="JSON experiment config; flags below override its fields")
-    p_run.add_argument("--algo", choices=("persistent", "bandit", "sampler", "amplify", "greedy", "exact"))
+    p_run.add_argument("--algo", choices=ALGORITHMS)
     p_run.add_argument("--instance", help="read the instance from this file instead of generating")
     p_run.add_argument("--n", type=int)
     p_run.add_argument("--alpha", type=float)
@@ -115,35 +116,29 @@ def _run_config_from_args(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
     if args.algo:
         base["algorithm"] = args.algo
     if args.instance:
         base["instance"] = {"path": args.instance}
-    gen_keys = {"n": args.n, "alpha": args.alpha, "p": args.p, "d": args.d}
+    gen_keys = {"n": args.n, "alpha": args.alpha, "p": args.p, "d": args.d, "ensure_maximal": args.maximal}
     given = {k: v for k, v in gen_keys.items() if v is not None}
     if given:
-        spec = dict(base.get("instance", {}))
+        spec = _config_block(base, "instance")
         if "path" in spec:
             raise ValueError("generator flags conflict with a file-backed instance")
         spec.update(given)
-        if "generator" not in spec:
-            spec["generator"] = "bounded-degree" if args.d is not None else "gnp"
-        if args.maximal is not None and spec["generator"] == "gnp":
-            spec["ensure_maximal"] = args.maximal
+        spec.setdefault("generator", "bounded-degree" if args.d is not None else "gnp")
+        if args.maximal and spec["generator"] != "gnp":
+            raise ValueError("--maximal only applies to --p instances")
         base["instance"] = spec
-    oracle = dict(base.get("oracle", {}))
-    if args.eps is not None:
-        oracle["epsilon"] = args.eps
-    if args.mode is not None:
-        oracle["mode"] = args.mode
-    if args.k is not None:
-        oracle["k"] = args.k
+    oracle_keys = {"epsilon": args.eps, "mode": args.mode, "k": args.k}
+    oracle = {k: v for k, v in oracle_keys.items() if v is not None}
     if oracle:
-        base["oracle"] = oracle
+        base["oracle"] = {**_config_block(base, "oracle"), **oracle}
     if args.delta is not None:
-        params = dict(base.get("params", {}))
-        params["delta"] = args.delta
-        base["params"] = params
+        base["params"] = {**_config_block(base, "params"), "delta": args.delta}
     if args.seed is not None:
         base["seed_base"] = args.seed
     if args.trials is not None:
@@ -156,9 +151,15 @@ def _run_config_from_args(args) -> ExperimentConfig:
         raise ValueError("no algorithm given; pass --algo or a --config file")
     if "instance" not in base:
         raise ValueError("no instance source given; pass --instance, generator flags, or a --config file")
-    if base["algorithm"] not in ("greedy", "exact") and "epsilon" not in base.get("oracle", {}):
-        raise ValueError("oracle-driven algorithms need --eps (or an oracle block in --config)")
     return ExperimentConfig.from_dict(base)
+
+
+def _config_block(base: dict, key: str) -> dict:
+    """A copy of the config's ``key`` object, for flags to update."""
+    block = base.get(key, {})
+    if not isinstance(block, dict):
+        raise ValueError(f"config key {key!r} must be a JSON object")
+    return dict(block)
 
 
 def _print_trace(detail, seed: int) -> None:
@@ -175,38 +176,27 @@ def _print_trace(detail, seed: int) -> None:
         print(f"# seed={seed} {pairs}", file=sys.stderr)
 
 
-def _dump_filter_details(details: dict, config: ExperimentConfig, path: str) -> None:
-    if config.algorithm != "persistent":
-        raise ValueError("--debug-dump only applies to the persistent algorithm")
-    from .harness import _build_instance, _oracle_config, _params_for
-    from .persistent import PersistentParams, survival_threshold
-
-    params = _params_for(PersistentParams, config.params)
+def _dump_filter_details(details: dict, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("seed,v,deg,yes_count,threshold,in_low,in_surviving\n")
         for seed, report in details.items():
-            g = _build_instance(config.instance, seed).graph
-            degs = g.degrees()
-            eps = params.epsilon_effective
-            if eps is None:
-                eps = _oracle_config(config, seed).effective_epsilon
-            thresholds = survival_threshold(degs, eps, g.n, params.threshold_coeff)
-            for v in range(g.n):
-                fh.write(
-                    f"{seed},{v},{int(degs[v])},{int(report.yes_counts[v])},{float(thresholds[v])!r},"
-                    f"{str(v in report.low_degree).lower()},{str(v in report.surviving).lower()}\n"
-                )
+            rows = zip(report.degrees.tolist(), report.yes_counts.tolist(), report.thresholds.tolist())
+            for v, (deg, yes, threshold) in enumerate(rows):
+                low, surviving = str(v in report.low_degree).lower(), str(v in report.surviving).lower()
+                fh.write(f"{seed},{v},{deg},{yes},{threshold!r},{low},{surviving}\n")
 
 
 def _cmd_run(args) -> int:
     config = _run_config_from_args(args)
+    if args.debug_dump and config.algorithm != "persistent":
+        raise ValueError("--debug-dump only applies to the persistent algorithm")
     if args.trace or args.debug_dump:
         records, details = run_experiment(config, collect_details=True)
         if args.trace:
             for s, detail in details.items():
                 _print_trace(detail, s)
         if args.debug_dump:
-            _dump_filter_details(details, config, args.debug_dump)
+            _dump_filter_details(details, args.debug_dump)
     else:
         records = run_experiment(config)
     if args.json:

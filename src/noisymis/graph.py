@@ -249,22 +249,24 @@ def _member_mask(g: Graph, s) -> np.ndarray:
     return mask
 
 
+def _has_inner_edge(g: Graph, mask: np.ndarray) -> bool:
+    """True iff some edge of ``g`` has both endpoints in the vertex mask ``mask``."""
+    owner_in = np.repeat(mask, g.degrees())
+    return bool(np.any(owner_in & mask[g.indices]))
+
+
 def is_independent_set(g: Graph, s) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``s``."""
-    mask = _member_mask(g, s)
-    owner_in = np.repeat(mask, g.degrees())
-    return not bool(np.any(owner_in & mask[g.indices]))
+    return not _has_inner_edge(g, _member_mask(g, s))
 
 
 def is_maximal_independent_set(g: Graph, s) -> bool:
     """True iff ``s`` is independent and no outside vertex can be added."""
     mask = _member_mask(g, s)
-    owner_in = np.repeat(mask, g.degrees())
-    neighbor_in = mask[g.indices]
-    if bool(np.any(owner_in & neighbor_in)):
+    if _has_inner_edge(g, mask):
         return False
     touched = np.zeros(g.n, dtype=bool)
-    touched[g.owner()[neighbor_in]] = True
+    touched[g.owner()[mask[g.indices]]] = True
     return bool(np.all(mask | touched))
 
 
@@ -320,12 +322,17 @@ def exact_mis(g: Graph) -> frozenset:
 
 def write_edgelist(g: Graph, path) -> None:
     """Write ``n m`` then one ``u v`` line per edge (u < v, ascending)."""
+    with open(path, "w") as fh:
+        _write_edges(g, fh)
+
+
+def _write_edges(g: Graph, fh) -> None:
+    """The edge-list body shared with instance files: header, then edges."""
     owner = g.owner()
     fwd = owner < g.indices
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v in zip(owner[fwd].tolist(), g.indices[fwd].tolist()):
-            fh.write(f"{u} {v}\n")
+    fh.write(f"{g.n} {g.m}\n")
+    for u, v in zip(owner[fwd].tolist(), g.indices[fwd].tolist()):
+        fh.write(f"{u} {v}\n")
 
 
 def read_edgelist(path) -> Graph:
@@ -334,29 +341,35 @@ def read_edgelist(path) -> Graph:
     Duplicate or self-loop lines are tolerated per ``build_graph`` rules;
     malformed lines raise ``ValueError`` naming the line number.
     """
+    return build_graph(*_read_edges(path))
+
+
+def _read_edges(path, on_comment=None) -> tuple[int, list]:
+    """Vertex count and ``(u, v)`` pairs of an edge-list file.
+
+    Each ``#`` line's text after the ``#`` goes to ``on_comment(lineno, body)``
+    as it is read, so an error always names the first bad line in the file.
+    """
     n = None
     edges = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
+                if on_comment is not None:
+                    on_comment(lineno, line[1:].strip())
                 continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected header 'n m'")
-                try:
-                    n = int(parts[0])
-                    int(parts[1])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: expected header 'n m'") from None
+            if not line:
                 continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected edge 'u v'")
             try:
-                edges.append((int(parts[0]), int(parts[1])))
+                u, v = map(int, line.split())
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected edge 'u v'") from None
+                what = "header 'n m'" if n is None else "edge 'u v'"
+                raise ValueError(f"{path}:{lineno}: expected {what}") from None
+            if n is None:
+                n = u
+            else:
+                edges.append((u, v))
     if n is None:
         raise ValueError(f"{path}:1: missing header 'n m'")
-    return build_graph(n, edges)
+    return n, edges

@@ -24,7 +24,6 @@ import numpy as np
 from .graph import Graph, exact_mis, is_independent_set
 from .oracle import (
     BANDIT_BERNOULLI,
-    BANDIT_GAUSSIAN,
     PERSISTENT_RANDOM,
     OracleConfig,
     make_oracle,
@@ -49,7 +48,16 @@ __all__ = [
     "records_from_csv",
 ]
 
-ALGORITHMS = ("persistent", "bandit", "sampler", "amplify", "greedy", "exact")
+# each algorithm's native oracle mode, used unless the config names another;
+# None marks the oracle-free algorithms, which also take no params
+ALGORITHMS = {
+    "persistent": PERSISTENT_RANDOM,
+    "bandit": BANDIT_BERNOULLI,
+    "sampler": BANDIT_BERNOULLI,
+    "amplify": BANDIT_BERNOULLI,
+    "greedy": None,
+    "exact": None,
+}
 
 CSV_COLUMNS = (
     "algorithm",
@@ -103,10 +111,19 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}")
         if not isinstance(self.instance, dict) or not ({"path", "generator"} & self.instance.keys()):
             raise ValueError("instance must be a dict with either a 'path' or a 'generator' key")
+        for name, kind in {"oracle": dict, "params": dict, "seed_base": int, "trials": int, "workers": int}.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
+        if self.seeds is not None and not (
+            isinstance(self.seeds, (list, tuple)) and all(isinstance(s, int) for s in self.seeds)
+        ):
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
+        if ALGORITHMS[self.algorithm] is None and self.params:
+            raise ValueError(f"{self.algorithm} takes no params, got {sorted(self.params)}")
         if self.seeds is None and self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
@@ -117,6 +134,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -182,18 +201,20 @@ def _build_instance(spec: dict, trial_seed: int) -> PlantedInstance:
     kind = spec.get("generator")
     kwargs = {k: v for k, v in spec.items() if k != "generator"}
     kwargs["seed"] = derive_seed(trial_seed, "instance")
-    if kind == "gnp":
-        return gen_planted_gnp(**kwargs)
-    if kind == "bounded-degree":
-        return gen_planted_bounded_degree(**kwargs)
+    try:
+        if kind == "gnp":
+            return gen_planted_gnp(**kwargs)
+        if kind == "bounded-degree":
+            return gen_planted_bounded_degree(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"bad instance config: {exc}") from None
     raise ValueError(f"unknown instance generator {kind!r}")
 
 
 def _oracle_config(config: ExperimentConfig, trial_seed: int) -> OracleConfig:
     spec = dict(config.oracle)
     spec.pop("seed", None)  # oracle noise is always derived from the trial seed
-    if "mode" not in spec:
-        spec["mode"] = PERSISTENT_RANDOM if config.algorithm == "persistent" else BANDIT_BERNOULLI
+    spec.setdefault("mode", ALGORITHMS[config.algorithm])
     if "epsilon" not in spec:
         raise ValueError("oracle config needs an 'epsilon' entry")
     try:
@@ -254,8 +275,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
                 return run_bandit(g, oracle, bandit_params, initial=residual).independent_set
 
             output = run_amplify(base, oracle, g.n, amplify_params)
-        else:  # unreachable: __post_init__ validates
-            raise ValueError(f"unknown algorithm {algorithm!r}")
         queries = oracle.total_queries
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if not is_independent_set(g, output):

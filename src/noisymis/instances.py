@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _member_mask, build_graph, is_independent_set
+from .graph import Graph, _member_mask, _read_edges, _write_edges, build_graph
+from .graph import is_independent_set, is_maximal_independent_set
 
 __all__ = [
     "PlantedInstance",
@@ -45,11 +46,7 @@ def planted_mask(instance: PlantedInstance) -> np.ndarray:
 
 def is_planted_maximal(instance: PlantedInstance) -> bool:
     """True iff every non-planted vertex has at least one planted neighbor."""
-    g = instance.graph
-    mask = planted_mask(instance)
-    touched = np.zeros(g.n, dtype=bool)
-    touched[g.owner()[mask[g.indices]]] = True
-    return bool(np.all(mask | touched))
+    return is_maximal_independent_set(instance.graph, instance.planted)
 
 
 def _split_planted(n: int, alpha: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +194,8 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
 
 def write_instance(instance: PlantedInstance, path) -> None:
     """Edge-list file plus ``# planted:`` and ``# params:`` comment lines."""
-    g = instance.graph
-    owner = g.owner()
-    fwd = owner < g.indices
     with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v in zip(owner[fwd].tolist(), g.indices[fwd].tolist()):
-            fh.write(f"{u} {v}\n")
+        _write_edges(instance.graph, fh)
         fh.write("# planted: " + " ".join(str(v) for v in sorted(instance.planted)) + "\n")
         fh.write("# params: " + json.dumps(instance.params, sort_keys=True) + "\n")
 
@@ -214,47 +206,23 @@ def read_instance(path) -> PlantedInstance:
     The planted section is required and must be independent in the parsed
     graph; the params section is optional (defaults to ``{}``).
     """
-    n = None
-    edges: list[tuple[int, int]] = []
     planted: frozenset | None = None
     params: dict | None = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("planted:"):
-                    ids = body[len("planted:") :].split()
-                    try:
-                        planted = frozenset(int(v) for v in ids)
-                    except ValueError:
-                        raise ValueError(f"{path}:{lineno}: planted ids must be integers") from None
-                elif body.startswith("params:"):
-                    try:
-                        params = json.loads(body[len("params:") :])
-                    except json.JSONDecodeError:
-                        raise ValueError(f"{path}:{lineno}: params must be a JSON object") from None
-                continue
-            if not line:
-                continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected header 'n m'")
-                try:
-                    n = int(parts[0])
-                    int(parts[1])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: expected header 'n m'") from None
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected edge 'u v'")
+
+    def section(lineno: int, body: str) -> None:
+        nonlocal planted, params
+        if body.startswith("planted:"):
             try:
-                edges.append((int(parts[0]), int(parts[1])))
+                planted = frozenset(int(v) for v in body[len("planted:") :].split())
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected edge 'u v'") from None
-    if n is None:
-        raise ValueError(f"{path}:1: missing header 'n m'")
+                raise ValueError(f"{path}:{lineno}: planted ids must be integers") from None
+        elif body.startswith("params:"):
+            try:
+                params = json.loads(body[len("params:") :])
+            except json.JSONDecodeError:
+                raise ValueError(f"{path}:{lineno}: params must be a JSON object") from None
+
+    n, edges = _read_edges(path, section)
     if planted is None:
         raise ValueError(f"{path}: missing '# planted:' section")
     graph = build_graph(n, edges)

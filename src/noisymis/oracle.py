@@ -14,11 +14,13 @@ mutate under queries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .graph import _member_mask, is_independent_set
+from .graph import _has_inner_edge, _member_mask
+from .graph import is_independent_set  # noqa: F401  (bench/traced.py times calls through this binding)
 
 __all__ = [
     "PERSISTENT_RANDOM",
@@ -79,11 +81,11 @@ class OracleConfig:
     apply_cap: bool = True
 
     def validate(self) -> None:
-        if not 0.0 < self.epsilon <= 0.5:
+        if not isinstance(self.epsilon, numbers.Real) or not 0.0 < self.epsilon <= 0.5:
             raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
         if self.mode not in ORACLE_MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}; expected one of {ORACLE_MODES}")
-        if self.mode == PERSISTENT_KWISE and self.k < 2:
+        if self.mode == PERSISTENT_KWISE and not (isinstance(self.k, numbers.Integral) and self.k >= 2):
             raise ValueError(f"k-wise mode needs k >= 2, got {self.k}")
 
     @property
@@ -302,7 +304,7 @@ class Oracle:
 
 def make_oracle(instance, config: OracleConfig) -> Oracle:
     """Oracle for a planted instance; rejects a non-independent planted set."""
-    g = instance.graph
-    if not is_independent_set(g, instance.planted):
+    members = _member_mask(instance.graph, instance.planted)
+    if _has_inner_edge(instance.graph, members):
         raise ValueError("planted set is not independent in the instance graph")
-    return Oracle(_member_mask(g, instance.planted), config)
+    return Oracle(members, config)

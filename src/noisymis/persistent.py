@@ -49,6 +49,8 @@ class PersistentReport:
     """Everything the filtering run decided, for inspection and dumps."""
 
     yes_counts: np.ndarray
+    degrees: np.ndarray
+    thresholds: np.ndarray
     low_degree: frozenset
     surviving: frozenset
     independent_set: frozenset
@@ -112,6 +114,8 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
     if n == 0:
         return PersistentReport(
             yes_counts=np.zeros(0, dtype=np.int64),
+            degrees=np.zeros(0, dtype=np.int64),
+            thresholds=np.zeros(0, dtype=np.float64),
             low_degree=frozenset(),
             surviving=frozenset(),
             independent_set=frozenset(),
@@ -135,6 +139,8 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
         independent = frozenset()
     report = PersistentReport(
         yes_counts=yes,
+        degrees=degs,
+        thresholds=thresholds,
         low_degree=frozenset(np.flatnonzero(low_mask).tolist()),
         surviving=frozenset(np.flatnonzero(surviving_mask).tolist()),
         independent_set=independent,

@@ -1,13 +1,21 @@
 """Command-line interface: gen / run / exact / verify / stats."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from noisymis.cli import main
+import noisymis
+import noisymis.cli as cli
+from noisymis.cli import build_parser, main
 from noisymis.graph import exact_mis
-from noisymis.harness import CSV_COLUMNS, records_from_csv
+from noisymis.harness import ALGORITHMS, CSV_COLUMNS, _build_instance, _oracle_config, _params_for, records_from_csv
 from noisymis.instances import gen_planted_gnp, read_instance, write_instance
+from noisymis.persistent import PersistentParams, survival_threshold
 
 
 def strip_wall(csv_text):
@@ -155,11 +163,117 @@ def test_run_debug_dump_for_persistent(tmp_path, capsys):
     assert len(lines) == 31
 
 
-def test_run_debug_dump_rejected_for_other_algorithms(capsys):
+def reference_filter_dump(config, details):
+    # the dump as it was first written: regenerate each trial's instance and
+    # recompute its thresholds from the config
+    params = _params_for(PersistentParams, config.params)
+    lines = ["seed,v,deg,yes_count,threshold,in_low,in_surviving\n"]
+    for seed, report in details.items():
+        g = _build_instance(config.instance, seed).graph
+        degs = g.degrees()
+        eps = params.epsilon_effective
+        if eps is None:
+            eps = _oracle_config(config, seed).effective_epsilon
+        thresholds = survival_threshold(degs, eps, g.n, params.threshold_coeff)
+        for v in range(g.n):
+            lines.append(
+                f"{seed},{v},{int(degs[v])},{int(report.yes_counts[v])},{float(thresholds[v])!r},"
+                f"{str(v in report.low_degree).lower()},{str(v in report.surviving).lower()}\n"
+            )
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "oracle, params",
+    [
+        ({"epsilon": 0.2, "mode": "persistent-random"}, {}),
+        ({"epsilon": 0.2, "mode": "persistent-kwise", "k": 4}, {}),
+        ({"epsilon": 0.4, "mode": "persistent-random"}, {"epsilon_effective": 0.15}),
+    ],
+    ids=["random", "kwise", "epsilon-override"],
+)
+def test_debug_dump_matches_recomputed_thresholds(tmp_path, monkeypatch, oracle, params):
+    cfg = {
+        "algorithm": "persistent",
+        "instance": {"generator": "bounded-degree", "n": 400, "alpha": 0.3, "d": 6},
+        "oracle": oracle,
+        "params": {"low_degree_cutoff_coeff": 1.0, "threshold_coeff": 0.3, **params},
+        "trials": 3,
+        "seed_base": 3,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    dump = tmp_path / "dd.csv"
+    seen = {}
+    real_run = cli.run_experiment
+
+    def run_and_keep(config, collect_details=False):
+        records, details = real_run(config, collect_details)
+        seen.update(config=config, details=details)
+        return records, details
+
+    monkeypatch.setattr(cli, "run_experiment", run_and_keep)
+    assert main(["run", "--config", str(path), "--debug-dump", str(dump)]) == 0
+    text = dump.read_text()
+    assert text == reference_filter_dump(seen["config"], seen["details"])
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(rows) == 3 * 400
+    # the filter is at work: some vertices face it and fail, some pass
+    assert any(r[5] == "false" and r[6] == "false" for r in rows)
+    assert any(r[5] == "false" and r[6] == "true" for r in rows)
+
+
+def test_run_debug_dump_rejected_for_other_algorithms(capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: trials.append(a))
     rc = main(["run", "--algo", "bandit", "--n", "20", "--alpha", "0.5", "--p", "0.1",
                "--eps", "0.25", "--debug-dump", "/tmp/never.csv"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert trials == []  # rejected before any trial runs
+
+
+def test_algo_choices_follow_the_algorithm_table():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    algo = next(a for a in sub.choices["run"]._actions if a.dest == "algo")
+    assert tuple(algo.choices) == tuple(ALGORITHMS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(line for line in readme.splitlines() if line.startswith("Algorithms:"))
+    assert tuple(re.findall(r"`([a-z]+)`", line)) == tuple(ALGORITHMS)
+
+
+@pytest.mark.parametrize(
+    "config, flags, key",
+    [
+        ([], [], "JSON object"),
+        ({"trials": "3"}, [], "trials"),
+        ({"oracle": {"epsilon": "x"}}, [], "epsilon"),
+        ({"instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1, "bogus": 1}}, [], "bogus"),
+        (None, ["--n", "30", "--alpha", "0.4", "--d", "3", "--maximal"], "--maximal"),
+    ],
+    ids=["list-config", "string-trials", "string-epsilon", "unknown-generator-key", "maximal-with-d"],
+)
+def test_bad_run_input_is_an_error_line_not_a_traceback(tmp_path, config, flags, key):
+    argv = ["run", *flags]
+    if config is not None:
+        if isinstance(config, dict):
+            config = {
+                "algorithm": "persistent",
+                "instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1},
+                "oracle": {"epsilon": 0.25},
+                **config,
+            }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--algo", "greedy"]
+    env = {**os.environ, "PYTHONPATH": str(Path(noisymis.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "noisymis.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    error = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(error) == 1 and key in error[0]
 
 
 # -- exact / verify -------------------------------------------------------------------

@@ -80,6 +80,10 @@ def test_config_validation():
         gnp_config(workers=0)
     with pytest.raises(ValueError, match="instance"):
         ExperimentConfig(algorithm="greedy", instance={})
+    # the oracle-free algorithms take no params at all
+    for algorithm in ("greedy", "exact"):
+        with pytest.raises(ValueError, match="junk"):
+            gnp_config(algorithm=algorithm, params={"delta": 0.1, "junk": 1})
     # an explicit seed list sidesteps the trials knob entirely
     assert trial_seeds(gnp_config(seeds=[1, 2], trials=3)) == [1, 2]
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 import noisymis.instances as instances
-from noisymis.graph import build_graph, exact_mis, is_independent_set
+from noisymis.graph import build_graph, exact_mis, is_independent_set, write_edgelist
 from noisymis.instances import (
     PlantedInstance,
     gen_planted_bounded_degree,
@@ -236,6 +236,15 @@ def test_round_trip(tmp_path):
     assert back.params == inst.params
 
 
+def test_instance_file_is_the_edge_list_plus_two_comment_lines(tmp_path):
+    inst = gen_planted_gnp(40, 0.4, 0.2, seed=6)
+    write_instance(inst, tmp_path / "inst.txt")
+    write_edgelist(inst.graph, tmp_path / "edges.txt")
+    tail = "# planted: " + " ".join(map(str, sorted(inst.planted))) + "\n"
+    tail += '# params: {"alpha": 0.4, "ensure_maximal": false, "generator": "gnp", "n": 40, "p": 0.2, "seed": 6}\n'
+    assert (tmp_path / "inst.txt").read_bytes() == (tmp_path / "edges.txt").read_bytes() + tail.encode()
+
+
 def test_params_json_preserved(tmp_path):
     g = build_graph(3, [(0, 1)])
     inst = PlantedInstance(graph=g, planted=frozenset({2}), params={"note": "x", "k": 3})
@@ -280,6 +289,10 @@ def test_read_malformed_lines_name_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1\n0 x\n# planted: 0\n")
     with pytest.raises(ValueError, match=":2"):
+        read_instance(path)
+    # with two bad lines the first one in the file is named
+    path.write_text("3 2\n# planted: 0 x\n0 1\n1 q\n")
+    with pytest.raises(ValueError, match="bad.txt:2:"):
         read_instance(path)
     path.write_text("zz\n")
     with pytest.raises(ValueError, match=":1"):
