@@ -180,10 +180,10 @@ def _dump_filter_details(details: dict, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("seed,v,deg,yes_count,threshold,in_low,in_surviving\n")
         for seed, report in details.items():
-            rows = zip(report.degrees.tolist(), report.yes_counts.tolist(), report.thresholds.tolist())
-            for v, (deg, yes, threshold) in enumerate(rows):
-                low, surviving = str(v in report.low_degree).lower(), str(v in report.surviving).lower()
-                fh.write(f"{seed},{v},{deg},{yes},{threshold!r},{low},{surviving}\n")
+            columns = (report.degrees, report.yes_counts, report.thresholds)
+            columns += (report.low_degree_mask, report.surviving_mask)
+            for v, (deg, yes, threshold, low, surviving) in enumerate(zip(*(c.tolist() for c in columns))):
+                fh.write(f"{seed},{v},{deg},{yes},{threshold!r},{str(low).lower()},{str(surviving).lower()}\n")
 
 
 def _cmd_run(args) -> int:

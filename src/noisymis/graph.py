@@ -102,10 +102,11 @@ def build_graph(n: int, edges) -> Graph:
 
     Self-loops and duplicate pairs (in either orientation) are dropped
     silently.  An endpoint outside ``range(n)`` raises ``ValueError`` naming
-    the offending edge.
+    the offending edge, and so does ``n > 2**31``.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    _code_shift(n)  # rejects an n too large to encode before anything is allocated
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
@@ -119,18 +120,47 @@ def build_graph(n: int, edges) -> Graph:
     loops = arr[:, 0] == arr[:, 1]
     if loops.any():
         arr = arr[~loops]
-    # encode both orientations of each pair as src * n + dst: the sorted codes
-    # list every row in turn with ascending neighbors, and repeats sit adjacent
-    k = len(arr)
-    codes = np.empty(2 * k, dtype=np.int64)
-    fwd, rev = codes[:k], codes[k:]
-    np.multiply(arr[:, 0], n, out=fwd)
-    fwd += arr[:, 1]
-    np.multiply(arr[:, 1], n, out=rev)
-    rev += arr[:, 0]
+    return _csr_from_codes(n, _edge_codes(n, arr[:, 0], arr[:, 1]))
+
+
+def _code_shift(n: int) -> int:
+    """Bit width of ``dst`` in the edge codes ``src << shift | dst`` of a graph on ``n`` vertices.
+
+    Two such fields must fit in an int64 code, which caps ``n`` at 2**31.
+    """
+    if n > 2**31:
+        raise ValueError(f"vertex count {n} exceeds the limit n <= 2**31")
+    return max(1, (int(n) - 1).bit_length())
+
+
+def _edge_codes(n: int, src, dst) -> np.ndarray:
+    """Codes ``src << _code_shift(n) | dst`` of both orientations of the pairs ``(src, dst)``.
+
+    ``src`` and ``dst`` broadcast together; the flat result holds the pairs
+    as given, then the same pairs flipped.
+    """
+    shift = _code_shift(n)
+    shape = np.broadcast_shapes(np.shape(src), np.shape(dst))
+    size = int(np.prod(shape))
+    codes = np.empty(2 * size, dtype=np.int64)
+    for half, high, low in ((codes[:size], src, dst), (codes[size:], dst, src)):
+        half = half.reshape(shape)
+        np.left_shift(high, shift, out=half)
+        half |= low
+    return codes
+
+
+def _csr_from_codes(n: int, codes: np.ndarray) -> Graph:
+    """Graph on ``n`` vertices from the ``_edge_codes`` of both orientations of every edge.
+
+    Sorts ``codes`` in place, so the sorted codes list every row in turn with
+    ascending neighbors and repeats sit adjacent; the deduplicated buffer
+    becomes the graph's ``indices``.
+    """
+    shift = _code_shift(n)
     codes = _sorted_unique(codes)
-    offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
-    indices = np.remainder(codes, n, out=codes)
+    offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) << shift)
+    indices = np.bitwise_and(codes, (1 << shift) - 1, out=codes)
     return Graph(n, offsets, indices)
 
 

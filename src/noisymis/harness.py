@@ -15,8 +15,10 @@ import functools
 import hashlib
 import io
 import json
+import numbers
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +120,8 @@ class ExperimentConfig:
         for name, kind in {"oracle": dict, "params": dict, "seed_base": int, "trials": int, "workers": int}.items():
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a path string or null, got {self.output!r}")
         if self.seeds is not None and not (
             isinstance(self.seeds, (list, tuple)) and all(isinstance(s, int) for s in self.seeds)
         ):
@@ -136,10 +140,13 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        fields = dataclasses.fields(cls)
+        unknown = set(d) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and f.name not in d:
+                raise ValueError(f"config is missing the required key {f.name!r}")
         return cls(**d)
 
     @classmethod
@@ -224,11 +231,27 @@ def _oracle_config(config: ExperimentConfig, trial_seed: int) -> OracleConfig:
 
 
 def _params_for(cls, overrides: dict):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(overrides) - known
+    types = typing.get_type_hints(cls)
+    unknown = set(overrides) - types.keys()
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        kinds = typing.get_args(types[key]) or (types[key],)
+        if not _fits(value, kinds):
+            names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+            raise ValueError(f"{cls.__name__} {key!r} must be {names}, got {value!r}")
     return cls(**overrides)
+
+
+def _fits(value, kinds: tuple) -> bool:
+    """Whether ``value`` suits a field typed as the union of ``kinds``; bools are not numbers here."""
+    if isinstance(value, bool):
+        return bool in kinds
+    if float in kinds and isinstance(value, numbers.Real):
+        return True
+    if int in kinds and isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, kinds)
 
 
 def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]:
@@ -269,7 +292,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
             overrides = dict(config.params)
             delta = overrides.pop("delta", 0.1)
             amplify_params = _params_for(AmplifyParams, overrides)
-            bandit_params = BanditParams(delta=delta)
+            bandit_params = _params_for(BanditParams, {"delta": delta})
 
             def base(residual):
                 return run_bandit(g, oracle, bandit_params, initial=residual).independent_set

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _member_mask, _read_edges, _write_edges, build_graph
+from .graph import _code_shift, _csr_from_codes, _edge_codes
 from .graph import is_independent_set, is_maximal_independent_set
 
 __all__ = [
@@ -180,16 +181,17 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
         raise ValueError(f"d must be at most n - 1 = {n - 1}, got {d}")
     if d * (1.0 - alpha) > alpha * n:
         raise ValueError(f"infeasible parameters: d * (1 - alpha) = {d * (1 - alpha)} exceeds alpha * n = {alpha * n}")
+    _code_shift(n)  # rejects an n too large to encode before anything is allocated
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
-    edges = np.empty((outside.size, d, 2), dtype=np.int64)
-    edges[:, :, 0] = outside[:, None]
-    nbrs = edges[:, :, 1]
-    nbrs[...] = _distinct_picks(rng, outside.size, d, n - 1)
-    nbrs += nbrs >= outside[:, None]  # skip u itself; picks stay uniform over the rest
-    edges = edges.reshape(-1, 2)
+    picks = _distinct_picks(rng, outside.size, d, n - 1)
+    picks += picks >= outside[:, None]  # skip u itself; picks stay uniform over the rest
+    # codes come straight from the pick matrix, which is dropped before the
+    # sort, so no (m, 2) edge array ever exists
+    codes = _edge_codes(n, outside[:, None], picks)
+    del picks
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
-    return PlantedInstance(build_graph(n, edges), frozenset(planted.tolist()), params)
+    return PlantedInstance(_csr_from_codes(n, codes), frozenset(planted.tolist()), params)
 
 
 def write_instance(instance: PlantedInstance, path) -> None:

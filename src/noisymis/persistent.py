@@ -8,6 +8,7 @@ pass over the surviving subgraph returns the final independent set.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -46,32 +47,43 @@ class PersistentParams:
 
 @dataclass
 class PersistentReport:
-    """Everything the filtering run decided, for inspection and dumps."""
+    """Everything the filtering run decided, for inspection and dumps.
+
+    ``low_degree_mask`` and ``surviving_mask`` are boolean masks over the
+    vertex ids; ``low_degree`` and ``surviving`` are the same sets as
+    frozensets, built on first read.
+    """
 
     yes_counts: np.ndarray
     degrees: np.ndarray
     thresholds: np.ndarray
-    low_degree: frozenset
-    surviving: frozenset
+    low_degree_mask: np.ndarray
+    surviving_mask: np.ndarray
     independent_set: frozenset
     stats: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def low_degree(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.low_degree_mask).tolist())
+
+    @functools.cached_property
+    def surviving(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.surviving_mask).tolist())
 
 
 def neighbor_yes_counts(g: Graph, oracle: Oracle) -> np.ndarray:
     """Number of neighbors of each vertex that the oracle claims are members.
 
-    Queries every vertex exactly once, in one batch, then reads each
-    neighbor's answer through the CSR neighbor lists: an int64 running sum
-    of the answers in ``indices`` order, taken at ``offsets``, gives each
-    row's count.  Requires a persistent Bernoulli oracle, whose answers do
-    not change between reads.
+    Queries every vertex exactly once, in one batch, then counts by
+    symmetry: ``v`` gets one vote from every claimed vertex whose row lists
+    ``v``, so a bincount of the claimed rows' slots gives every count.
+    Requires a persistent Bernoulli oracle, whose answers do not change
+    between reads.
     """
     if not oracle.config.is_persistent:
         raise ModeError("neighbor votes need a persistent oracle; answers must not change between reads")
     answers = oracle.query_bool_many(np.arange(g.n, dtype=np.int64))
-    running = np.zeros(len(g.indices) + 1, dtype=np.int64)
-    np.cumsum(answers[g.indices], out=running[1:])
-    return np.diff(running[g.offsets])
+    return np.bincount(g.indices[np.repeat(answers, g.degrees())], minlength=g.n)
 
 
 def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):
@@ -116,8 +128,8 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
             yes_counts=np.zeros(0, dtype=np.int64),
             degrees=np.zeros(0, dtype=np.int64),
             thresholds=np.zeros(0, dtype=np.float64),
-            low_degree=frozenset(),
-            surviving=frozenset(),
+            low_degree_mask=np.zeros(0, dtype=bool),
+            surviving_mask=np.zeros(0, dtype=bool),
             independent_set=frozenset(),
             stats={"num_low_degree": 0, "num_surviving": 0, "num_selected": 0, "wall_time_ms": 0.0},
         )
@@ -134,22 +146,20 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
         sub, ids = (g, keep) if keep.size == n else induced_subgraph(g, keep)
         order = _greedy_order(sub, params.greedy_order, params.order_seed)
         chosen = greedy_mis(sub, order)
-        independent = frozenset(ids[sorted(chosen)].tolist())
+        independent = chosen if sub is g else frozenset(ids[sorted(chosen)].tolist())
     else:
         independent = frozenset()
-    report = PersistentReport(
+    return PersistentReport(
         yes_counts=yes,
         degrees=degs,
         thresholds=thresholds,
-        low_degree=frozenset(np.flatnonzero(low_mask).tolist()),
-        surviving=frozenset(np.flatnonzero(surviving_mask).tolist()),
+        low_degree_mask=low_mask,
+        surviving_mask=surviving_mask,
         independent_set=independent,
-        stats={},
+        stats={
+            "num_low_degree": int(np.count_nonzero(low_mask)),
+            "num_surviving": int(np.count_nonzero(surviving_mask)),
+            "num_selected": len(independent),
+            "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
+        },
     )
-    report.stats = {
-        "num_low_degree": len(report.low_degree),
-        "num_surviving": len(report.surviving),
-        "num_selected": len(independent),
-        "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
-    }
-    return report

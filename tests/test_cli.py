@@ -250,8 +250,12 @@ def test_algo_choices_follow_the_algorithm_table():
         ({"oracle": {"epsilon": "x"}}, [], "epsilon"),
         ({"instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1, "bogus": 1}}, [], "bogus"),
         (None, ["--n", "30", "--alpha", "0.4", "--d", "3", "--maximal"], "--maximal"),
+        ({"params": {"threshold_coeff": "x"}}, [], "threshold_coeff"),
+        ({"output": 1}, [], "output"),
+        ({"output": ["out.csv"]}, [], "output"),
     ],
-    ids=["list-config", "string-trials", "string-epsilon", "unknown-generator-key", "maximal-with-d"],
+    ids=["list-config", "string-trials", "string-epsilon", "unknown-generator-key", "maximal-with-d",
+         "string-threshold-coeff", "integer-output", "list-output"],
 )
 def test_bad_run_input_is_an_error_line_not_a_traceback(tmp_path, config, flags, key):
     argv = ["run", *flags]

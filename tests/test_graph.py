@@ -1,6 +1,7 @@
 """Graph core: construction, induced subgraphs, greedy/exact MIS, cover."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,30 @@ def test_build_graph_matches_reference_csr():
             g = build_graph(n, given)
             assert np.array_equal(g.offsets, offsets) and g.offsets.dtype == offsets.dtype
             assert np.array_equal(g.indices, indices) and g.indices.dtype == indices.dtype
+
+
+def test_build_graph_matches_reference_at_code_width_boundaries():
+    # the neighbor field of a code is (n - 1).bit_length() bits wide; ids that
+    # fill it exactly, or just spill into one more bit, must decode the same
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4, 5, 63, 64, 65, 1024, 1025):
+        edges = rng.integers(0, n, size=(3 * n, 2))
+        edges[0] = (0, n - 1)
+        offsets, indices = reference_csr(n, edges)
+        g = build_graph(n, edges)
+        assert np.array_equal(g.offsets, offsets) and np.array_equal(g.indices, indices)
+
+
+def test_build_graph_vertex_count_limit():
+    # two ids share one int64 code, so n is capped; the check comes before any allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"vertex count 2147483649 exceeds the limit n <= 2\*\*31"):
+            build_graph(2**31 + 1, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_sorted_ids_matches_reference():

@@ -176,6 +176,51 @@ def test_unknown_param_key_rejected():
         run_trial(cfg, 1)
 
 
+@pytest.mark.parametrize(
+    "algorithm, params, key",
+    [
+        ("persistent", {"threshold_coeff": "x"}, "threshold_coeff"),
+        ("persistent", {"epsilon_effective": [0.2]}, "epsilon_effective"),
+        ("persistent", {"greedy_order": 1}, "greedy_order"),
+        ("persistent", {"order_seed": 1.5}, "order_seed"),
+        ("bandit", {"delta": "0.1"}, "delta"),
+        ("bandit", {"budget_coeff": True}, "budget_coeff"),
+        ("sampler", {"queries_per_vertex": "5"}, "queries_per_vertex"),
+        ("amplify", {"rounds": 2.0}, "rounds"),
+        ("amplify", {"delta": "x"}, "delta"),
+    ],
+)
+def test_param_values_are_type_checked(algorithm, params, key):
+    cfg = gnp_config(algorithm=algorithm, oracle={"epsilon": 0.25}, params=params)
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
+        run_trial(cfg, 1)
+
+
+def test_param_values_of_the_declared_types_are_accepted():
+    # ints stand in for floats, as JSON writes 6.0 as 6; None fills optional fields
+    cfg = gnp_config(
+        algorithm="persistent",
+        oracle={"epsilon": 0.25},
+        params={"epsilon_effective": None, "threshold_coeff": 6, "low_degree_cutoff_coeff": 36.0,
+                "greedy_order": "degree", "order_seed": 3},
+    )
+    record, report = run_trial(cfg, 1)
+    assert record.total_queries == record.n and report.independent_set
+
+
+def test_output_must_be_a_path_string():
+    for output in (1, ["out.csv"], True):
+        with pytest.raises(ValueError, match="output"):
+            gnp_config(output=output)
+
+
+def test_from_dict_names_a_missing_required_key():
+    with pytest.raises(ValueError, match="'algorithm'"):
+        ExperimentConfig.from_dict({"instance": {"path": "x"}})
+    with pytest.raises(ValueError, match="'instance'"):
+        ExperimentConfig.from_dict({"algorithm": "greedy"})
+
+
 def test_bad_oracle_config_wrapped_as_value_error():
     cfg = gnp_config(algorithm="bandit", oracle={"epsilon": 0.25, "bogus": True})
     with pytest.raises(ValueError, match="oracle"):

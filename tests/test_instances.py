@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,49 @@ def test_bounded_degree_determinism():
     assert a.graph == b.graph and a.planted == b.planted
 
 
+def _bounded_degree_reference(n, alpha, d, seed):
+    """The generator as an ``(m, 2)`` edge array passed to ``build_graph``."""
+    rng = np.random.default_rng(seed)
+    planted, outside = instances._split_planted(n, alpha, rng)
+    edges = np.empty((outside.size, d, 2), dtype=np.int64)
+    edges[:, :, 0] = outside[:, None]
+    nbrs = edges[:, :, 1]
+    nbrs[...] = instances._distinct_picks(rng, outside.size, d, n - 1)
+    nbrs += nbrs >= outside[:, None]
+    return build_graph(n, edges.reshape(-1, 2)), frozenset(planted.tolist())
+
+
+@pytest.mark.parametrize(
+    "n, alpha, d, seeds",
+    [(2, 0.5, 0, range(3)), (2, 0.5, 1, range(3)), (3, 0.4, 2, range(5)), (12, 0.5, 0, range(3)),
+     (12, 0.5, 6, range(5)), (9, 0.9, 8, range(5)), (500, 0.3, 7, range(4)), (1025, 0.5, 12, range(2))],
+)
+def test_bounded_degree_codes_match_the_edge_array_reference(n, alpha, d, seeds):
+    for seed in seeds:
+        inst = gen_planted_bounded_degree(n, alpha, d, seed)
+        graph, planted = _bounded_degree_reference(n, alpha, d, seed)
+        assert inst.planted == planted
+        for got, want in ((inst.graph.offsets, graph.offsets), (inst.graph.indices, graph.indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_bounded_degree_peak_memory_stays_near_the_csr():
+    # the pick matrix and the codes are never alive next to an (m, 2) edge array
+    for seed in (0, 1):
+        tracemalloc.start()
+        try:
+            g = gen_planted_bounded_degree(20000, 0.3, 20, seed).graph
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * (g.offsets.nbytes + g.indices.nbytes)
+
+
+def test_bounded_degree_vertex_count_limit():
+    with pytest.raises(ValueError, match=r"n <= 2\*\*31"):
+        gen_planted_bounded_degree(2**31 + 1, 0.5, 1, seed=0)
+
+
 # -- sampler distributions -------------------------------------------------------------
 # Seeds are fixed, so each test is deterministic; a p-value under 1e-3 means the
 # sampler's law differs from the specified one, not bad luck on a rerun.
@@ -202,15 +246,20 @@ def test_bounded_degree_picks_are_distinct_and_uniform(monkeypatch):
     n, alpha, d = 7, 0.5, 2
     captured = []
 
-    def capture(count, edges):
-        captured.append(np.array(edges))
-        return build_graph(count, edges)
+    def capture(count, codes):
+        # _csr_from_codes sorts its buffer in place, so keep the generator's order
+        captured.append(codes.copy())
+        return csr_from_codes(count, codes)
 
-    monkeypatch.setattr(instances, "build_graph", capture)
+    csr_from_codes = instances._csr_from_codes
+    monkeypatch.setattr(instances, "_csr_from_codes", capture)
+    shift = instances._code_shift(n)
     counts = np.zeros((n, n), dtype=np.int64)
     for seed in range(2000):
         inst = gen_planted_bounded_degree(n, alpha, d, seed=seed)
-        src, dst = captured.pop().T
+        codes = captured.pop()
+        forward = codes[: codes.size // 2]  # the picks, in generation order
+        src, dst = forward >> shift, forward & ((1 << shift) - 1)
         outside = np.flatnonzero(~planted_mask(inst))
         assert np.array_equal(np.unique(src), outside)
         for u in outside:

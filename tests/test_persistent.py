@@ -1,6 +1,7 @@
 """One-shot filter algorithm: yes-counts, thresholds, survival, greedy output."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ def test_yes_counts_match_owner_bincount_reference():
         expected = reference_yes_counts(g, answers)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
     assert any(g.m == 0 and g.n > 0 for g in graphs) and any(g.n == 0 for g in graphs)
+
+
+def test_yes_counts_peak_memory_stays_below_the_indices():
+    # no running sum, and no cast copy, as long as the CSR slot array is ever alive
+    inst = gen_planted_bounded_degree(20000, 0.3, 20, seed=0)
+    g = inst.graph
+    for seed in (0, 1):
+        oracle = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=seed))
+        tracemalloc.start()
+        try:
+            neighbor_yes_counts(g, oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * g.indices.nbytes
 
 
 # -- survival threshold --------------------------------------------------------
@@ -212,6 +228,33 @@ def test_stats_fields():
     assert report.stats["num_low_degree"] == len(report.low_degree)
     assert report.stats["num_surviving"] == len(report.surviving)
     assert report.stats["wall_time_ms"] >= 0.0
+
+
+def test_report_sets_are_its_masks():
+    inst = gen_planted_gnp(60, 0.4, 0.3, seed=9)
+    params = PersistentParams(low_degree_cutoff_coeff=2.0, threshold_coeff=0.3)
+    report = run_persistent(inst.graph, perfect_oracle(inst), params)
+    for mask, ids in ((report.low_degree_mask, report.low_degree), (report.surviving_mask, report.surviving)):
+        assert mask.dtype == bool and mask.shape == (inst.graph.n,)
+        assert ids == frozenset(np.flatnonzero(mask).tolist())
+    assert report.low_degree and report.surviving and len(report.low_degree | report.surviving) < inst.graph.n
+    # built once, on first read
+    assert report.low_degree is report.low_degree and report.surviving is report.surviving
+
+
+def test_unfiltered_run_returns_the_greedy_set_itself(monkeypatch):
+    import noisymis.persistent as persistent
+
+    inst = gen_planted_bounded_degree(300, 0.3, 4, seed=1)
+    sets = []
+
+    def greedy(g, order=None):
+        sets.append(greedy_mis(g, order))
+        return sets[-1]
+
+    monkeypatch.setattr(persistent, "greedy_mis", greedy)
+    report = run_persistent(inst.graph, perfect_oracle(inst))
+    assert report.independent_set is sets.pop()
 
 
 def test_size_mismatch_rejected():
