@@ -38,16 +38,13 @@ _DELTA_ONE = 1.0 - 1e-9
 class BanditParams:
     """Schedule and budget knobs; coefficient defaults are the analyzed values.
 
-    ``epsilon`` defaults to the oracle's advantage; ``reward_mode`` defaults
-    to whatever the oracle provides ("bernoulli" or "gaussian") and, when set
-    explicitly, must match it.
+    ``epsilon`` defaults to the oracle's advantage.
     """
 
     epsilon: float | None = None
     delta: float = 0.1
     schedule_coeff: float = 4.0
     budget_coeff: float = 30.0
-    reward_mode: str | None = None
 
 
 @dataclass
@@ -156,11 +153,8 @@ def run_bandit(
     params = params or BanditParams()
     if oracle.n != g.n:
         raise ValueError("oracle universe size does not match the graph")
-    mode = "gaussian" if oracle.config.mode == BANDIT_GAUSSIAN else "bernoulli"
     if oracle.config.is_persistent:
         raise ModeError("elimination needs a non-persistent oracle; repeated queries must be fresh")
-    if params.reward_mode is not None and params.reward_mode != mode:
-        raise ModeError(f"params.reward_mode={params.reward_mode!r} does not match the oracle ({mode})")
     if params.epsilon is None:
         params = replace(params, epsilon=oracle.config.epsilon)
 

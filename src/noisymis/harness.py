@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import inspect
 import io
 import json
 import numbers
@@ -61,25 +62,6 @@ ALGORITHMS = {
     "exact": None,
 }
 
-CSV_COLUMNS = (
-    "algorithm",
-    "n",
-    "m",
-    "max_degree",
-    "alpha",
-    "epsilon",
-    "delta",
-    "seed",
-    "planted_size",
-    "output_size",
-    "ratio",
-    "total_queries",
-    "rounds",
-    "wall_time_ms",
-    "independent_set_valid",
-)
-
-
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed from the given parts.
 
@@ -99,32 +81,27 @@ class ExperimentConfig:
     ``instance`` is either ``{"path": ...}`` or a generator spec
     (``{"generator": "gnp" | "bounded-degree", ...}``).  ``seeds`` wins over
     ``(seed_base, trials)`` when given.  ``params`` holds algorithm-specific
-    overrides (unknown keys are rejected at run time).
+    overrides.  Each block rejects unknown keys and values that do not fit
+    their annotations; the nested ones are checked when a trial runs.
     """
 
     algorithm: str
     instance: dict
     oracle: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    seeds: list | None = None
+    seeds: list | tuple | None = None
     seed_base: int = 0
     trials: int = 1
     workers: int = 1
     output: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
+        _check_types(ExperimentConfig, vars(self), "config")
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}")
-        if not isinstance(self.instance, dict) or not ({"path", "generator"} & self.instance.keys()):
+        if not ({"path", "generator"} & self.instance.keys()):
             raise ValueError("instance must be a dict with either a 'path' or a 'generator' key")
-        for name, kind in {"oracle": dict, "params": dict, "seed_base": int, "trials": int, "workers": int}.items():
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
-        if self.output is not None and not isinstance(self.output, str):
-            raise ValueError(f"output must be a path string or null, got {self.output!r}")
-        if self.seeds is not None and not (
-            isinstance(self.seeds, (list, tuple)) and all(isinstance(s, int) for s in self.seeds)
-        ):
+        if self.seeds is not None and not all(_fits(s, (int,)) for s in self.seeds):
             raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
         if ALGORITHMS[self.algorithm] is None and self.params:
             raise ValueError(f"{self.algorithm} takes no params, got {sorted(self.params)}")
@@ -138,16 +115,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        fields = dataclasses.fields(cls)
-        unknown = set(d) - {f.name for f in fields}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for f in fields:
-            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and f.name not in d:
-                raise ValueError(f"config is missing the required key {f.name!r}")
-        return cls(**d)
+        return _checked(cls, d, "config")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -177,6 +145,9 @@ class TrialRecord:
         return [_fmt(getattr(self, c)) for c in CSV_COLUMNS]
 
 
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -198,49 +169,63 @@ def _read_instance_cached(path, stamp: tuple) -> PlantedInstance:
     return read_instance(path)
 
 
+def _read_instance_file(path: str) -> PlantedInstance:
+    st = os.stat(path)
+    # instances are immutable, so the trials a process runs on one file
+    # share a single parse for as long as its size and mtime stay put
+    return _read_instance_cached(path, (os.path.abspath(path), st.st_mtime_ns, st.st_size))
+
+
 def _build_instance(spec: dict, trial_seed: int) -> PlantedInstance:
     if "path" in spec:
-        path = spec["path"]
-        st = os.stat(path)
-        # instances are immutable, so the trials a process runs on one file
-        # share a single parse for as long as its size and mtime stay put
-        return _read_instance_cached(path, (os.path.abspath(path), st.st_mtime_ns, st.st_size))
-    kind = spec.get("generator")
+        return _checked(_read_instance_file, spec, "instance")
+    # looked up per call, so rebinding a generator on this module takes effect
+    generators = {"gnp": gen_planted_gnp, "bounded-degree": gen_planted_bounded_degree}
+    kind = spec["generator"]
+    if not isinstance(kind, str) or kind not in generators:
+        raise ValueError(f"unknown instance generator {kind!r}")
     kwargs = {k: v for k, v in spec.items() if k != "generator"}
     kwargs["seed"] = derive_seed(trial_seed, "instance")
-    try:
-        if kind == "gnp":
-            return gen_planted_gnp(**kwargs)
-        if kind == "bounded-degree":
-            return gen_planted_bounded_degree(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"bad instance config: {exc}") from None
-    raise ValueError(f"unknown instance generator {kind!r}")
+    return _checked(generators[kind], kwargs, "instance")
 
 
 def _oracle_config(config: ExperimentConfig, trial_seed: int) -> OracleConfig:
     spec = dict(config.oracle)
     spec.pop("seed", None)  # oracle noise is always derived from the trial seed
     spec.setdefault("mode", ALGORITHMS[config.algorithm])
-    if "epsilon" not in spec:
-        raise ValueError("oracle config needs an 'epsilon' entry")
-    try:
-        return OracleConfig(seed=derive_seed(trial_seed, "oracle"), **spec)
-    except TypeError as exc:
-        raise ValueError(f"bad oracle config: {exc}") from None
+    return _checked(OracleConfig, {**spec, "seed": derive_seed(trial_seed, "oracle")}, "oracle")
 
 
 def _params_for(cls, overrides: dict):
-    types = typing.get_type_hints(cls)
-    unknown = set(overrides) - types.keys()
+    return _checked(cls, overrides, cls.__name__)
+
+
+def _checked(target, values, what: str):
+    """``target(**values)``, once ``values`` fits ``target``'s parameters.
+
+    ``values`` must be a dict with no unknown key, every required key, and
+    each value of its annotated type; errors name the key and the block ``what``.
+    """
+    if not isinstance(values, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(values).__name__}")
+    params = inspect.signature(target).parameters
+    unknown = values.keys() - params.keys()
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    for key, value in overrides.items():
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in values:
+            raise ValueError(f"{what} is missing the required key {name!r}")
+    _check_types(target, values, what)
+    return target(**values)
+
+
+def _check_types(target, values: dict, what: str) -> None:
+    types = typing.get_type_hints(target)
+    for key, value in values.items():
         kinds = typing.get_args(types[key]) or (types[key],)
         if not _fits(value, kinds):
             names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-            raise ValueError(f"{cls.__name__} {key!r} must be {names}, got {value!r}")
-    return cls(**overrides)
+            raise ValueError(f"{what} {key!r} must be {names}, got {value!r}")
 
 
 def _fits(value, kinds: tuple) -> bool:
@@ -421,16 +406,11 @@ def records_to_csv(records: list[TrialRecord]) -> str:
     return buf.getvalue()
 
 
-def _parse_cell(name: str, text: str):
+def _parse_cell(hint, text: str):
     if text == "":
         return None
-    if name in ("n", "m", "max_degree", "seed", "planted_size", "output_size", "total_queries", "rounds"):
-        return int(text)
-    if name in ("alpha", "epsilon", "delta", "ratio", "wall_time_ms"):
-        return float(text)
-    if name == "independent_set_valid":
-        return text == "true"
-    return text
+    kind = next(k for k in typing.get_args(hint) or (hint,) if k is not type(None))
+    return text == "true" if kind is bool else kind(text)
 
 
 def records_from_csv(path) -> list[TrialRecord]:
@@ -438,11 +418,12 @@ def records_from_csv(path) -> list[TrialRecord]:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or lines[0].split(",") != list(CSV_COLUMNS):
         raise ValueError(f"{path}: not a trial record CSV (unexpected header)")
+    types = typing.get_type_hints(TrialRecord)
     records = []
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ValueError(f"{path}: row has {len(cells)} cells, expected {len(CSV_COLUMNS)}")
-        kwargs = {name: _parse_cell(name, cell) for name, cell in zip(CSV_COLUMNS, cells)}
+        kwargs = {name: _parse_cell(types[name], cell) for name, cell in zip(CSV_COLUMNS, cells)}
         records.append(TrialRecord(**kwargs))
     return records

@@ -56,6 +56,7 @@ def _split_planted(n: int, alpha: float, rng: np.random.Generator) -> tuple[np.n
     k = int(alpha * n)
     if k < 1:
         raise ValueError(f"floor(alpha * n) must be at least 1, got {k}")
+    _code_shift(n)  # rejects an n too large to encode before anything is allocated
     perm = rng.permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
 
@@ -181,7 +182,6 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
         raise ValueError(f"d must be at most n - 1 = {n - 1}, got {d}")
     if d * (1.0 - alpha) > alpha * n:
         raise ValueError(f"infeasible parameters: d * (1 - alpha) = {d * (1 - alpha)} exceeds alpha * n = {alpha * n}")
-    _code_shift(n)  # rejects an n too large to encode before anything is allocated
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
     picks = _distinct_picks(rng, outside.size, d, n - 1)

@@ -260,11 +260,6 @@ def test_run_validation_errors():
     o = make_oracle(inst, bern(0.25))
     with pytest.raises(ValueError, match="size"):
         run_bandit(build_graph(19, []), o)
-    with pytest.raises(ModeError, match="reward_mode"):
-        run_bandit(inst.graph, o, BanditParams(reward_mode="gaussian"))
-    gauss = make_oracle(inst, OracleConfig(epsilon=0.25, mode=BANDIT_GAUSSIAN, seed=0))
-    with pytest.raises(ModeError, match="reward_mode"):
-        run_bandit(inst.graph, gauss, BanditParams(reward_mode="bernoulli"))
     pers = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=0))
     with pytest.raises(ModeError):
         run_bandit(inst.graph, pers)

@@ -253,9 +253,19 @@ def test_algo_choices_follow_the_algorithm_table():
         ({"params": {"threshold_coeff": "x"}}, [], "threshold_coeff"),
         ({"output": 1}, [], "output"),
         ({"output": ["out.csv"]}, [], "output"),
+        ({"instance": {"path": None}}, [], "path"),
+        ({"instance": {"path": ["x"]}}, [], "path"),
+        ({"instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1, "ensure_maximal": "no"}}, [],
+         "ensure_maximal"),
+        ({"oracle": {"epsilon": 0.25, "apply_cap": "no"}}, [], "apply_cap"),
+        ({"trials": True}, [], "trials"),
+        ({"instance": {"generator": "gnp", "n": "100", "alpha": 0.4, "p": 0.1}}, [], "'n'"),
+        ({"instance": {"generator": "gnp", "n": 10**15, "alpha": 0.4, "p": 0.0}}, [], "n <= 2**31"),
+        ({"instance": {"generator": ["gnp"], "n": 30, "alpha": 0.4, "p": 0.1}}, [], "generator"),
     ],
     ids=["list-config", "string-trials", "string-epsilon", "unknown-generator-key", "maximal-with-d",
-         "string-threshold-coeff", "integer-output", "list-output"],
+         "string-threshold-coeff", "integer-output", "list-output", "null-path", "list-path",
+         "string-ensure-maximal", "string-apply-cap", "boolean-trials", "string-n", "huge-n", "list-generator"],
 )
 def test_bad_run_input_is_an_error_line_not_a_traceback(tmp_path, config, flags, key):
     argv = ["run", *flags]
