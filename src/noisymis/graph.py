@@ -153,37 +153,65 @@ def _edge_codes(n: int, src, dst) -> np.ndarray:
 def _csr_from_codes(n: int, codes: np.ndarray) -> Graph:
     """Graph on ``n`` vertices from the ``_edge_codes`` of both orientations of every edge.
 
-    Sorts ``codes`` in place, so the sorted codes list every row in turn with
-    ascending neighbors and repeats sit adjacent; the deduplicated buffer
-    becomes the graph's ``indices``.
+    Sorts and deduplicates ``codes`` in place, so the sorted codes list every
+    row in turn with ascending neighbors, then trims the buffer to its
+    distinct codes and decodes it into the graph's ``indices``.  The trim
+    frees the duplicate tail but leaves any view of ``codes`` dangling, so
+    ``codes`` must own its data and nothing else may refer to it: this
+    function owns the fresh buffer ``_edge_codes`` returns, and no view of
+    it outlives the call.
     """
     shift = _code_shift(n)
-    codes = _sorted_unique(codes)
+    k = _sorted_unique(codes)
+    if k < codes.size:
+        codes.resize(k, refcheck=False)
     offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) << shift)
     indices = np.bitwise_and(codes, (1 << shift) - 1, out=codes)
     return Graph(n, offsets, indices)
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Sort ``a`` in place and return its distinct values, ascending.
+# values per step of _sorted_unique's compaction, which bounds its temporaries
+_UNIQUE_CHUNK = 1 << 16
 
-    Without repeats that is ``a`` itself, so no copy is made.
+
+def _sorted_unique(a: np.ndarray) -> int:
+    """Sort ``a`` in place, move its distinct values to ``a[:k]`` ascending, return ``k``.
+
+    The compaction walks ``a`` in chunks of ``_UNIQUE_CHUNK`` values and
+    copies the values of each chunk that differ from their predecessor down
+    into the prefix.  The write position never passes the read position, so
+    only chunk-sized temporaries are made; until the first repeat nothing is
+    copied at all.  ``a[k:]`` is left with stale values.
     """
     a.sort()
-    first = np.ones(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a if first.all() else a[first]
+    k = min(a.size, 1)  # a[:k] holds the distinct values found so far
+    for start in range(1, a.size, _UNIQUE_CHUNK):
+        stop = min(start + _UNIQUE_CHUNK, a.size)
+        chunk = a[start:stop]
+        # every write so far landed below start - 1, so a[start - 1] is still its sorted value
+        new = chunk != a[start - 1 : stop - 1]
+        if k == start and new.all():
+            k = stop
+            continue
+        kept = chunk[new]
+        a[k : k + kept.size] = kept
+        k += kept.size
+    return k
 
 
 def _sorted_ids(vertices, n: int) -> np.ndarray:
-    """Unique ascending id array from any iterable of vertex ids."""
+    """Unique ascending id array from any iterable of vertex ids.
+
+    The ids are copied first, so the caller's array is never sorted in place.
+    The result may be a prefix view of that copy, which is vertex-sized.
+    """
     if isinstance(vertices, np.ndarray):
         ids = vertices.astype(np.int64).ravel()
     elif isinstance(vertices, (set, frozenset)):
         ids = np.fromiter(vertices, dtype=np.int64, count=len(vertices))
     else:
         ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
-    ids = _sorted_unique(ids)
+    ids = ids[: _sorted_unique(ids)]
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         raise ValueError(f"vertex ids must lie in range(0, {n})")
     return ids

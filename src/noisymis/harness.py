@@ -83,6 +83,7 @@ class ExperimentConfig:
     ``(seed_base, trials)`` when given.  ``params`` holds algorithm-specific
     overrides.  Each block rejects unknown keys and values that do not fit
     their annotations; the nested ones are checked when a trial runs.
+    Neither ``instance`` nor ``oracle`` may hold a ``seed``.
     """
 
     algorithm: str
@@ -101,6 +102,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}")
         if not ({"path", "generator"} & self.instance.keys()):
             raise ValueError("instance must be a dict with either a 'path' or a 'generator' key")
+        for what in ("instance", "oracle"):
+            if "seed" in getattr(self, what):
+                raise ValueError(f"{what} 'seed' cannot be set: every seed derives from seed_base/seeds")
         if self.seeds is not None and not all(_fits(s, (int,)) for s in self.seeds):
             raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
         if ALGORITHMS[self.algorithm] is None and self.params:
@@ -191,7 +195,6 @@ def _build_instance(spec: dict, trial_seed: int) -> PlantedInstance:
 
 def _oracle_config(config: ExperimentConfig, trial_seed: int) -> OracleConfig:
     spec = dict(config.oracle)
-    spec.pop("seed", None)  # oracle noise is always derived from the trial seed
     spec.setdefault("mode", ALGORITHMS[config.algorithm])
     return _checked(OracleConfig, {**spec, "seed": derive_seed(trial_seed, "oracle")}, "oracle")
 

@@ -262,10 +262,13 @@ def test_algo_choices_follow_the_algorithm_table():
         ({"instance": {"generator": "gnp", "n": "100", "alpha": 0.4, "p": 0.1}}, [], "'n'"),
         ({"instance": {"generator": "gnp", "n": 10**15, "alpha": 0.4, "p": 0.0}}, [], "n <= 2**31"),
         ({"instance": {"generator": ["gnp"], "n": 30, "alpha": 0.4, "p": 0.1}}, [], "generator"),
+        ({"instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1, "seed": "junk"}}, [], "seed"),
+        ({"oracle": {"epsilon": 0.25, "seed": 5}}, [], "seed"),
     ],
     ids=["list-config", "string-trials", "string-epsilon", "unknown-generator-key", "maximal-with-d",
          "string-threshold-coeff", "integer-output", "list-output", "null-path", "list-path",
-         "string-ensure-maximal", "string-apply-cap", "boolean-trials", "string-n", "huge-n", "list-generator"],
+         "string-ensure-maximal", "string-apply-cap", "boolean-trials", "string-n", "huge-n", "list-generator",
+         "instance-seed", "oracle-seed"],
 )
 def test_bad_run_input_is_an_error_line_not_a_traceback(tmp_path, config, flags, key):
     argv = ["run", *flags]

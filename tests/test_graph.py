@@ -1,5 +1,6 @@
 """Graph core: construction, induced subgraphs, greedy/exact MIS, cover."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -10,6 +11,7 @@ from noisymis.graph import (
     EXACT_MIS_MAX_N,
     Graph,
     _sorted_ids,
+    _sorted_unique,
     build_graph,
     exact_mis,
     greedy_mis,
@@ -165,6 +167,80 @@ def test_sorted_ids_matches_reference():
         for other in (ids, frozenset(ids), iter(ids)):
             got = _sorted_ids(other, 50)
             assert np.array_equal(got, expected) and got.dtype == expected.dtype
+
+
+def unique_cases(chunk, rng):
+    """Arrays with repeats placed around _sorted_unique's chunk boundaries."""
+    yield from (np.zeros(0, dtype=np.int64), np.array([5]), np.array([5, 5]), np.array([7, 3]))
+    yield np.full(2 * chunk + 3, 9)
+    size = 3 * chunk + 5
+    # chunks cover a[1 + j * chunk : 1 + (j + 1) * chunk] of the sorted array
+    for edge in (1 + chunk, 1 + 2 * chunk):
+        for start, stop in itertools.chain(
+            ((edge + s, edge + s + 3) for s in (-1, 0, 1)),  # a run starts near the boundary
+            ((edge + s - 3, edge + s) for s in (-1, 0, 1)),  # a run ends near the boundary
+            ((edge - 2, edge + 2), (edge - chunk, edge + 1), (edge - 1, edge + chunk)),  # straddles
+        ):
+            a = np.arange(size, dtype=np.int64) * 3
+            a[start:stop] = a[start]
+            yield a
+    for length in (chunk - 1, chunk, chunk + 1):
+        a = np.arange(size, dtype=np.int64)
+        a[:length] = 0  # repeats at the front
+        a[-length:] = size  # and at the back
+        yield a
+        yield a[rng.permutation(size)]
+    yield rng.integers(0, size // 2, size=size)
+    for n in (chunk - 1, chunk, chunk + 1, chunk + 2):
+        yield rng.integers(0, n, size=n)
+
+
+@pytest.mark.parametrize("chunk", [4, 1024])
+def test_sorted_unique_matches_np_unique(monkeypatch, chunk):
+    # the chunk size only bounds the temporaries; small ones put many boundaries in reach
+    monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    for a in unique_cases(chunk, rng):
+        expected = np.unique(a)
+        # _sorted_ids copies first, so its caller's array is never touched
+        before = a.copy()
+        got = _sorted_ids(a, int(expected[-1]) + 1 if expected.size else 0)
+        assert np.array_equal(got, expected) and np.array_equal(a, before)
+        # the same values in a buffer this array does not own, contiguous or strided
+        for step in (1, 2):
+            outer = np.full(step * a.size + 6, -1, dtype=np.int64)
+            view = outer[3 : 3 + step * a.size : step]
+            view[:] = a[::-1]
+            k = _sorted_unique(view)
+            assert k == expected.size and np.array_equal(view[:k], expected)
+            assert np.all(outer[:3] == -1) and np.all(outer[3 + step * a.size :] == -1)
+        k = _sorted_unique(a)
+        assert k == expected.size and np.array_equal(a[:k], expected)
+
+
+def test_build_graph_keeps_no_duplicate_tail(tmp_path):
+    # every edge in both orientations, some three times: the deduplicated
+    # codes fill less than half the build buffer, and indices must not pin it
+    rng = np.random.default_rng(19)
+    n = 2000
+    one_way = rng.integers(0, n, size=(10000, 2))
+    one_way = one_way[one_way[:, 0] != one_way[:, 1]]
+    triples = one_way[rng.integers(0, len(one_way), size=300)]
+    edges = np.concatenate([one_way, one_way[:, ::-1], triples, triples[:, ::-1]])
+    path = tmp_path / "edges.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges.tolist()))
+    expected = build_graph(n, one_way)
+    for build in (lambda: build_graph(n, edges), lambda: read_edgelist(path)):
+        tracemalloc.start()
+        try:
+            g = build()
+            gc.collect()  # also empties the tuple free list that parsing leaves full
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g == expected
+        assert g.indices.base is None and g.indices.flags.owndata  # a buffer of exactly indices.nbytes
+        assert held < g.offsets.nbytes + g.indices.nbytes + 64 * 1024
 
 
 def test_graph_is_immutable():
