@@ -65,8 +65,8 @@ class Graph:
     def owner(self) -> np.ndarray:
         """Source vertex of every CSR slot, so edge ``j`` is ``(owner()[j], indices[j])``.
 
-        Built on first use and cached (read-only); every edge-wise routine
-        shares this one array.
+        Built on first use and cached (read-only); the routines that need
+        every slot's owner share this one array.
         """
         if self._owner is None:
             owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
@@ -133,16 +133,19 @@ def _code_shift(n: int) -> int:
     return max(1, (int(n) - 1).bit_length())
 
 
-def _edge_codes(n: int, src, dst) -> np.ndarray:
+def _edge_codes(n: int, src, dst, out: np.ndarray | None = None) -> np.ndarray:
     """Codes ``src << _code_shift(n) | dst`` of both orientations of the pairs ``(src, dst)``.
 
     ``src`` and ``dst`` broadcast together; the flat result holds the pairs
-    as given, then the same pairs flipped.
+    as given, then the same pairs flipped.  It is a fresh buffer, or ``out``
+    when given: a flat int64 array of exactly that size, which the caller
+    hands over to be filled.  The pairs as given are written first, so
+    ``dst`` may be a view of ``out``'s second half; ``src`` may not alias it.
     """
     shift = _code_shift(n)
     shape = np.broadcast_shapes(np.shape(src), np.shape(dst))
     size = int(np.prod(shape))
-    codes = np.empty(2 * size, dtype=np.int64)
+    codes = np.empty(2 * size, dtype=np.int64) if out is None else out
     for half, high, low in ((codes[:size], src, dst), (codes[size:], dst, src)):
         half = half.reshape(shape)
         np.left_shift(high, shift, out=half)
@@ -158,8 +161,8 @@ def _csr_from_codes(n: int, codes: np.ndarray) -> Graph:
     distinct codes and decodes it into the graph's ``indices``.  The trim
     frees the duplicate tail but leaves any view of ``codes`` dangling, so
     ``codes`` must own its data and nothing else may refer to it: this
-    function owns the fresh buffer ``_edge_codes`` returns, and no view of
-    it outlives the call.
+    function owns the buffer ``_edge_codes`` returns, whether fresh or the
+    caller's ``out``, and no view of it outlives the call.
     """
     shift = _code_shift(n)
     k = _sorted_unique(codes)
@@ -170,7 +173,8 @@ def _csr_from_codes(n: int, codes: np.ndarray) -> Graph:
     return Graph(n, offsets, indices)
 
 
-# values per step of _sorted_unique's compaction, which bounds its temporaries
+# values per step of _sorted_unique's compaction and CSR slots per row block of
+# the edge-wise passes; it bounds the temporaries of both
 _UNIQUE_CHUNK = 1 << 16
 
 
@@ -197,6 +201,32 @@ def _sorted_unique(a: np.ndarray) -> int:
         a[k : k + kept.size] = kept
         k += kept.size
     return k
+
+
+def _row_blocks(g: Graph, rows: np.ndarray) -> list[np.ndarray]:
+    """Split the row list ``rows`` into consecutive blocks of about ``_UNIQUE_CHUNK`` CSR slots.
+
+    Laid end to end, the rows' slots fall into windows of ``_UNIQUE_CHUNK``;
+    each block holds the rows that start in one window, so it has fewer
+    slots than that plus the length of its last row.  Returns the non-empty
+    blocks as views of ``rows``.
+    """
+    lengths = g.offsets[rows + 1] - g.offsets[rows]
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends - lengths, np.arange(_UNIQUE_CHUNK, total, _UNIQUE_CHUNK)).tolist()
+    return [rows[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, rows.size]) if hi > lo]
+
+
+def _block_slots(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """CSR slot numbers of the row list ``rows``, row after row."""
+    starts = g.offsets[rows]
+    lengths = g.offsets[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    # position j of a row's run is slot j + (row start - position of the row's first slot)
+    slots = np.repeat(starts - (ends - lengths), lengths)
+    slots += np.arange(slots.size)
+    return slots
 
 
 def _sorted_ids(vertices, n: int) -> np.ndarray:
@@ -308,9 +338,13 @@ def _member_mask(g: Graph, s) -> np.ndarray:
 
 
 def _has_inner_edge(g: Graph, mask: np.ndarray) -> bool:
-    """True iff some edge of ``g`` has both endpoints in the vertex mask ``mask``."""
-    owner_in = np.repeat(mask, g.degrees())
-    return bool(np.any(owner_in & mask[g.indices]))
+    """True iff some edge of ``g`` has both endpoints in the vertex mask ``mask``.
+
+    Only the members' rows can hold such an edge; they are read block by
+    block, stopping at the first block that holds one.
+    """
+    members = np.flatnonzero(mask)
+    return any(mask[g.indices[_block_slots(g, rows)]].any() for rows in _row_blocks(g, members))
 
 
 def is_independent_set(g: Graph, s) -> bool:
@@ -323,9 +357,11 @@ def is_maximal_independent_set(g: Graph, s) -> bool:
     mask = _member_mask(g, s)
     if _has_inner_edge(g, mask):
         return False
-    touched = np.zeros(g.n, dtype=bool)
-    touched[g.owner()[mask[g.indices]]] = True
-    return bool(np.all(mask | touched))
+    # by symmetry, the vertices with a member neighbor are the members' neighbors
+    touched = mask.copy()
+    for rows in _row_blocks(g, np.flatnonzero(mask)):
+        touched[g.indices[_block_slots(g, rows)]] = True
+    return bool(touched.all())
 
 
 def exact_mis(g: Graph) -> frozenset:

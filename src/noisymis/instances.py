@@ -152,7 +152,8 @@ def _distinct_picks(rng: np.random.Generator, rows: int, d: int, high: int) -> n
     repeated value until every row is distinct.  Each step treats all values
     alike, so the law of a finished row is invariant under relabeling values
     and is therefore uniform over ``d``-subsets; unlike redrawing whole rows,
-    this also finishes quickly when ``d`` is close to ``high``.
+    this also finishes quickly when ``d`` is close to ``high``.  The matrix
+    owns its data, so the caller may grow it in place.
     """
     picks = rng.integers(0, high, size=(rows, d))
     picks.sort(axis=1)
@@ -184,12 +185,14 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
         raise ValueError(f"infeasible parameters: d * (1 - alpha) = {d * (1 - alpha)} exceeds alpha * n = {alpha * n}")
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
-    picks = _distinct_picks(rng, outside.size, d, n - 1)
-    picks += picks >= outside[:, None]  # skip u itself; picks stay uniform over the rest
-    # codes come straight from the pick matrix, which is dropped before the
-    # sort, so no (m, 2) edge array ever exists
-    codes = _edge_codes(n, outside[:, None], picks)
-    del picks
+    codes = _distinct_picks(rng, outside.size, d, n - 1)
+    codes += codes >= outside[:, None]  # skip u itself; picks stay uniform over the rest
+    # the pick matrix grows in place into the code buffer and the codes overwrite
+    # it, so neither an (m, 2) edge array nor a second int64 copy of the picks exists
+    size = codes.size
+    codes.resize(2 * size, refcheck=False)
+    codes[size:] = codes[:size]
+    _edge_codes(n, outside[:, None], codes[size:].reshape(outside.size, d), out=codes)
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
     return PlantedInstance(_csr_from_codes(n, codes), frozenset(planted.tolist()), params)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, greedy_mis, induced_subgraph
+from .graph import Graph, _block_slots, _row_blocks, greedy_mis, induced_subgraph
 from .oracle import Oracle, ModeError
 
 __all__ = [
@@ -76,14 +76,18 @@ def neighbor_yes_counts(g: Graph, oracle: Oracle) -> np.ndarray:
 
     Queries every vertex exactly once, in one batch, then counts by
     symmetry: ``v`` gets one vote from every claimed vertex whose row lists
-    ``v``, so a bincount of the claimed rows' slots gives every count.
+    ``v``, so counting the ids in the claimed rows gives every count.  Those
+    rows are read in blocks, so no temporary grows with the edge count.
     Requires a persistent Bernoulli oracle, whose answers do not change
     between reads.
     """
     if not oracle.config.is_persistent:
         raise ModeError("neighbor votes need a persistent oracle; answers must not change between reads")
     answers = oracle.query_bool_many(np.arange(g.n, dtype=np.int64))
-    return np.bincount(g.indices[np.repeat(answers, g.degrees())], minlength=g.n)
+    counts = np.zeros(g.n, dtype=np.int64)
+    for rows in _row_blocks(g, np.flatnonzero(answers)):
+        np.add.at(counts, g.indices[_block_slots(g, rows)], 1)
+    return counts
 
 
 def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):

@@ -455,6 +455,49 @@ def test_is_maximal_independent_set():
     assert not is_maximal_independent_set(g, {0, 1})  # not even independent
 
 
+def one_shot_is_independent(g, mask):
+    """Independence over every CSR slot at once, through the repeated member mask."""
+    return not np.any(np.repeat(mask, g.degrees()) & mask[g.indices])
+
+
+def one_shot_is_maximal(g, mask):
+    """Maximality through the owner of every slot whose neighbor is a member."""
+    owner = np.repeat(np.arange(g.n), g.degrees())
+    touched = np.zeros(g.n, dtype=bool)
+    touched[owner[mask[g.indices]]] = True
+    return one_shot_is_independent(g, mask) and bool(np.all(mask | touched))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_membership_predicates_match_one_shot_references(monkeypatch, chunk):
+    # small blocks split the members' rows many ways, and rows outgrow a block
+    monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
+    rng = np.random.default_rng(23)
+    graphs = [build_graph(0, []), build_graph(5, [])]
+    # isolated rows 0 and 10 open blocks of three slots and 12 ends the last; the star's centre outgrows 64
+    graphs.append(build_graph(13, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (4, 7), (4, 8), (9, 11)]))
+    graphs.append(build_graph(200, [(0, v) for v in range(2, 200, 2)]))
+    graphs += [random_graph(rng, n, p) for n, p in ((9, 0.3), (40, 0.05), (60, 0.2))]
+    seen = set()
+    for g in graphs:
+        greedy = np.zeros(g.n, dtype=bool)
+        greedy[list(greedy_mis(g))] = True
+        masks = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool), greedy]
+        masks += [rng.random(g.n) < q for q in (0.1, 0.5)]
+        for v in range(min(g.n, 4)):
+            flipped = greedy.copy()
+            flipped[v] = not flipped[v]  # drops a member (not maximal) or adds a neighbor (not independent)
+            masks.append(flipped)
+        for mask in masks:
+            ids = np.flatnonzero(mask)
+            independent, maximal = is_independent_set(g, ids), is_maximal_independent_set(g, ids)
+            assert independent == one_shot_is_independent(g, mask)
+            assert maximal == one_shot_is_maximal(g, mask)
+            seen.add((independent, maximal))
+        assert g._owner is None
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 # -- exact search --------------------------------------------------------------
 
 

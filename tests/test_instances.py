@@ -64,6 +64,8 @@ def test_gnp_ensure_maximal():
             assert any(mask[u] for u in inst.graph.neighbors(v))
     # without the flag the same sparse draw leaves uncovered vertices
     assert not is_planted_maximal(gen_planted_gnp(300, 0.3, 0.002, seed=5))
+    # the check reads the planted rows alone and caches no edge-sized owner array
+    assert inst.graph._owner is None
 
 
 def test_gnp_determinism_and_seed_sensitivity():
@@ -140,7 +142,8 @@ def _bounded_degree_reference(n, alpha, d, seed):
 @pytest.mark.parametrize(
     "n, alpha, d, seeds",
     [(2, 0.5, 0, range(3)), (2, 0.5, 1, range(3)), (3, 0.4, 2, range(5)), (12, 0.5, 0, range(3)),
-     (12, 0.5, 6, range(5)), (9, 0.9, 8, range(5)), (500, 0.3, 7, range(4)), (1025, 0.5, 12, range(2))],
+     (12, 0.5, 6, range(5)), (9, 0.9, 8, range(5)), (500, 0.3, 7, range(4)), (1025, 0.5, 12, range(2)),
+     (40, 0.5, 39, range(3))],
 )
 def test_bounded_degree_codes_match_the_edge_array_reference(n, alpha, d, seeds):
     for seed in seeds:
@@ -149,11 +152,14 @@ def test_bounded_degree_codes_match_the_edge_array_reference(n, alpha, d, seeds)
         assert inst.planted == planted
         for got, want in ((inst.graph.offsets, graph.offsets), (inst.graph.indices, graph.indices)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the grown pick matrix became indices, so no larger buffer sits behind it
+        assert inst.graph.indices.base is None and inst.graph.indices.flags.owndata
 
 
 def test_bounded_degree_peak_memory_stays_near_the_csr():
-    # the pick matrix and the codes are never alive next to an (m, 2) edge array,
-    # and the codes are deduplicated in place, not into a second buffer
+    # the pick matrix grows in place into the code buffer, no (m, 2) edge array
+    # ever exists, and the codes are deduplicated in place, not into a second buffer
+    gen_planted_bounded_degree(100, 0.3, 5, seed=0)  # first-call allocations are not the generator's
     for seed in (0, 1):
         tracemalloc.start()
         try:
@@ -161,7 +167,20 @@ def test_bounded_degree_peak_memory_stays_near_the_csr():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8 * (g.offsets.nbytes + g.indices.nbytes)
+        assert peak <= 1.4 * (g.offsets.nbytes + g.indices.nbytes)
+
+
+def test_independence_check_peak_memory_stays_far_below_the_indices():
+    # only the planted rows are read, block by block; gen-filter's instance
+    # is large enough that the blocks are a small share of its CSR
+    inst = gen_planted_bounded_degree(100000, 0.3, 20, seed=0)
+    tracemalloc.start()
+    try:
+        assert is_independent_set(inst.graph, inst.planted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * inst.graph.indices.nbytes
 
 
 def test_bounded_degree_vertex_count_limit():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisymis.graph import build_graph, greedy_mis, induced_subgraph, is_independent_set
+from noisymis.graph import _UNIQUE_CHUNK, build_graph, greedy_mis, induced_subgraph, is_independent_set
 from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp
 from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, make_oracle
 from noisymis.persistent import (
@@ -68,27 +68,43 @@ def reference_yes_counts(g, answers):
     return counts.astype(np.int64)
 
 
-def test_yes_counts_match_owner_bincount_reference():
-    rng = np.random.default_rng(21)
+def one_shot_yes_counts(g, answers):
+    """Yes-counts as one bincount over every claimed row's slots at once."""
+    return np.bincount(g.indices[np.repeat(answers, g.degrees())], minlength=g.n)
+
+
+def test_yes_counts_match_owner_bincount_reference(monkeypatch):
+    for chunk in (1, 3, 64, _UNIQUE_CHUNK):
+        # small blocks split the claimed rows many ways, and rows outgrow a block
+        monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
+        check_yes_counts_against_references(np.random.default_rng(21))
+
+
+def check_yes_counts_against_references(rng):
     graphs = [build_graph(0, []), build_graph(1, []), build_graph(6, [])]
+    # isolated rows 0 and 10 open blocks of three slots and 12 ends the last; the star's centre outgrows 64
+    graphs.append(build_graph(13, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (4, 7), (4, 8), (9, 11)]))
+    graphs.append(build_graph(200, [(0, v) for v in range(2, 200, 2)]))
     for n in (2, 9, 50, 400):
         for m in (1, n, 5 * n):
             # endpoints come from a random half of the ids: the rest are isolated, empty rows
             active = rng.choice(n, size=max(1, n // 2), replace=False)
             graphs.append(build_graph(n, active[rng.integers(0, active.size, size=(m, 2))]))
     for i, g in enumerate(graphs):
-        members = rng.random(g.n) < 0.4
         mode = ("persistent-random", "persistent-kwise")[i % 2]
-        cfg = OracleConfig(epsilon=0.2, mode=mode, seed=i)
-        answers = Oracle(members, cfg).query_bool_many(np.arange(g.n, dtype=np.int64))
-        got = neighbor_yes_counts(g, Oracle(members, cfg))
-        expected = reference_yes_counts(g, answers)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        noisy = (rng.random(g.n) < 0.4, OracleConfig(epsilon=0.2, mode=mode, seed=i))
+        # a noiseless oracle answers membership itself: nothing claimed, then everything
+        exact = OracleConfig(epsilon=0.5, mode=mode, seed=i, apply_cap=False)
+        for members, cfg in (noisy, (np.zeros(g.n, dtype=bool), exact), (np.ones(g.n, dtype=bool), exact)):
+            answers = Oracle(members, cfg).query_bool_many(np.arange(g.n, dtype=np.int64))
+            got = neighbor_yes_counts(g, Oracle(members, cfg))
+            for expected in (reference_yes_counts(g, answers), one_shot_yes_counts(g, answers)):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
     assert any(g.m == 0 and g.n > 0 for g in graphs) and any(g.n == 0 for g in graphs)
 
 
 def test_yes_counts_peak_memory_stays_below_the_indices():
-    # no running sum, and no cast copy, as long as the CSR slot array is ever alive
+    # the claimed rows are read in blocks, so no temporary grows with the edge count
     inst = gen_planted_bounded_degree(20000, 0.3, 20, seed=0)
     g = inst.graph
     for seed in (0, 1):
@@ -99,7 +115,7 @@ def test_yes_counts_peak_memory_stays_below_the_indices():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.0 * g.indices.nbytes
+        assert peak <= 0.4 * g.indices.nbytes
 
 
 # -- survival threshold --------------------------------------------------------
