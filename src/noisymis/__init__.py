@@ -6,92 +6,14 @@ elimination loop for resampling oracles, plus sampling/amplification
 baselines, planted-instance generators, and a seeded experiment harness.
 """
 
-from .graph import (
-    EXACT_MIS_MAX_N,
-    Graph,
-    build_graph,
-    exact_mis,
-    greedy_mis,
-    induced_subgraph,
-    is_independent_set,
-    is_maximal_independent_set,
-    read_edgelist,
-    vertex_cover_2approx,
-    write_edgelist,
-)
-from .oracle import (
-    ADVANTAGE_CAP,
-    BANDIT_BERNOULLI,
-    BANDIT_GAUSSIAN,
-    KWISE_PRIME,
-    ORACLE_MODES,
-    PERSISTENT_KWISE,
-    PERSISTENT_RANDOM,
-    ModeError,
-    Oracle,
-    OracleConfig,
-    QueryLedger,
-    cap_flip_probability,
-    kwise_coefficients,
-    kwise_hash,
-    make_oracle,
-)
-from .persistent import (
-    PersistentParams,
-    PersistentReport,
-    neighbor_yes_counts,
-    run_persistent,
-    survival_threshold,
-)
-from .bandit import (
-    BanditParams,
-    BanditResult,
-    RoundRecord,
-    cover_complement,
-    elimination_round,
-    log_inv_delta,
-    query_budget,
-    query_schedule,
-    run_bandit,
-)
-from .baselines import (
-    AmplifyParams,
-    SamplerParams,
-    run_amplify,
-    run_greedy_baseline,
-    run_sampler,
-)
-from .instances import (
-    PlantedInstance,
-    gen_planted_bounded_degree,
-    gen_planted_gnp,
-    is_planted_maximal,
-    planted_mask,
-    read_instance,
-    write_instance,
-)
-from .montecarlo import (
-    EVENT_BUILDERS,
-    blocker_filter_violation,
-    coin_event,
-    estimate_tail,
-    member_elimination,
-    member_filter_violation,
-    nonmember_survival,
-)
-from .harness import (
-    ALGORITHMS,
-    CSV_COLUMNS,
-    AggregateSummary,
-    ExperimentConfig,
-    TrialRecord,
-    aggregate,
-    derive_seed,
-    records_from_csv,
-    records_to_csv,
-    run_experiment,
-    run_trial,
-    trial_seeds,
-)
+# each module's __all__ is the one list of its public names
+from .graph import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .persistent import *  # noqa: F401,F403
+from .bandit import *  # noqa: F401,F403
+from .baselines import *  # noqa: F401,F403
+from .instances import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -99,11 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_maximal(maximal, generator: str) -> None:
+    """Reject ``--maximal`` for any generator but gnp, before anything is generated."""
+    if maximal and generator != "gnp":
+        raise ValueError("--maximal only applies to --p instances")
+
+
 def _cmd_gen(args) -> int:
+    _check_maximal(args.maximal, "bounded-degree" if args.d is not None else "gnp")
     if args.d is not None:
         instance = gen_planted_bounded_degree(args.n, args.alpha, args.d, seed=args.seed)
-        if args.maximal:
-            raise ValueError("--maximal only applies to --p instances")
     else:
         instance = gen_planted_gnp(args.n, args.alpha, args.p, seed=args.seed, ensure_maximal=args.maximal)
     write_instance(instance, args.out)
@@ -130,8 +135,7 @@ def _run_config_from_args(args) -> ExperimentConfig:
             raise ValueError("generator flags conflict with a file-backed instance")
         spec.update(given)
         spec.setdefault("generator", "bounded-degree" if args.d is not None else "gnp")
-        if args.maximal and spec["generator"] != "gnp":
-            raise ValueError("--maximal only applies to --p instances")
+        _check_maximal(args.maximal, spec["generator"])
         base["instance"] = spec
     oracle_keys = {"epsilon": args.eps, "mode": args.mode, "k": args.k}
     oracle = {k: v for k, v in oracle_keys.items() if v is not None}

@@ -65,8 +65,8 @@ class Graph:
     def owner(self) -> np.ndarray:
         """Source vertex of every CSR slot, so edge ``j`` is ``(owner()[j], indices[j])``.
 
-        Built on first use and cached (read-only); the routines that need
-        every slot's owner share this one array.
+        Built on first use and cached (read-only).  ``_induce`` is its only
+        user: it reuses the array across the many induces of one graph.
         """
         if self._owner is None:
             owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
@@ -290,14 +290,14 @@ def greedy_mis(g: Graph, order=None) -> frozenset:
         if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
             raise ValueError("order must be a permutation of range(n)")
         scan = arr.tolist()
-    chosen = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
     offsets, indices = g.offsets, g.indices
     for v in scan:
         if not blocked[v]:
-            chosen[v] = True
             blocked[indices[offsets[v] : offsets[v + 1]]] = True
-    return frozenset(np.flatnonzero(chosen).tolist())
+    # a taken vertex is never blocked later, as its later neighbors are
+    # blocked by it and so never taken: the taken vertices are the unblocked
+    return frozenset(np.flatnonzero(~blocked).tolist())
 
 
 def vertex_cover_2approx(g: Graph) -> frozenset:
@@ -355,12 +355,13 @@ def is_independent_set(g: Graph, s) -> bool:
 def is_maximal_independent_set(g: Graph, s) -> bool:
     """True iff ``s`` is independent and no outside vertex can be added."""
     mask = _member_mask(g, s)
-    if _has_inner_edge(g, mask):
-        return False
     # by symmetry, the vertices with a member neighbor are the members' neighbors
     touched = mask.copy()
     for rows in _row_blocks(g, np.flatnonzero(mask)):
-        touched[g.indices[_block_slots(g, rows)]] = True
+        neighbors = g.indices[_block_slots(g, rows)]
+        if mask[neighbors].any():
+            return False
+        touched[neighbors] = True
     return bool(touched.all())
 
 
@@ -421,12 +422,17 @@ def write_edgelist(g: Graph, path) -> None:
 
 
 def _write_edges(g: Graph, fh) -> None:
-    """The edge-list body shared with instance files: header, then edges."""
-    owner = g.owner()
-    fwd = owner < g.indices
+    """The edge-list body shared with instance files: header, then edges.
+
+    Rows are read in blocks, so no temporary grows with the edge count.
+    """
     fh.write(f"{g.n} {g.m}\n")
-    for u, v in zip(owner[fwd].tolist(), g.indices[fwd].tolist()):
-        fh.write(f"{u} {v}\n")
+    for rows in _row_blocks(g, np.arange(g.n, dtype=np.int64)):
+        src = np.repeat(rows, g.offsets[rows + 1] - g.offsets[rows])
+        dst = g.indices[_block_slots(g, rows)]
+        fwd = src < dst
+        pairs = np.column_stack((src[fwd], dst[fwd]))
+        fh.write("%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist()))
 
 
 def read_edgelist(path) -> Graph:

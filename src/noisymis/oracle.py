@@ -23,6 +23,7 @@ from .graph import _has_inner_edge, _member_mask
 from .graph import is_independent_set  # noqa: F401  (bench/traced.py times calls through this binding)
 
 __all__ = [
+    "ADVANTAGE_CAP",
     "PERSISTENT_RANDOM",
     "PERSISTENT_KWISE",
     "BANDIT_BERNOULLI",
@@ -117,10 +118,6 @@ class QueryLedger:
     def __init__(self, n: int):
         self.per_vertex = np.zeros(n, dtype=np.int64)
         self.total = 0
-
-    def record_one(self, v: int) -> None:
-        self.per_vertex[v] += 1
-        self.total += 1
 
     def record(self, verts: np.ndarray, times: int) -> None:
         np.add.at(self.per_vertex, verts, times)
@@ -232,7 +229,12 @@ class Oracle:
             wrong = kwise_answer(self._coeffs, verts, 0.5 - self.effective_epsilon)
         return truth ^ wrong
 
-    def _yes_probabilities(self, verts: np.ndarray) -> np.ndarray:
+    def _means(self, verts: np.ndarray) -> np.ndarray:
+        """Mean of one fresh answer per vertex: ``1/2 + eps`` for members, ``1/2 - eps`` otherwise.
+
+        It is the yes probability of a Bernoulli answer and the mean of a
+        Gaussian reward.
+        """
         eps = self.config.epsilon
         return np.where(self._members[verts], 0.5 + eps, 0.5 - eps)
 
@@ -240,32 +242,21 @@ class Oracle:
 
     def query_bool(self, v: int) -> bool:
         """One yes/no membership answer for ``v``; counts one query."""
-        if self.config.mode == BANDIT_GAUSSIAN:
-            raise ModeError("query_bool needs a Bernoulli oracle; this one returns real rewards")
-        self.ledger.record_one(v)
-        arr = np.asarray([v], dtype=np.int64)
-        if self.config.is_persistent:
-            return bool(self._fixed_answers(arr)[0])
-        return bool(self._rng.random() < self._yes_probabilities(arr)[0])
+        return bool(self.query_bool_many([v])[0])
 
     def query_bool_many(self, verts) -> np.ndarray:
         """One answer per listed vertex; counts ``len(verts)`` queries."""
         if self.config.mode == BANDIT_GAUSSIAN:
-            raise ModeError("query_bool_many needs a Bernoulli oracle; this one returns real rewards")
+            raise ModeError("yes/no queries need a Bernoulli oracle; this one returns real rewards")
         arr = np.asarray(verts, dtype=np.int64)
         self.ledger.record(arr, 1)
         if self.config.is_persistent:
             return self._fixed_answers(arr)
-        return self._rng.random(arr.size) < self._yes_probabilities(arr)
+        return self._rng.random(arr.size) < self._means(arr)
 
     def query_real(self, v: int) -> float:
         """One real reward: N(1/2 + eps, 1) for members, N(1/2 - eps, 1) otherwise."""
-        if self.config.mode != BANDIT_GAUSSIAN:
-            raise ModeError("query_real is only available in bandit-gaussian mode")
-        self.ledger.record_one(v)
-        eps = self.config.epsilon
-        mu = 0.5 + eps if self._members[v] else 0.5 - eps
-        return float(self._rng.normal(mu, 1.0))
+        return float(self.query_reward_sums([v], 1)[0])
 
     def query_yes_counts(self, verts, q: int) -> np.ndarray:
         """Yes-counts of ``q`` fresh queries per vertex; counts ``len(verts) * q``.
@@ -280,19 +271,17 @@ class Oracle:
             raise ValueError("query count must be nonnegative")
         arr = np.asarray(verts, dtype=np.int64)
         self.ledger.record(arr, q)
-        return self._rng.binomial(q, self._yes_probabilities(arr))
+        return self._rng.binomial(q, self._means(arr))
 
     def query_reward_sums(self, verts, q: int) -> np.ndarray:
         """Sums of ``q`` fresh real rewards per vertex; counts ``len(verts) * q``."""
         if self.config.mode != BANDIT_GAUSSIAN:
-            raise ModeError("reward sums are only available in bandit-gaussian mode")
+            raise ModeError("real rewards are only available in bandit-gaussian mode")
         if q < 0:
             raise ValueError("query count must be nonnegative")
         arr = np.asarray(verts, dtype=np.int64)
         self.ledger.record(arr, q)
-        eps = self.config.epsilon
-        mu = np.where(self._members[arr], 0.5 + eps, 0.5 - eps)
-        return self._rng.normal(q * mu, math.sqrt(q) if q > 0 else 0.0)
+        return self._rng.normal(q * self._means(arr), math.sqrt(q) if q > 0 else 0.0)
 
     @property
     def total_queries(self) -> int:

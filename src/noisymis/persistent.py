@@ -127,22 +127,13 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
         raise ValueError("oracle universe size does not match the graph")
     t0 = time.perf_counter()
     n = g.n
-    if n == 0:
-        return PersistentReport(
-            yes_counts=np.zeros(0, dtype=np.int64),
-            degrees=np.zeros(0, dtype=np.int64),
-            thresholds=np.zeros(0, dtype=np.float64),
-            low_degree_mask=np.zeros(0, dtype=bool),
-            surviving_mask=np.zeros(0, dtype=bool),
-            independent_set=frozenset(),
-            stats={"num_low_degree": 0, "num_surviving": 0, "num_selected": 0, "wall_time_ms": 0.0},
-        )
     eps = params.epsilon_effective if params.epsilon_effective is not None else oracle.effective_epsilon
     yes = neighbor_yes_counts(g, oracle)
     degs = g.degrees()
-    cutoff = params.low_degree_cutoff_coeff * math.log(n)
+    # ln n is read at max(n, 1), so the empty graph takes this path too
+    cutoff = params.low_degree_cutoff_coeff * math.log(max(n, 1))
     low_mask = degs <= cutoff
-    thresholds = survival_threshold(degs, eps, n, params.threshold_coeff)
+    thresholds = survival_threshold(degs, eps, max(n, 1), params.threshold_coeff)
     surviving_mask = ~low_mask & (yes <= thresholds)
     keep = np.flatnonzero(low_mask | surviving_mask)
     if keep.size:

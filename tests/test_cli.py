@@ -58,11 +58,17 @@ def test_gen_bounded_degree(tmp_path):
     assert read_instance(path).params["generator"] == "bounded-degree"
 
 
-def test_gen_maximal_with_degree_generator_fails(tmp_path, capsys):
+def test_gen_maximal_with_degree_generator_fails(tmp_path, capsys, monkeypatch):
+    # the flag is rejected before anything is generated
+    def generator(*args, **kwargs):
+        raise AssertionError("generated an instance for a rejected flag")
+
+    monkeypatch.setattr(cli, "gen_planted_bounded_degree", generator)
     rc = main(["gen", "--n", "30", "--alpha", "0.5", "--d", "3", "--maximal",
                "--out", str(tmp_path / "x.txt")])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error: --maximal" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_gen_requires_exactly_one_density_flag(tmp_path):

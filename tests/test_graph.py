@@ -362,6 +362,28 @@ def test_greedy_output_always_maximal():
         assert is_maximal_independent_set(g, s2)
 
 
+def two_mask_greedy(g, order=None):
+    # the greedy scan as it kept a taken mask beside the blocked mask
+    chosen = np.zeros(g.n, dtype=bool)
+    blocked = np.zeros(g.n, dtype=bool)
+    for v in range(g.n) if order is None else order:
+        if not blocked[v]:
+            chosen[v] = True
+            blocked[g.neighbors(v)] = True
+    return frozenset(np.flatnonzero(chosen).tolist())
+
+
+def test_greedy_matches_two_mask_reference():
+    rng = np.random.default_rng(23)
+    graphs = [build_graph(0, []), build_graph(6, [])]
+    graphs += [random_graph(rng, int(rng.integers(1, 40)), float(rng.uniform(0.02, 0.7))) for _ in range(40)]
+    for g in graphs:
+        assert greedy_mis(g) == two_mask_greedy(g)
+        for _ in range(3):
+            order = rng.permutation(g.n)
+            assert greedy_mis(g, order) == two_mask_greedy(g, order.tolist())
+
+
 # -- vertex cover -------------------------------------------------------------
 
 

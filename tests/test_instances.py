@@ -183,6 +183,20 @@ def test_independence_check_peak_memory_stays_far_below_the_indices():
     assert peak <= 0.1 * inst.graph.indices.nbytes
 
 
+def test_write_instance_peak_memory_stays_below_the_indices(tmp_path):
+    # rows are written block by block from the CSR: no owner array is built,
+    # kept on the graph or formatted whole; gen-filter's instance again
+    inst = gen_planted_bounded_degree(100000, 0.3, 20, seed=0)
+    tracemalloc.start()
+    try:
+        write_instance(inst, tmp_path / "inst.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * inst.graph.indices.nbytes
+    assert inst.graph._owner is None
+
+
 def test_bounded_degree_vertex_count_limit():
     with pytest.raises(ValueError, match=r"n <= 2\*\*31"):
         gen_planted_bounded_degree(2**31 + 1, 0.5, 1, seed=0)

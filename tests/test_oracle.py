@@ -12,6 +12,7 @@ from noisymis.oracle import (
     BANDIT_BERNOULLI,
     BANDIT_GAUSSIAN,
     KWISE_PRIME,
+    ORACLE_MODES,
     PERSISTENT_KWISE,
     PERSISTENT_RANDOM,
     ModeError,
@@ -202,6 +203,68 @@ def test_mode_errors():
     persistent = Oracle(members, OracleConfig(epsilon=0.25, mode=PERSISTENT_RANDOM, seed=0))
     with pytest.raises(ModeError):
         persistent.query_yes_counts([0], 3)
+
+
+def parent_query_bool(o, v):
+    # the scalar formula single yes/no queries had before they became size-1 batches
+    o.ledger.per_vertex[v] += 1
+    o.ledger.total += 1
+    arr = np.asarray([v], dtype=np.int64)
+    if o.config.is_persistent:
+        return bool(o._fixed_answers(arr)[0])
+    eps = o.config.epsilon
+    return bool(o._rng.random() < np.where(o._members[arr], 0.5 + eps, 0.5 - eps)[0])
+
+
+def parent_query_real(o, v):
+    # the scalar formula single real rewards had before they became size-1 batches
+    o.ledger.per_vertex[v] += 1
+    o.ledger.total += 1
+    eps = o.config.epsilon
+    mu = 0.5 + eps if o._members[v] else 0.5 - eps
+    return float(o._rng.normal(mu, 1.0))
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+def test_single_queries_keep_the_scalar_stream(mode):
+    # single and batch calls interleaved: the draws, totals and per-vertex
+    # counts must equal those of the scalar single-query formulas
+    n = 40
+    members = half_members(n)
+    cfg = OracleConfig(epsilon=0.375, mode=mode, k=3, seed=17)
+    new, old = Oracle(members, cfg), Oracle(members, cfg)
+    single = (new.query_real, parent_query_real) if mode == BANDIT_GAUSSIAN else (new.query_bool, parent_query_bool)
+    batch = {
+        BANDIT_GAUSSIAN: lambda o, verts: o.query_reward_sums(verts, 3),
+        BANDIT_BERNOULLI: lambda o, verts: o.query_yes_counts(verts, 3),
+    }.get(mode, lambda o, verts: o.query_bool_many(verts))
+    rng = np.random.default_rng(5)
+    got, want = [], []
+    for step in range(120):
+        if step % 4 == 3:
+            verts = rng.integers(0, n, size=int(rng.integers(0, 6)))
+            got += batch(new, verts).tolist()
+            want += batch(old, verts).tolist()
+        else:
+            v = int(rng.integers(0, n))
+            got.append(single[0](v))
+            want.append(single[1](old, v))
+    assert got == want
+    assert all(type(a) is type(b) for a, b in zip(got, want))
+    assert new.total_queries == old.total_queries
+    assert np.array_equal(new.ledger.per_vertex, old.ledger.per_vertex)
+
+
+def test_package_exports_every_module_public_name():
+    import importlib
+
+    import noisymis
+
+    for name in ("graph", "oracle", "persistent", "bandit", "baselines", "instances", "montecarlo", "harness"):
+        module = importlib.import_module(f"noisymis.{name}")
+        for public in module.__all__:
+            assert getattr(noisymis, public) is getattr(module, public)
+    assert noisymis.ADVANTAGE_CAP == ADVANTAGE_CAP and noisymis.kwise_answer is kwise_answer
 
 
 # -- k-wise hash ---------------------------------------------------------------

@@ -146,9 +146,16 @@ def test_edgeless_returns_everything():
 def test_empty_graph():
     g = build_graph(0, [])
     inst = PlantedInstance(graph=g, planted=frozenset(), params={})
-    o = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=0))
-    report = run_persistent(g, o)
-    assert report.independent_set == frozenset()
+    for mode in ("persistent-random", "persistent-kwise"):
+        o = make_oracle(inst, OracleConfig(epsilon=0.25, mode=mode, seed=0))
+        report = run_persistent(g, o)
+        assert report.independent_set == frozenset()
+        for name, dtype in (("yes_counts", np.int64), ("degrees", np.int64), ("thresholds", np.float64),
+                            ("low_degree_mask", bool), ("surviving_mask", bool)):
+            arr = getattr(report, name)
+            assert arr.shape == (0,) and arr.dtype == dtype, name
+        assert report.stats["num_low_degree"] == report.stats["num_surviving"] == report.stats["num_selected"] == 0
+        assert o.total_queries == 0
 
 
 def test_unfiltered_run_uses_the_graph_itself():
