@@ -52,12 +52,8 @@ def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, see
     the oracle noise.  Requires the non-persistent Bernoulli oracle.
     """
     params = params or SamplerParams()
-    if oracle.config.mode != BANDIT_BERNOULLI:
-        raise ModeError("the sampling baseline votes by repeated queries; it needs the non-persistent Bernoulli oracle")
     if oracle.n != n:
         raise ValueError("oracle universe size does not match n")
-    if n == 0:
-        return frozenset()
     if params.sample_prob is not None:
         if not 0.0 < params.sample_prob <= 1.0:
             raise ValueError(f"sample_prob must lie in (0, 1], got {params.sample_prob}")
@@ -70,8 +66,6 @@ def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, see
         raise ValueError(f"queries_per_vertex must be >= 1, got {q}")
     rng = np.random.default_rng(seed)
     sampled = np.flatnonzero(rng.random(n) < prob)
-    if sampled.size == 0:
-        return frozenset()
     counts = oracle.query_yes_counts(sampled, q)
     return frozenset(sampled[2 * counts >= q].tolist())
 
@@ -96,16 +90,12 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     if n == 0:
         return frozenset()
     eps = oracle.config.epsilon
-    if params.rounds is not None:
-        rounds = params.rounds
-    else:
-        if n < 3:
-            raise ValueError("default round count needs n >= 3; pass rounds explicitly")
+    rounds, reps = params.rounds, params.reps_per_round
+    if (rounds is None or reps is None) and n < 3:
+        raise ValueError("default rounds and reps_per_round need n >= 3; pass both explicitly")
+    if rounds is None:
         rounds = math.ceil(math.log(math.log(n)) / math.log(1.5))
-    reps = params.reps_per_round
     if reps is None:
-        if n < 3:
-            raise ValueError("default repetition count needs n >= 3; pass reps_per_round explicitly")
         reps = math.ceil(100.0 * math.log(math.log(n)))
     final_q = params.final_queries if params.final_queries is not None else math.ceil(2.0 * math.log(max(n, 2)) / eps**2)
     if rounds < 0 or reps < 1 or final_q < 1:
@@ -128,9 +118,8 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
         promoted |= selected
         residual &= ~selected
     leftovers = np.flatnonzero(residual)
-    if leftovers.size:
-        counts = oracle.query_yes_counts(leftovers, final_q)
-        promoted[leftovers[2 * counts >= final_q]] = True
+    counts = oracle.query_yes_counts(leftovers, final_q)
+    promoted[leftovers[2 * counts >= final_q]] = True
     return frozenset(np.flatnonzero(promoted).tolist())
 
 

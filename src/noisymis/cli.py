@@ -143,14 +143,8 @@ def _run_config_from_args(args) -> ExperimentConfig:
         base["oracle"] = {**_config_block(base, "oracle"), **oracle}
     if args.delta is not None:
         base["params"] = {**_config_block(base, "params"), "delta": args.delta}
-    if args.seed is not None:
-        base["seed_base"] = args.seed
-    if args.trials is not None:
-        base["trials"] = args.trials
-    if args.workers is not None:
-        base["workers"] = args.workers
-    if args.out is not None:
-        base["output"] = args.out
+    top_keys = {"seed_base": args.seed, "trials": args.trials, "workers": args.workers, "output": args.out}
+    base.update({k: v for k, v in top_keys.items() if v is not None})
     if "algorithm" not in base:
         raise ValueError("no algorithm given; pass --algo or a --config file")
     if "instance" not in base:
@@ -224,8 +218,6 @@ def _parse_vertex_set(text: str) -> set[int]:
         with open(text) as fh:
             return {int(line) for line in fh if line.strip()}
     except OSError:
-        if not text.strip():
-            return set()
         return {int(tok) for tok in text.split(",") if tok.strip()}
 
 

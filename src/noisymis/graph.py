@@ -36,11 +36,11 @@ class Graph:
 
     ``indices[offsets[v]:offsets[v + 1]]`` is the ascending neighbor list of
     ``v``.  Instances are immutable after construction and safe to share
-    across concurrent trials.  Equality and hashing both go by content; the
-    lazily built owner array and hash are caches, not content.
+    across concurrent trials.  Equality goes by content, and the lazily
+    built owner array is a cache, not content.  Graphs are not hashable.
     """
 
-    __slots__ = ("n", "m", "offsets", "indices", "_owner", "_hash")
+    __slots__ = ("n", "m", "offsets", "indices", "_owner")
 
     def __init__(self, n: int, offsets: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -50,7 +50,6 @@ class Graph:
         for arr in (self.offsets, self.indices):
             arr.setflags(write=False)
         self._owner = None
-        self._hash = None
 
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
@@ -85,13 +84,6 @@ class Graph:
             and np.array_equal(self.offsets, other.offsets)
             and np.array_equal(self.indices, other.indices)
         )
-
-    def __hash__(self):
-        if self._hash is None:
-            # hash int64 bytes, so graphs equal under == hash equal whatever their dtypes
-            content = (np.asarray(a, dtype=np.int64).tobytes() for a in (self.offsets, self.indices))
-            self._hash = hash((self.n, *content))
-        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -261,12 +253,13 @@ def _induce(g: Graph, ids: np.ndarray) -> Graph:
     """Induced subgraph on the ascending distinct ids ``ids``, renumbered by rank."""
     mask = np.zeros(g.n, dtype=bool)
     mask[ids] = True
-    owner = g.owner()
-    slot = mask[owner]
-    slot &= mask[g.indices]
+    slot = mask[g.indices]
     offsets = np.zeros(ids.size + 1, dtype=np.int64)
+    # no kept id has a neighbor (always so for no ids): skip building the owner
     if not slot.any():
         return Graph(ids.size, offsets, np.zeros(0, dtype=np.int64))
+    owner = g.owner()
+    slot &= mask[owner]
     # row lengths come from the old ids, so no renumbered copy of the kept
     # slots' owners is ever alive next to the renumbered neighbor ids
     np.cumsum(np.bincount(owner[slot], minlength=g.n)[ids], out=offsets[1:])

@@ -277,10 +277,9 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
         elif algorithm == "sampler":
             output = run_sampler(g.n, oracle, _params_for(SamplerParams, config.params), seed=derive_seed(seed, "sampler"))
         elif algorithm == "amplify":
-            overrides = dict(config.params)
-            delta = overrides.pop("delta", 0.1)
-            amplify_params = _params_for(AmplifyParams, overrides)
-            bandit_params = _params_for(BanditParams, {"delta": delta})
+            amplify_params = _params_for(AmplifyParams, {k: v for k, v in config.params.items() if k != "delta"})
+            bandit_params = _params_for(BanditParams, {k: v for k, v in config.params.items() if k == "delta"})
+            delta = bandit_params.delta
 
             def base(residual):
                 return run_bandit(g, oracle, bandit_params, initial=residual).independent_set
@@ -315,10 +314,8 @@ def _trial_name(seed: int, algorithm: str) -> str:
     return f"trial seed={seed} algorithm={algorithm}"
 
 
-def _run_trial_task(payload: tuple[dict, int]) -> TrialRecord:
-    config_dict, seed = payload
-    record, _ = run_trial(ExperimentConfig.from_dict(config_dict), seed)
-    return record
+def _run_trial_task(config: ExperimentConfig, seed: int) -> TrialRecord:
+    return run_trial(config, seed)[0]
 
 
 def run_experiment(config: ExperimentConfig, collect_details: bool = False):
@@ -331,9 +328,8 @@ def run_experiment(config: ExperimentConfig, collect_details: bool = False):
         # imported here: serial runs, the common case, skip the pool machinery's import cost
         from concurrent.futures import ProcessPoolExecutor
 
-        config_dict = config.to_dict()
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_trial_task, (config_dict, s)) for s in seeds]
+            futures = [pool.submit(_run_trial_task, config, s) for s in seeds]
             for s, future in zip(seeds, futures):
                 try:
                     records.append(future.result())
@@ -372,8 +368,6 @@ class AggregateSummary:
 
 
 def _percentile(sorted_vals: list[float], fraction: float) -> float:
-    if len(sorted_vals) == 1:
-        return sorted_vals[0]
     pos = fraction * (len(sorted_vals) - 1)
     lo = int(pos)
     hi = min(lo + 1, len(sorted_vals) - 1)

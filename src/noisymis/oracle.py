@@ -281,7 +281,7 @@ class Oracle:
             raise ValueError("query count must be nonnegative")
         arr = np.asarray(verts, dtype=np.int64)
         self.ledger.record(arr, q)
-        return self._rng.normal(q * self._means(arr), math.sqrt(q) if q > 0 else 0.0)
+        return q * self._means(arr) + math.sqrt(q) * self._rng.standard_normal(arr.size)
 
     @property
     def total_queries(self) -> int:

@@ -136,14 +136,11 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
     thresholds = survival_threshold(degs, eps, max(n, 1), params.threshold_coeff)
     surviving_mask = ~low_mask & (yes <= thresholds)
     keep = np.flatnonzero(low_mask | surviving_mask)
-    if keep.size:
-        # when nothing was filtered out the induced subgraph is g itself
-        sub, ids = (g, keep) if keep.size == n else induced_subgraph(g, keep)
-        order = _greedy_order(sub, params.greedy_order, params.order_seed)
-        chosen = greedy_mis(sub, order)
-        independent = chosen if sub is g else frozenset(ids[sorted(chosen)].tolist())
-    else:
-        independent = frozenset()
+    # when nothing was filtered out the induced subgraph is g itself
+    sub, ids = (g, keep) if keep.size == n else induced_subgraph(g, keep)
+    order = _greedy_order(sub, params.greedy_order, params.order_seed)
+    chosen = greedy_mis(sub, order)
+    independent = chosen if sub is g else frozenset(ids[sorted(chosen)].tolist())
     return PersistentReport(
         yes_counts=yes,
         degrees=degs,

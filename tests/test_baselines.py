@@ -94,7 +94,12 @@ def test_sampler_validation():
         run_sampler(30, o, SamplerParams(sample_prob=1.5))
     with pytest.raises(ValueError, match="queries_per_vertex"):
         run_sampler(30, o, SamplerParams(queries_per_vertex=0))
-    assert run_sampler(0, Oracle(np.zeros(0, dtype=bool), bern(0.25))) == frozenset()
+    # n = 0, and a sample that comes out empty: no query and no draw from the oracle's stream
+    for n, oracle, params in ((0, Oracle(np.zeros(0, dtype=bool), bern(0.25)), None),
+                              (30, make_oracle(inst, bern(0.25)), SamplerParams(sample_prob=1e-9))):
+        state = oracle._rng.bit_generator.state
+        assert run_sampler(n, oracle, params) == frozenset()
+        assert oracle.total_queries == 0 and oracle._rng.bit_generator.state == state
 
 
 # -- amplification ----------------------------------------------------------------
@@ -106,6 +111,12 @@ def test_amplify_perfect_base_and_oracle():
     base = lambda residual: inst.planted & residual
     out = run_amplify(base, o, 100)
     assert out == inst.planted
+    # a base that selects every vertex promotes them all in the first round:
+    # the final sweep is empty, so it records no query and draws no noise
+    o = make_oracle(inst, bern(0.5, seed=11))
+    state = o._rng.bit_generator.state
+    assert run_amplify(lambda residual: residual, o, 100) == frozenset(range(100))
+    assert o.total_queries == 0 and o._rng.bit_generator.state == state
 
 
 def test_amplify_fixed_subset_promoted_after_one_round():

@@ -335,6 +335,10 @@ def test_verify_paths(inst_path, tmp_path, capsys):
     assert main(["verify", "--instance", inst_path, "--set", str(listing)]) == 0
 
     assert main(["verify", "--instance", inst_path, "--set", "99"]) == 1
+    # text that names no file and holds no id is the empty set
+    capsys.readouterr()
+    assert main(["verify", "--instance", inst_path, "--set", ""]) == 0
+    assert f"size=0 planted_overlap=0/{len(inst.planted)}" in capsys.readouterr().out
 
 
 # -- stats ------------------------------------------------------------------------------

@@ -219,6 +219,13 @@ def test_output_independent_under_adversarial_answers():
         o = Oracle(members, OracleConfig(epsilon=0.5, mode="persistent-random", seed=0, apply_cap=False))
         report = run_persistent(g, o, PersistentParams(low_degree_cutoff_coeff=0.5))
         assert is_independent_set(g, report.independent_set)
+    # all-yes answers and no exemption on a graph without isolated vertices:
+    # every vertex is filtered out, and no owner array is built for the empty survivor set
+    path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    o = Oracle(np.ones(4, dtype=bool), OracleConfig(epsilon=0.5, mode="persistent-random", seed=0, apply_cap=False))
+    report = run_persistent(path, o, PersistentParams(low_degree_cutoff_coeff=0.0))
+    assert report.independent_set == report.low_degree == report.surviving == frozenset()
+    assert path._owner is None
 
 
 def test_filter_is_monotone_in_epsilon():
