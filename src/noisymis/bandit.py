@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, _induce, _matched_mask, _sorted_ids, induced_subgraph
+from .graph import Graph, _induce, _lazy_frozenset, _matched_mask, _sorted_ids, induced_subgraph
 from .graph import vertex_cover_2approx  # noqa: F401  (bench/traced.py times calls through this binding)
 from .oracle import Oracle, ModeError, BANDIT_BERNOULLI, BANDIT_GAUSSIAN
 
@@ -60,11 +60,12 @@ class RoundRecord:
 
 @dataclass
 class BanditResult:
-    independent_set: frozenset
+    independent_ids: np.ndarray  # ascending
     best_round: int
     trace: list[RoundRecord] = field(default_factory=list)
     total_queries: int = 0
     terminated_reason: str = ""  # "budget" | "survivors-empty"
+    independent_set = _lazy_frozenset(lambda result: result.independent_ids)
 
 
 def log_inv_delta(delta: float) -> float:
@@ -163,7 +164,7 @@ def run_bandit(
     else:
         survivors = _sorted_ids(initial, g.n)
     n_eff = survivors.size
-    result = BanditResult(independent_set=frozenset(), best_round=0)
+    result = BanditResult(independent_ids=survivors[:0], best_round=0)
     if n_eff == 0:
         result.terminated_reason = "survivors-empty"
         return result
@@ -206,6 +207,6 @@ def run_bandit(
         if not survivors.size:
             result.terminated_reason = "survivors-empty"
             break
-    result.independent_set = frozenset(best.tolist())
+    result.independent_ids = best
     result.total_queries = spent
     return result

@@ -112,7 +112,7 @@ def _cmd_gen(args) -> int:
     else:
         instance = gen_planted_gnp(args.n, args.alpha, args.p, seed=args.seed, ensure_maximal=args.maximal)
     write_instance(instance, args.out)
-    print(f"wrote {args.out}: n={instance.graph.n} m={instance.graph.m} planted={len(instance.planted)}")
+    print(f"wrote {args.out}: n={instance.graph.n} m={instance.graph.m} planted={instance.planted_ids.size}")
     return 0
 
 

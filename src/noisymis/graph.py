@@ -11,6 +11,8 @@ built on top, is deterministic.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -275,6 +277,11 @@ def greedy_mis(g: Graph, order=None) -> frozenset:
     ascending vertex id.  A vertex is taken iff no earlier-taken neighbor
     exists, so the result is always maximal.
     """
+    return frozenset(_greedy_ids(g, order).tolist())
+
+
+def _greedy_ids(g: Graph, order=None) -> np.ndarray:
+    """``greedy_mis`` as an ascending id array."""
     n = g.n
     if order is None:
         scan = range(n)
@@ -290,7 +297,7 @@ def greedy_mis(g: Graph, order=None) -> frozenset:
             blocked[indices[offsets[v] : offsets[v + 1]]] = True
     # a taken vertex is never blocked later, as its later neighbors are
     # blocked by it and so never taken: the taken vertices are the unblocked
-    return frozenset(np.flatnonzero(~blocked).tolist())
+    return np.flatnonzero(~blocked)
 
 
 def vertex_cover_2approx(g: Graph) -> frozenset:
@@ -321,6 +328,11 @@ def _matched_mask(g: Graph) -> np.ndarray:
                 matched[u] = matched[v] = 1
                 break
     return np.frombuffer(matched, dtype=bool)
+
+
+def _lazy_frozenset(ids_of) -> functools.cached_property:
+    """Cached property: the id array ``ids_of(self)`` as a frozenset, built on first read."""
+    return functools.cached_property(lambda self: frozenset(ids_of(self).tolist()))
 
 
 def _member_mask(g: Graph, s) -> np.ndarray:
@@ -372,11 +384,8 @@ def exact_mis(g: Graph) -> frozenset:
     for v in range(n):
         for u in g.neighbors(v).tolist():
             adj[v] |= 1 << u
-    seed = greedy_mis(g)
-    best_size = len(seed)
-    best_mask = 0
-    for v in seed:
-        best_mask |= 1 << v
+    best_mask = sum(1 << v for v in _greedy_ids(g).tolist())
+    best_size = best_mask.bit_count()
 
     def solve(cand: int, cur_mask: int, cur_size: int):
         nonlocal best_size, best_mask

@@ -247,7 +247,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
     object (elimination trace or filter report) when one exists."""
     instance = _build_instance(config.instance, seed)
     g = instance.graph
-    planted = instance.planted
+    planted = instance.planted_ids
     algorithm = config.algorithm
     detail = None
     epsilon = None
@@ -265,12 +265,12 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
         epsilon = ocfg.epsilon
         if algorithm == "persistent":
             report = run_persistent(g, oracle, _params_for(PersistentParams, config.params))
-            output = report.independent_set
+            output = report.independent_ids
             detail = report
         elif algorithm == "bandit":
             params = _params_for(BanditParams, config.params)
             result = run_bandit(g, oracle, params)
-            output = result.independent_set
+            output = result.independent_ids
             rounds = result.best_round
             delta = params.delta
             detail = result
@@ -301,7 +301,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
         seed=seed,
         planted_size=len(planted),
         output_size=len(output),
-        ratio=len(output) / len(planted) if planted else 0.0,
+        ratio=len(output) / len(planted) if len(planted) else 0.0,
         total_queries=queries,
         rounds=rounds,
         wall_time_ms=wall_ms,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _member_mask, _read_edges, _write_edges, build_graph
+from .graph import Graph, _lazy_frozenset, _member_mask, _read_edges, _sorted_ids, _write_edges, build_graph
 from .graph import _code_shift, _csr_from_codes, _edge_codes
 from .graph import is_independent_set, is_maximal_independent_set
 
@@ -34,20 +34,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PlantedInstance:
+    """A graph and its hidden set; ``planted``, any iterable of ids, is kept as the ascending, read-only ``planted_ids``."""
+
     graph: Graph
-    planted: frozenset
+    planted_ids: np.ndarray
     params: dict
+    planted = _lazy_frozenset(lambda inst: inst.planted_ids)
+
+    def __init__(self, graph: Graph, planted, params: dict):
+        ids = _sorted_ids(planted, graph.n)
+        ids.setflags(write=False)
+        self.__dict__.update(graph=graph, planted_ids=ids, params=params)
+
+    def __eq__(self, other):
+        same = isinstance(other, PlantedInstance) and (self.graph, self.params) == (other.graph, other.params)
+        return same and np.array_equal(self.planted_ids, other.planted_ids)
 
 
 def planted_mask(instance: PlantedInstance) -> np.ndarray:
-    return _member_mask(instance.graph, instance.planted)
+    return _member_mask(instance.graph, instance.planted_ids)
 
 
 def is_planted_maximal(instance: PlantedInstance) -> bool:
     """True iff every non-planted vertex has at least one planted neighbor."""
-    return is_maximal_independent_set(instance.graph, instance.planted)
+    return is_maximal_independent_set(instance.graph, instance.planted_ids)
 
 
 def _split_planted(n: int, alpha: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +129,7 @@ def gen_planted_gnp(n: int, alpha: float, p: float, seed: int, ensure_maximal: b
         "seed": seed,
         "ensure_maximal": ensure_maximal,
     }
-    return PlantedInstance(build_graph(n, edges), frozenset(planted.tolist()), params)
+    return PlantedInstance(build_graph(n, edges), planted, params)
 
 
 def _gnp_edges(planted: np.ndarray, outside: np.ndarray, p: float, ensure_maximal: bool, rng) -> np.ndarray:
@@ -194,14 +206,14 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
     codes[size:] = codes[:size]
     _edge_codes(n, outside[:, None], codes[size:].reshape(outside.size, d), out=codes)
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
-    return PlantedInstance(_csr_from_codes(n, codes), frozenset(planted.tolist()), params)
+    return PlantedInstance(_csr_from_codes(n, codes), planted, params)
 
 
 def write_instance(instance: PlantedInstance, path) -> None:
     """Edge-list file plus ``# planted:`` and ``# params:`` comment lines."""
     with open(path, "w") as fh:
         _write_edges(instance.graph, fh)
-        fh.write("# planted: " + " ".join(str(v) for v in sorted(instance.planted)) + "\n")
+        fh.write("# planted: " + " ".join(map(str, instance.planted_ids.tolist())) + "\n")
         fh.write("# params: " + json.dumps(instance.params, sort_keys=True) + "\n")
 
 

@@ -293,7 +293,7 @@ class Oracle:
 
 def make_oracle(instance, config: OracleConfig) -> Oracle:
     """Oracle for a planted instance; rejects a non-independent planted set."""
-    members = _member_mask(instance.graph, instance.planted)
+    members = _member_mask(instance.graph, instance.planted_ids)
     if _has_inner_edge(instance.graph, members):
         raise ValueError("planted set is not independent in the instance graph")
     return Oracle(members, config)

@@ -8,14 +8,14 @@ pass over the surviving subgraph returns the final independent set.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _block_slots, _row_blocks, greedy_mis, induced_subgraph
+from .graph import Graph, _block_slots, _greedy_ids, _lazy_frozenset, _row_blocks, induced_subgraph
+from .graph import greedy_mis  # noqa: F401  (bench/traced.py wraps this binding; the filter calls _greedy_ids)
 from .oracle import Oracle, ModeError
 
 __all__ = [
@@ -25,6 +25,10 @@ __all__ = [
     "survival_threshold",
     "run_persistent",
 ]
+
+# ids per query in neighbor_yes_counts: the oracle's hash keeps about eight
+# int64 values per id alive, so a block's temporaries stay near 256 KiB
+_QUERY_BLOCK = 4096
 
 
 @dataclass
@@ -50,8 +54,8 @@ class PersistentReport:
     """Everything the filtering run decided, for inspection and dumps.
 
     ``low_degree_mask`` and ``surviving_mask`` are boolean masks over the
-    vertex ids; ``low_degree`` and ``surviving`` are the same sets as
-    frozensets, built on first read.
+    vertex ids and ``independent_ids`` is ascending; ``low_degree``,
+    ``surviving`` and ``independent_set`` are frozensets built on first read.
     """
 
     yes_counts: np.ndarray
@@ -59,34 +63,30 @@ class PersistentReport:
     thresholds: np.ndarray
     low_degree_mask: np.ndarray
     surviving_mask: np.ndarray
-    independent_set: frozenset
+    independent_ids: np.ndarray
     stats: dict = field(default_factory=dict)
-
-    @functools.cached_property
-    def low_degree(self) -> frozenset:
-        return frozenset(np.flatnonzero(self.low_degree_mask).tolist())
-
-    @functools.cached_property
-    def surviving(self) -> frozenset:
-        return frozenset(np.flatnonzero(self.surviving_mask).tolist())
+    low_degree = _lazy_frozenset(lambda report: np.flatnonzero(report.low_degree_mask))
+    surviving = _lazy_frozenset(lambda report: np.flatnonzero(report.surviving_mask))
+    independent_set = _lazy_frozenset(lambda report: report.independent_ids)
 
 
 def neighbor_yes_counts(g: Graph, oracle: Oracle) -> np.ndarray:
     """Number of neighbors of each vertex that the oracle claims are members.
 
-    Queries every vertex exactly once, in one batch, then counts by
-    symmetry: ``v`` gets one vote from every claimed vertex whose row lists
-    ``v``, so counting the ids in the claimed rows gives every count.  Those
-    rows are read in blocks, so no temporary grows with the edge count.
-    Requires a persistent Bernoulli oracle, whose answers do not change
-    between reads.
+    Queries every vertex exactly once, in ascending blocks of ids, then
+    counts by symmetry: ``v`` gets one vote from every claimed vertex whose
+    row lists ``v``, so counting the ids in the claimed rows gives every
+    count.  Those rows are read in blocks too, so no temporary grows with
+    the vertex or the edge count.  Requires a persistent Bernoulli oracle,
+    whose answers do not change between reads.
     """
     if not oracle.config.is_persistent:
         raise ModeError("neighbor votes need a persistent oracle; answers must not change between reads")
-    answers = oracle.query_bool_many(np.arange(g.n, dtype=np.int64))
     counts = np.zeros(g.n, dtype=np.int64)
-    for rows in _row_blocks(g, np.flatnonzero(answers)):
-        np.add.at(counts, g.indices[_block_slots(g, rows)], 1)
+    for start in range(0, g.n, _QUERY_BLOCK):
+        block = np.arange(start, min(start + _QUERY_BLOCK, g.n), dtype=np.int64)
+        for rows in _row_blocks(g, block[oracle.query_bool_many(block)]):
+            np.add.at(counts, g.indices[_block_slots(g, rows)], 1)
     return counts
 
 
@@ -96,12 +96,11 @@ def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):
     ``(1/2 - eps) * deg + coeff * sqrt(ln n) * (1/2 - eps) * sqrt(deg)``;
     accepts scalars or arrays for ``deg``.
     """
-    log_n = math.log(n)
-    deg = np.asarray(deg, dtype=np.float64)
-    out = (0.5 - epsilon) * deg + coeff * math.sqrt(log_n) * (0.5 - epsilon) * np.sqrt(deg)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    # each term rounds as in the formula above, and adding them the other way round gives the same bits
+    out = np.sqrt(deg, dtype=np.float64)
+    out *= coeff * math.sqrt(math.log(n)) * (0.5 - epsilon)
+    out += (0.5 - epsilon) * np.asarray(deg)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _greedy_order(sub: Graph, policy: str, seed: int) -> np.ndarray | None:
@@ -135,19 +134,18 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
     low_mask = degs <= cutoff
     thresholds = survival_threshold(degs, eps, max(n, 1), params.threshold_coeff)
     surviving_mask = ~low_mask & (yes <= thresholds)
-    keep = np.flatnonzero(low_mask | surviving_mask)
+    kept = low_mask | surviving_mask
     # when nothing was filtered out the induced subgraph is g itself
-    sub, ids = (g, keep) if keep.size == n else induced_subgraph(g, keep)
-    order = _greedy_order(sub, params.greedy_order, params.order_seed)
-    chosen = greedy_mis(sub, order)
-    independent = chosen if sub is g else frozenset(ids[sorted(chosen)].tolist())
+    sub, ids = (g, None) if kept.all() else induced_subgraph(g, np.flatnonzero(kept))
+    chosen = _greedy_ids(sub, _greedy_order(sub, params.greedy_order, params.order_seed))
+    independent = chosen if ids is None else ids[chosen]
     return PersistentReport(
         yes_counts=yes,
         degrees=degs,
         thresholds=thresholds,
         low_degree_mask=low_mask,
         surviving_mask=surviving_mask,
-        independent_set=independent,
+        independent_ids=independent,
         stats={
             "num_low_degree": int(np.count_nonzero(low_mask)),
             "num_surviving": int(np.count_nonzero(surviving_mask)),

@@ -1,8 +1,12 @@
 """Experiment harness: seeded trials, dispatch, aggregation, CSV persistence."""
 
+import functools
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noisymis.harness as harness
@@ -18,7 +22,7 @@ from noisymis.harness import (
     run_trial,
     trial_seeds,
 )
-from noisymis.instances import gen_planted_gnp, write_instance
+from noisymis.instances import gen_planted_bounded_degree, gen_planted_gnp, write_instance
 
 
 def gnp_config(**overrides):
@@ -365,3 +369,37 @@ def test_worker_errors_name_seed_and_algorithm(tmp_path):
     missing = gnp_config(instance={"path": str(tmp_path / "absent.txt")}, workers=2)
     with pytest.raises(RuntimeError, match=rf"trial seed={trial_seeds(missing)[0]} algorithm=greedy: FileNotFoundError"):
         run_experiment(missing)
+
+
+def test_trials_read_only_the_id_arrays(monkeypatch):
+    made = []
+
+    @functools.wraps(gen_planted_bounded_degree)
+    def generate(*args, **kwargs):
+        made.append(gen_planted_bounded_degree(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "gen_planted_bounded_degree", generate)
+    instance = {"generator": "bounded-degree", "n": 300, "alpha": 0.3, "d": 4}
+    for algorithm in ("persistent", "bandit"):
+        config = ExperimentConfig(algorithm=algorithm, instance=instance, oracle={"epsilon": 0.25})
+        record, detail = run_trial(config, 5)
+        inst = made.pop()
+        # nothing on the run path builds the planted or the output frozenset
+        assert "planted" not in vars(inst) and "independent_set" not in vars(detail)
+        ids = detail.independent_ids
+        assert record.planted_size == inst.planted_ids.size and record.output_size == ids.size > 0
+        assert ids.dtype == np.int64 and np.all(np.diff(ids) > 0)
+        # once read, each frozenset holds its array's ids and is kept
+        assert inst.planted == frozenset(inst.planted_ids.tolist()) and vars(inst)["planted"] is inst.planted
+        assert detail.independent_set == frozenset(ids.tolist())
+        assert vars(detail)["independent_set"] is detail.independent_set
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    assert "result.independent_set & inst.planted" in example
+    exec(example, {})
+    overlap, queries = map(int, capsys.readouterr().out.split())
+    assert 0 < overlap <= 900 and queries > 0

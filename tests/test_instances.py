@@ -172,11 +172,13 @@ def test_bounded_degree_peak_memory_stays_near_the_csr():
 
 def test_independence_check_peak_memory_stays_far_below_the_indices():
     # only the planted rows are read, block by block; gen-filter's instance
-    # is large enough that the blocks are a small share of its CSR
+    # is large enough that the blocks are a small share of its CSR; the lazy
+    # planted frozenset is built before tracing, as the check is measured alone
     inst = gen_planted_bounded_degree(100000, 0.3, 20, seed=0)
+    planted = inst.planted
     tracemalloc.start()
     try:
-        assert is_independent_set(inst.graph, inst.planted)
+        assert is_independent_set(inst.graph, planted)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -389,3 +391,28 @@ def test_instance_is_frozen():
     inst = gen_planted_gnp(10, 0.5, 0.1, seed=0)
     with pytest.raises(AttributeError):
         inst.planted = frozenset()
+    with pytest.raises(AttributeError):
+        inst.planted_ids = inst.planted_ids[:0]
+
+
+def test_planted_ids_are_ascending_and_read_only_and_the_frozenset_is_built_on_read():
+    for inst in (gen_planted_gnp(40, 0.4, 0.2, seed=6), gen_planted_bounded_degree(40, 0.3, 3, seed=6)):
+        # the generators hand over their arrays: no frozenset is built until one is read
+        assert "planted" not in vars(inst)
+        ids = inst.planted_ids
+        assert ids.dtype == np.int64 and not ids.flags.writeable and np.all(np.diff(ids) > 0)
+        assert inst.planted == frozenset(ids.tolist()) and vars(inst)["planted"] is inst.planted
+
+
+def test_instance_takes_planted_as_any_iterable_of_ids():
+    g = build_graph(5, [(0, 1)])
+    mine = np.array([4, 0, 2, 2])
+    for planted in (frozenset({4, 0, 2}), [4, 2, 0, 2], mine, (v for v in (0, 4, 2))):
+        inst = PlantedInstance(graph=g, planted=planted, params={"k": 1})
+        assert inst.planted_ids.tolist() == [0, 2, 4] and inst.planted == frozenset({0, 2, 4})
+        assert inst == PlantedInstance(g, [0, 2, 4], {"k": 1})
+        assert inst != PlantedInstance(g, [0, 2], {"k": 1}) and inst != PlantedInstance(g, [0, 2, 4], {})
+    assert mine.tolist() == [4, 0, 2, 2]  # the caller's array is copied, not sorted in place
+    assert PlantedInstance(g, (), {}).planted == frozenset()
+    with pytest.raises(ValueError, match="range"):
+        PlantedInstance(g, [5], {})

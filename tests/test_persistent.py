@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisymis.graph import _UNIQUE_CHUNK, build_graph, greedy_mis, induced_subgraph, is_independent_set
+from noisymis.graph import _UNIQUE_CHUNK, _greedy_ids, build_graph, greedy_mis, induced_subgraph, is_independent_set
 from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp
 from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, make_oracle
 from noisymis.persistent import (
+    _QUERY_BLOCK,
     PersistentParams,
     _greedy_order,
     neighbor_yes_counts,
@@ -74,9 +75,10 @@ def one_shot_yes_counts(g, answers):
 
 
 def test_yes_counts_match_owner_bincount_reference(monkeypatch):
-    for chunk in (1, 3, 64, _UNIQUE_CHUNK):
-        # small blocks split the claimed rows many ways, and rows outgrow a block
+    for chunk, block in ((1, 1), (3, 2), (64, 7), (_UNIQUE_CHUNK, _QUERY_BLOCK)):
+        # small blocks split the queried ids and the claimed rows many ways, and rows outgrow a block
         monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
+        monkeypatch.setattr("noisymis.persistent._QUERY_BLOCK", block)
         check_yes_counts_against_references(np.random.default_rng(21))
 
 
@@ -97,9 +99,12 @@ def check_yes_counts_against_references(rng):
         exact = OracleConfig(epsilon=0.5, mode=mode, seed=i, apply_cap=False)
         for members, cfg in (noisy, (np.zeros(g.n, dtype=bool), exact), (np.ones(g.n, dtype=bool), exact)):
             answers = Oracle(members, cfg).query_bool_many(np.arange(g.n, dtype=np.int64))
-            got = neighbor_yes_counts(g, Oracle(members, cfg))
+            oracle = Oracle(members, cfg)
+            got = neighbor_yes_counts(g, oracle)
             for expected in (reference_yes_counts(g, answers), one_shot_yes_counts(g, answers)):
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            # however the ids are blocked, each vertex is queried exactly once
+            assert oracle.total_queries == g.n and np.array_equal(oracle.ledger.per_vertex, np.ones(g.n, np.int64))
     assert any(g.m == 0 and g.n > 0 for g in graphs) and any(g.n == 0 for g in graphs)
 
 
@@ -133,7 +138,53 @@ def test_threshold_vectorized():
     assert out == pytest.approx([85.0, 6.25])
 
 
+def reference_threshold(deg, epsilon, n, coeff=6.0):
+    """The threshold as one expression over a float64 copy of ``deg``."""
+    log_n = math.log(n)
+    deg = np.asarray(deg, dtype=np.float64)
+    out = (0.5 - epsilon) * deg + coeff * math.sqrt(log_n) * (0.5 - epsilon) * np.sqrt(deg)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def test_threshold_matches_the_one_expression_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    degs = np.concatenate([np.arange(300), rng.integers(0, 10**7, size=3000), [2**31, 2**40 + 1]])
+    for eps in (0.001, 0.1, 0.2, 0.25, 1 / 3, 0.4999, 0.5):
+        for n in (1, 2, 3, 1000, 100_000, 10**6, 2**31):
+            for coeff in (0.0, 1.0, 6.0, 7.3):
+                want = reference_threshold(degs, eps, n, coeff)
+                # the two degrees past 2**31 are left out of the int32 copy
+                for deg in (degs, degs[:-2].astype(np.int32), degs.astype(np.float64), degs[:50].tolist()):
+                    got = survival_threshold(deg, eps, n, coeff)
+                    assert type(got) is np.ndarray and got.dtype == np.float64
+                    assert got.tobytes() == want[: len(deg)].tobytes()
+                for d in (0, 1, 7, 414, 10**6 + 3):
+                    want_one = reference_threshold(d, eps, n, coeff)
+                    for deg in (d, np.int64(d), float(d), np.asarray(d)):
+                        got = survival_threshold(deg, eps, n, coeff)
+                        assert type(got) is float and got.hex() == want_one.hex()
+
+
 # -- run_persistent -------------------------------------------------------------
+
+
+def test_run_peak_memory_stays_far_below_the_indices():
+    # ids are queried and hashed in blocks, the thresholds are built in one
+    # array, and with nothing filtered out no kept-id array or frozenset is made
+    inst = gen_planted_bounded_degree(20000, 0.3, 20, seed=0)
+    g = inst.graph
+    for seed in (0, 1):
+        oracle = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=seed))
+        tracemalloc.start()
+        try:
+            report = run_persistent(g, oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.low_degree_mask.all()  # the unfiltered path
+        assert peak <= 0.25 * g.indices.nbytes
 
 
 def test_edgeless_returns_everything():
@@ -279,12 +330,12 @@ def test_unfiltered_run_returns_the_greedy_set_itself(monkeypatch):
     sets = []
 
     def greedy(g, order=None):
-        sets.append(greedy_mis(g, order))
+        sets.append(_greedy_ids(g, order))
         return sets[-1]
 
-    monkeypatch.setattr(persistent, "greedy_mis", greedy)
+    monkeypatch.setattr(persistent, "_greedy_ids", greedy)
     report = run_persistent(inst.graph, perfect_oracle(inst))
-    assert report.independent_set is sets.pop()
+    assert report.independent_ids is sets.pop()
 
 
 def test_size_mismatch_rejected():
