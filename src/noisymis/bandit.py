@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import Graph, _induce, _lazy_frozenset, _matched_mask, _sorted_ids, induced_subgraph
 from .graph import vertex_cover_2approx  # noqa: F401  (bench/traced.py times calls through this binding)
-from .oracle import Oracle, ModeError, BANDIT_BERNOULLI, BANDIT_GAUSSIAN
+from .oracle import Oracle, ModeError, BANDIT_GAUSSIAN
 
 __all__ = [
     "BanditParams",
@@ -77,30 +77,39 @@ def log_inv_delta(delta: float) -> float:
     return math.log(1.0 / delta)
 
 
+def _squared_epsilon(params: BanditParams) -> float:
+    """``params.epsilon ** 2``, once epsilon lies in (0, 1/2] and its square is a positive float."""
+    eps = params.epsilon
+    if eps is None or not 0.0 < eps <= 0.5 or eps**2 == 0.0:
+        raise ValueError(f"params.epsilon must lie in (0, 1/2] and square to a positive float, got {eps}")
+    return eps**2
+
+
 def query_schedule(r: int, params: BanditParams) -> int:
     """Queries per surviving vertex in round ``r`` (1-based).
 
     ``ceil((schedule_coeff / eps^2) * (r + ln(1/delta)))``; additive in the
     round index, so early rounds stay cheap while late rounds sharpen the
-    majority vote.
+    majority vote.  A count that does not fit int64 raises ``ValueError``.
     """
     if r < 1:
         raise ValueError(f"round index must be >= 1, got {r}")
-    eps = params.epsilon
-    if eps is None or not 0.0 < eps <= 0.5:
-        raise ValueError(f"params.epsilon must lie in (0, 1/2], got {eps}")
-    return math.ceil((params.schedule_coeff / eps**2) * (r + log_inv_delta(params.delta)))
+    q = (params.schedule_coeff / _squared_epsilon(params)) * (r + log_inv_delta(params.delta))
+    if not q < 2**63:
+        raise ValueError(f"round {r} needs {q} queries per vertex, more than int64 holds")
+    return math.ceil(q)
 
 
 def query_budget(n: int, params: BanditParams) -> float:
     """Total query allowance: ``budget_coeff * n / eps^2 * max(ln(1/delta), ln 2)``.
 
-    The ``ln 2`` floor keeps the budget positive as delta approaches 1.
+    The ``ln 2`` floor keeps the budget positive as delta approaches 1.  A
+    budget that is not finite raises ``ValueError``: no run would ever exhaust it.
     """
-    eps = params.epsilon
-    if eps is None or not 0.0 < eps <= 0.5:
-        raise ValueError(f"params.epsilon must lie in (0, 1/2], got {eps}")
-    return params.budget_coeff * n / eps**2 * max(log_inv_delta(params.delta), math.log(2.0))
+    budget = params.budget_coeff * n / _squared_epsilon(params) * max(log_inv_delta(params.delta), math.log(2.0))
+    if not math.isfinite(budget):
+        raise ValueError(f"query budget {budget} is not finite")
+    return budget
 
 
 def elimination_round(survivors, oracle: Oracle, q: int) -> frozenset:
@@ -116,15 +125,9 @@ def elimination_round(survivors, oracle: Oracle, q: int) -> frozenset:
 
 def _majority(verts: np.ndarray, oracle: Oracle, q: int) -> np.ndarray:
     """``elimination_round``'s vote on an ascending id array, as a keep mask over it."""
-    if oracle.config.mode == BANDIT_BERNOULLI:
-        counts = oracle.query_yes_counts(verts, q)
-        keep = 2 * counts >= q
-    elif oracle.config.mode == BANDIT_GAUSSIAN:
-        sums = oracle.query_reward_sums(verts, q)
-        keep = sums >= q / 2.0
-    else:
-        raise ModeError("elimination needs a non-persistent oracle; repeated queries must be fresh")
-    return keep
+    if oracle.config.mode == BANDIT_GAUSSIAN:
+        return oracle.query_reward_sums(verts, q) >= q / 2.0
+    return 2 * oracle.query_yes_counts(verts, q) >= q
 
 
 def cover_complement(g: Graph, vertices) -> frozenset:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, greedy_mis
 from .oracle import Oracle, ModeError, BANDIT_BERNOULLI
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "AmplifyParams",
     "run_sampler",
     "run_amplify",
-    "run_greedy_baseline",
 ]
 
 
@@ -121,8 +119,3 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     counts = oracle.query_yes_counts(leftovers, final_q)
     promoted[leftovers[2 * counts >= final_q]] = True
     return frozenset(np.flatnonzero(promoted).tolist())
-
-
-def run_greedy_baseline(g: Graph, order=None) -> frozenset:
-    """Oracle-free floor: the first-fit greedy maximal independent set."""
-    return greedy_mis(g, order)

@@ -214,11 +214,20 @@ def _cmd_exact(args) -> int:
 
 
 def _parse_vertex_set(text: str) -> set[int]:
+    """Ids from the file ``text``, one per line, or else from ``text`` as a comma-separated list."""
     try:
         with open(text) as fh:
-            return {int(line) for line in fh if line.strip()}
+            items = [(f"{text}:{lineno}", line) for lineno, line in enumerate(fh, start=1)]
     except OSError:
-        return {int(tok) for tok in text.split(",") if tok.strip()}
+        items = [("--set", tok) for tok in text.split(",")]
+    ids = set()
+    for where, token in items:
+        if token.strip():
+            try:
+                ids.add(int(token))
+            except ValueError:
+                raise ValueError(f"{where}: expected an integer vertex id, got {token.strip()!r}") from None
+    return ids
 
 
 def _cmd_verify(args) -> int:
@@ -250,7 +259,7 @@ def _cmd_stats(args) -> int:
         "filter-member": {"deg": args.deg, "epsilon": args.eps, "n": args.n},
         "filter-blocker": {"deg": args.deg, "k": args.blockers, "epsilon": args.eps, "n": args.n},
         "elim-member": {"r": args.round_index, "epsilon": args.eps, "delta": args.delta},
-        "elim-survivor": {"r_or_q": args.round_index, "epsilon": args.eps, "delta": args.delta},
+        "elim-survivor": {"r": args.round_index, "epsilon": args.eps, "delta": args.delta},
     }[args.mc]
     missing = [k for k, v in kwargs.items() if v is None]
     if missing:

@@ -12,6 +12,7 @@ built on top, is deterministic.
 from __future__ import annotations
 
 import functools
+from array import array
 
 import numpy as np
 
@@ -224,17 +225,21 @@ def _block_slots(g: Graph, rows: np.ndarray) -> np.ndarray:
 
 
 def _sorted_ids(vertices, n: int) -> np.ndarray:
-    """Unique ascending id array from any iterable of vertex ids.
+    """Unique ascending id array from any iterable of integer vertex ids.
 
-    The ids are copied first, so the caller's array is never sorted in place.
-    The result may be a prefix view of that copy, which is vertex-sized.
+    Ids that are not integers raise ``ValueError``, and so does a bool array
+    (a mask, not ids) or an id outside ``range(n)``.  The ids are copied
+    first, so the caller's array is never sorted in place.  The result may
+    be a prefix view of that copy, which is vertex-sized.
     """
-    if isinstance(vertices, np.ndarray):
+    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
         ids = vertices.astype(np.int64).ravel()
-    elif isinstance(vertices, (set, frozenset)):
-        ids = np.fromiter(vertices, dtype=np.int64, count=len(vertices))
     else:
-        ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
+        try:
+            # array("q") checks each item in C: it takes only integers that fit int64
+            ids = np.frombuffer(array("q", list(vertices)), dtype=np.int64)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"vertex ids must be integers in range(0, {n}): {exc}") from None
     ids = ids[: _sorted_unique(ids)]
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         raise ValueError(f"vertex ids must lie in range(0, {n})")
@@ -441,19 +446,21 @@ def read_edgelist(path) -> Graph:
     """Read the ``write_edgelist`` format; ``#`` comment lines are ignored.
 
     Duplicate or self-loop lines are tolerated per ``build_graph`` rules;
-    malformed lines raise ``ValueError`` naming the line number.
+    malformed lines and endpoints outside ``range(n)`` raise ``ValueError``
+    naming the line number.
     """
     return build_graph(*_read_edges(path))
 
 
-def _read_edges(path, on_comment=None) -> tuple[int, list]:
-    """Vertex count and ``(u, v)`` pairs of an edge-list file.
+def _read_edges(path, on_comment=None) -> tuple[int, np.ndarray]:
+    """Vertex count and ``(m, 2)`` int64 endpoint array of an edge-list file.
 
     Each ``#`` line's text after the ``#`` goes to ``on_comment(lineno, body)``
     as it is read, so an error always names the first bad line in the file.
+    The endpoints are collected in one flat ``array("q")``, 16 bytes an edge.
     """
     n = None
-    edges = []
+    ends = array("q")
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -469,9 +476,15 @@ def _read_edges(path, on_comment=None) -> tuple[int, list]:
                 what = "header 'n m'" if n is None else "edge 'u v'"
                 raise ValueError(f"{path}:{lineno}: expected {what}") from None
             if n is None:
+                # build_graph's limits, checked here so that the error names the line
+                if not 0 <= u <= 2**31:
+                    raise ValueError(f"{path}:{lineno}: vertex count {u} lies outside 0 <= n <= 2**31")
                 n = u
+            elif 0 <= u < n > v >= 0:
+                ends.append(u)
+                ends.append(v)
             else:
-                edges.append((u, v))
+                raise ValueError(f"{path}:{lineno}: edge ({u}, {v}) has an endpoint outside range(0, {n})")
     if n is None:
         raise ValueError(f"{path}:1: missing header 'n m'")
-    return n, edges
+    return n, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)

@@ -22,9 +22,7 @@ import time
 import typing
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .graph import Graph, exact_mis, is_independent_set
+from .graph import exact_mis, greedy_mis, is_independent_set
 from .oracle import (
     BANDIT_BERNOULLI,
     PERSISTENT_RANDOM,
@@ -33,7 +31,7 @@ from .oracle import (
 )
 from .persistent import PersistentParams, run_persistent
 from .bandit import BanditParams, run_bandit
-from .baselines import AmplifyParams, SamplerParams, run_amplify, run_greedy_baseline, run_sampler
+from .baselines import AmplifyParams, SamplerParams, run_amplify, run_sampler
 from .instances import PlantedInstance, gen_planted_gnp, gen_planted_bounded_degree, read_instance
 
 __all__ = [
@@ -256,7 +254,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
     queries = 0
     t0 = time.perf_counter()
     if algorithm == "greedy":
-        output = run_greedy_baseline(g)
+        output = greedy_mis(g)
     elif algorithm == "exact":
         output = exact_mis(g)
     else:
@@ -403,24 +401,29 @@ def records_to_csv(records: list[TrialRecord]) -> str:
     return buf.getvalue()
 
 
-def _parse_cell(hint, text: str):
+def _parse_cell(text: str):
+    """A CSV cell as the JSON it holds (a number, true or false), else as text; empty is None.
+
+    The record checker then rejects any cell that does not fit its column.
+    """
     if text == "":
         return None
-    kind = next(k for k in typing.get_args(hint) or (hint,) if k is not type(None))
-    return text == "true" if kind is bool else kind(text)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return text
 
 
 def records_from_csv(path) -> list[TrialRecord]:
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0].split(",") != list(CSV_COLUMNS):
+        rows = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if not rows or rows[0][1].split(",") != list(CSV_COLUMNS):
         raise ValueError(f"{path}: not a trial record CSV (unexpected header)")
-    types = typing.get_type_hints(TrialRecord)
     records = []
-    for line in lines[1:]:
+    for lineno, line in rows[1:]:
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise ValueError(f"{path}: row has {len(cells)} cells, expected {len(CSV_COLUMNS)}")
-        kwargs = {name: _parse_cell(types[name], cell) for name, cell in zip(CSV_COLUMNS, cells)}
-        records.append(TrialRecord(**kwargs))
+            raise ValueError(f"{path}:{lineno}: row has {len(cells)} cells, expected {len(CSV_COLUMNS)}")
+        values = {name: _parse_cell(cell) for name, cell in zip(CSV_COLUMNS, cells)}
+        records.append(_checked(TrialRecord, values, f"{path}:{lineno}: column"))
     return records

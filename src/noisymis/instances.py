@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import Graph, _lazy_frozenset, _member_mask, _read_edges, _sorted_ids, _write_edges, build_graph
 from .graph import _code_shift, _csr_from_codes, _edge_codes
-from .graph import is_independent_set, is_maximal_independent_set
+from .graph import is_independent_set
 
 __all__ = [
     "PlantedInstance",
@@ -30,7 +30,6 @@ __all__ = [
     "write_instance",
     "read_instance",
     "planted_mask",
-    "is_planted_maximal",
 ]
 
 
@@ -55,11 +54,6 @@ class PlantedInstance:
 
 def planted_mask(instance: PlantedInstance) -> np.ndarray:
     return _member_mask(instance.graph, instance.planted_ids)
-
-
-def is_planted_maximal(instance: PlantedInstance) -> bool:
-    """True iff every non-planted vertex has at least one planted neighbor."""
-    return is_maximal_independent_set(instance.graph, instance.planted_ids)
 
 
 def _split_planted(n: int, alpha: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -223,28 +217,33 @@ def read_instance(path) -> PlantedInstance:
     The planted section is required and must be independent in the parsed
     graph; the params section is optional (defaults to ``{}``).
     """
-    planted: frozenset | None = None
-    params: dict | None = None
+    planted: list | None = None
+    planted_line = 0
+    params: dict = {}
 
     def section(lineno: int, body: str) -> None:
-        nonlocal planted, params
+        nonlocal planted, planted_line, params
         if body.startswith("planted:"):
             try:
-                planted = frozenset(int(v) for v in body[len("planted:") :].split())
+                planted = [int(v) for v in body[len("planted:") :].split()]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: planted ids must be integers") from None
+            planted_line = lineno
         elif body.startswith("params:"):
             try:
                 params = json.loads(body[len("params:") :])
-            except json.JSONDecodeError:
-                raise ValueError(f"{path}:{lineno}: params must be a JSON object") from None
+            except (ValueError, RecursionError):  # a JSONDecodeError, or nesting too deep to parse
+                params = None
+            if not isinstance(params, dict):
+                raise ValueError(f"{path}:{lineno}: params must be a JSON object")
 
-    n, edges = _read_edges(path, section)
+    graph = build_graph(*_read_edges(path, section))
     if planted is None:
         raise ValueError(f"{path}: missing '# planted:' section")
-    graph = build_graph(n, edges)
-    if planted and (min(planted) < 0 or max(planted) >= n):
-        raise ValueError(f"{path}: planted ids must lie in range(0, {n})")
-    if not is_independent_set(graph, planted):
-        raise ValueError(f"{path}: planted set is not independent in the listed graph")
-    return PlantedInstance(graph, planted, params if params is not None else {})
+    try:
+        instance = PlantedInstance(graph, planted, params)  # rejects ids outside range(n)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{planted_line}: planted {exc}") from None
+    if not is_independent_set(graph, instance.planted_ids):
+        raise ValueError(f"{path}:{planted_line}: planted set is not independent in the listed graph")
+    return instance

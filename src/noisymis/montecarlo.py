@@ -28,8 +28,11 @@ __all__ = [
 
 _Z99 = 2.58
 
+# most draws one sampler call makes, which bounds the estimator's memory
+_BATCH = 1_000_000
 
-def estimate_tail(sampler, trials: int, seed: int, batch: int = 1_000_000) -> tuple[float, float]:
+
+def estimate_tail(sampler, trials: int, seed: int) -> tuple[float, float]:
     """Estimate P(event) over ``trials`` draws of ``sampler(rng, count)``.
 
     The sampler must return a boolean array of length ``count``.  Returns
@@ -42,7 +45,7 @@ def estimate_tail(sampler, trials: int, seed: int, batch: int = 1_000_000) -> tu
     hits = 0
     remaining = trials
     while remaining > 0:
-        count = min(remaining, batch)
+        count = min(remaining, _BATCH)
         out = np.asarray(sampler(rng, count))
         if out.shape != (count,):
             raise ValueError("sampler must return one boolean per requested trial")
@@ -105,20 +108,9 @@ def member_elimination(r: int, epsilon: float, delta: float, schedule_coeff: flo
     return sample
 
 
-def nonmember_survival(r_or_q, epsilon: float, delta: float | None = None, schedule_coeff: float = 4.0, direct_q: bool = False):
-    """An outsider wins the majority vote (ties survive).
-
-    Pass a round index (with ``delta``) to use the schedule, or set
-    ``direct_q=True`` to interpret the first argument as a raw query count.
-    """
-    if direct_q:
-        q = int(r_or_q)
-        if q < 1:
-            raise ValueError(f"query count must be >= 1, got {q}")
-    else:
-        if delta is None:
-            raise ValueError("delta is required when giving a round index")
-        q = query_schedule(int(r_or_q), BanditParams(epsilon=epsilon, delta=delta, schedule_coeff=schedule_coeff))
+def nonmember_survival(r: int, epsilon: float, delta: float, schedule_coeff: float = 4.0):
+    """An outsider wins the round-``r`` majority vote (ties survive)."""
+    q = query_schedule(r, BanditParams(epsilon=epsilon, delta=delta, schedule_coeff=schedule_coeff))
 
     def sample(rng: np.random.Generator, count: int) -> np.ndarray:
         return 2 * rng.binomial(q, 0.5 - epsilon, size=count) >= q

@@ -119,9 +119,14 @@ class QueryLedger:
         self.per_vertex = np.zeros(n, dtype=np.int64)
         self.total = 0
 
-    def record(self, verts: np.ndarray, times: int) -> None:
-        np.add.at(self.per_vertex, verts, times)
-        self.total += int(len(verts)) * int(times)
+    def record(self, verts, times: int) -> np.ndarray:
+        """Count ``times`` queries of each listed vertex; returns the ids as an int64 array."""
+        if times < 0:
+            raise ValueError("query count must be nonnegative")
+        arr = np.asarray(verts, dtype=np.int64)
+        np.add.at(self.per_vertex, arr, times)
+        self.total += int(len(arr)) * int(times)
+        return arr
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +253,7 @@ class Oracle:
         """One answer per listed vertex; counts ``len(verts)`` queries."""
         if self.config.mode == BANDIT_GAUSSIAN:
             raise ModeError("yes/no queries need a Bernoulli oracle; this one returns real rewards")
-        arr = np.asarray(verts, dtype=np.int64)
-        self.ledger.record(arr, 1)
+        arr = self.ledger.record(verts, 1)
         if self.config.is_persistent:
             return self._fixed_answers(arr)
         return self._rng.random(arr.size) < self._means(arr)
@@ -267,20 +271,14 @@ class Oracle:
         """
         if self.config.mode != BANDIT_BERNOULLI:
             raise ModeError("repeated querying needs the non-persistent Bernoulli oracle")
-        if q < 0:
-            raise ValueError("query count must be nonnegative")
-        arr = np.asarray(verts, dtype=np.int64)
-        self.ledger.record(arr, q)
+        arr = self.ledger.record(verts, q)
         return self._rng.binomial(q, self._means(arr))
 
     def query_reward_sums(self, verts, q: int) -> np.ndarray:
         """Sums of ``q`` fresh real rewards per vertex; counts ``len(verts) * q``."""
         if self.config.mode != BANDIT_GAUSSIAN:
             raise ModeError("real rewards are only available in bandit-gaussian mode")
-        if q < 0:
-            raise ValueError("query count must be nonnegative")
-        arr = np.asarray(verts, dtype=np.int64)
-        self.ledger.record(arr, q)
+        arr = self.ledger.record(verts, q)
         return q * self._means(arr) + math.sqrt(q) * self._rng.standard_normal(arr.size)
 
     @property

@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from noisymis.bandit import BanditParams, query_budget, run_bandit
-from noisymis.baselines import AmplifyParams, run_amplify, run_greedy_baseline, run_sampler
-from noisymis.graph import exact_mis, is_independent_set, is_maximal_independent_set
+from noisymis.baselines import AmplifyParams, run_amplify, run_sampler
+from noisymis.graph import exact_mis, greedy_mis, is_independent_set, is_maximal_independent_set
 from noisymis.harness import ExperimentConfig, run_experiment
 from noisymis.instances import gen_planted_gnp
 from noisymis.montecarlo import (
@@ -141,7 +141,7 @@ def test_a4_brute_force_equivalence(criterion_report):
         amp = make_oracle(inst, OracleConfig(epsilon=0.25, mode="bandit-bernoulli", seed=5000 + i))
         base = lambda residual: run_bandit(g, amp, BanditParams(delta=0.1), initial=residual).independent_set
         outputs.append(run_amplify(base, amp, n, AmplifyParams(rounds=2, reps_per_round=9)))
-        outputs.append(run_greedy_baseline(g))
+        outputs.append(greedy_mis(g))
         outputs.append(exact)
         indep_ok &= all(is_independent_set(g, s) for s in outputs)
     elapsed = time.perf_counter() - t0

@@ -70,6 +70,24 @@ def test_schedule_validation():
         query_schedule(1, BanditParams(epsilon=0.7))
 
 
+def test_schedule_and_budget_reject_counts_no_run_can_use():
+    # each value passes its range check, yet the arithmetic would leave floats:
+    # a zero eps^2, an infinite or NaN count, a count beyond int64
+    for params in (
+        BanditParams(epsilon=1e-200),
+        BanditParams(epsilon=0.25, delta=5e-324),
+        BanditParams(epsilon=0.25, schedule_coeff=1e308),
+        BanditParams(epsilon=0.25, schedule_coeff=math.nan),
+        BanditParams(epsilon=1e-8, delta=1e-300),
+    ):
+        with pytest.raises(ValueError):
+            query_schedule(1, params)
+    for params in (BanditParams(epsilon=1e-200), BanditParams(epsilon=0.25, budget_coeff=math.inf)):
+        with pytest.raises(ValueError):
+            query_budget(10, params)
+    assert query_schedule(1, BanditParams(epsilon=1e-8)) > 10**17
+
+
 def test_budget_values():
     assert query_budget(5000, BanditParams(epsilon=0.25, delta=0.1)) == pytest.approx(5526204.223185711)
     assert query_budget(100, BanditParams(epsilon=0.5, delta=0.1)) == pytest.approx(27631.02111592855)

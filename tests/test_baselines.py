@@ -10,10 +10,9 @@ from noisymis.baselines import (
     AmplifyParams,
     SamplerParams,
     run_amplify,
-    run_greedy_baseline,
     run_sampler,
 )
-from noisymis.graph import build_graph, greedy_mis
+from noisymis.graph import build_graph
 from noisymis.instances import gen_planted_gnp
 from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, make_oracle
 
@@ -243,12 +242,3 @@ def test_amplify_recovers_planted_with_bandit_base():
         wins += run_amplify(base, o, n) == inst.planted
     assert wins >= 8
 
-
-# -- greedy ------------------------------------------------------------------------
-
-
-def test_greedy_baseline_delegates():
-    inst = gen_planted_gnp(80, 0.4, 0.1, seed=20)
-    assert run_greedy_baseline(inst.graph) == greedy_mis(inst.graph)
-    order = list(reversed(range(80)))
-    assert run_greedy_baseline(inst.graph, order) == greedy_mis(inst.graph, order)

@@ -12,7 +12,7 @@ import pytest
 import noisymis
 import noisymis.cli as cli
 from noisymis.cli import build_parser, main
-from noisymis.graph import exact_mis
+from noisymis.graph import exact_mis, is_maximal_independent_set
 from noisymis.harness import ALGORITHMS, CSV_COLUMNS, _build_instance, _oracle_config, _params_for, records_from_csv
 from noisymis.instances import gen_planted_gnp, read_instance, write_instance
 from noisymis.persistent import PersistentParams, survival_threshold
@@ -47,9 +47,8 @@ def test_gen_maximal_flag(tmp_path):
     path = tmp_path / "m.txt"
     assert main(["gen", "--n", "50", "--alpha", "0.3", "--p", "0.01", "--seed", "1",
                  "--maximal", "--out", str(path)]) == 0
-    from noisymis.instances import is_planted_maximal
-
-    assert is_planted_maximal(read_instance(path))
+    inst = read_instance(path)
+    assert is_maximal_independent_set(inst.graph, inst.planted_ids)
 
 
 def test_gen_bounded_degree(tmp_path):
@@ -270,11 +269,15 @@ def test_algo_choices_follow_the_algorithm_table():
         ({"instance": {"generator": ["gnp"], "n": 30, "alpha": 0.4, "p": 0.1}}, [], "generator"),
         ({"instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1, "seed": "junk"}}, [], "seed"),
         ({"oracle": {"epsilon": 0.25, "seed": 5}}, [], "seed"),
+        ({"algorithm": "bandit", "oracle": {"epsilon": 0.25, "mode": "bandit-bernoulli"}, "params": {"epsilon": 1e-200}},
+         [], "epsilon"),
+        ({"algorithm": "bandit", "oracle": {"epsilon": 0.25, "mode": "bandit-bernoulli"}, "params": {"delta": 5e-324}},
+         [], "not finite"),
     ],
     ids=["list-config", "string-trials", "string-epsilon", "unknown-generator-key", "maximal-with-d",
          "string-threshold-coeff", "integer-output", "list-output", "null-path", "list-path",
          "string-ensure-maximal", "string-apply-cap", "boolean-trials", "string-n", "huge-n", "list-generator",
-         "instance-seed", "oracle-seed"],
+         "instance-seed", "oracle-seed", "tiny-bandit-epsilon", "tiny-bandit-delta"],
 )
 def test_bad_run_input_is_an_error_line_not_a_traceback(tmp_path, config, flags, key):
     argv = ["run", *flags]
@@ -339,6 +342,36 @@ def test_verify_paths(inst_path, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--instance", inst_path, "--set", ""]) == 0
     assert f"size=0 planted_overlap=0/{len(inst.planted)}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", ["file", "list", "float"])
+def test_verify_names_an_id_that_is_not_an_integer(inst_path, tmp_path, capsys, bad):
+    listing = tmp_path / "set.txt"
+    listing.write_text("0\n\nx\n")
+    vertex_set, where = {"file": (str(listing), f"{listing}:3:"), "list": ("0,x", "--set:"), "float": ("1.9", "--set:")}[bad]
+    assert main(["verify", "--instance", inst_path, "--set", vertex_set]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {where}")
+
+
+def test_unreadable_inputs_are_one_error_line(tmp_path, capsys):
+    inst = tmp_path / "big.txt"
+    inst.write_text("3 1\n99999999999999999999 1\n# planted: 0\n")
+    records = tmp_path / "r.csv"
+    main(["run", "--algo", "greedy", "--n", "25", "--alpha", "0.4", "--p", "0.1", "--trials", "2", "--out", str(records)])
+    rows = records.read_text().splitlines()
+    cells = rows[2].split(",")
+    cells[CSV_COLUMNS.index("ratio")] = ""
+    records.write_text("\n".join([*rows[:2], ",".join(cells)]) + "\n")
+    capsys.readouterr()
+    for argv, where in (
+        (["verify", "--instance", str(inst), "--set", "0"], f"{inst}:2:"),
+        (["run", "--algo", "greedy", "--instance", str(inst)], f"{inst}:2:"),
+        (["stats", "--input", str(records)], f"{records}:3:"),
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {where}"), err
 
 
 # -- stats ------------------------------------------------------------------------------

@@ -1,11 +1,19 @@
-"""Property tests: edge-list and instance files round-trip through the writer."""
+"""Property tests over input files: edge-list and instance files round-trip
+through the writer, a one-line edit to an instance file reads back or names
+its line, and any JSON in a config field is a result or one error line."""
 
+import contextlib
+import io
+import json
+import math
+import os
 import tempfile
 from pathlib import Path
 
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
+from noisymis.cli import main
 from noisymis.graph import build_graph, greedy_mis, read_edgelist, write_edgelist
 from noisymis.instances import PlantedInstance, read_instance, write_instance
 
@@ -46,3 +54,100 @@ def test_edge_list_and_instance_files_round_trip(inst):
     assert back.planted == inst.planted
     assert back.params == inst.params
     assert inst.graph._owner is None
+
+
+# the one-line edits of the mutation property; each keeps or drops the line it edits
+BIG = "12345678901234567890"  # 20 digits, beyond int64
+MUTATIONS = ("big", "float", "empty", "add", "drop", "duplicate")
+
+
+def mutate(lines, at, kind, pick):
+    """``lines`` with line ``at`` edited by ``kind``; ``pick`` chooses the token to edit."""
+    line = lines[at]
+    if line.startswith("#"):  # a section line keeps its '# planted:' or '# params:' keyword
+        head, tokens = " ".join(line.split()[:2]) + " ", line.split()[2:]
+    else:
+        head, tokens = "", line.split()
+    if kind in ("big", "float", "empty") and tokens:
+        tokens[pick % len(tokens)] = {"big": BIG, "float": "1.5", "empty": ""}[kind]
+    elif kind == "add":
+        tokens.append("7")
+    edited = [head + " ".join(t for t in tokens if t)]
+    return lines[:at] + {"drop": [], "duplicate": [line, line]}.get(kind, edited) + lines[at + 1 :]
+
+
+@SETTINGS
+@given(instances(), st.integers(0, 200), st.integers(0, 50))
+def test_a_one_line_mutation_reads_back_or_names_the_line(inst, at, pick):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "inst.txt")
+        write_instance(inst, path)
+        lines = path.read_text().splitlines()
+        at %= len(lines)
+        for kind in MUTATIONS:
+            path.write_text("\n".join(mutate(lines, at, kind, pick)) + "\n")
+            try:
+                read_instance(path)
+            except ValueError as exc:
+                message = str(exc)
+            else:
+                continue
+            if kind == "drop":
+                # the edited line is gone, so the error can name only the file
+                assert message.startswith(f"{path}:"), message
+            else:
+                named = {at + 1, at + 2} if kind == "duplicate" else {at + 1}
+                assert any(message.startswith(f"{path}:{k}:") for k in named), (kind, at + 1, message)
+
+
+# a small valid config per algorithm that takes params, and every field of
+# them that the fuzz may replace; greedy and exact share the other fields
+BASE = {
+    "instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1, "ensure_maximal": False},
+    "oracle": {"epsilon": 0.25, "k": 2, "apply_cap": True},
+    "seeds": None,
+    "seed_base": 0,
+    "trials": 1,
+    "workers": 1,
+    "output": "out.csv",
+}
+PARAMS = {
+    "persistent": {"epsilon_effective": None, "low_degree_cutoff_coeff": 36.0, "threshold_coeff": 6.0,
+                   "greedy_order": "id", "order_seed": 0},
+    "bandit": {"epsilon": None, "delta": 0.1, "schedule_coeff": 4.0, "budget_coeff": 30.0},
+    "sampler": {"sample_prob": None, "queries_per_vertex": None},
+    "amplify": {"rounds": 1, "reps_per_round": 3, "final_queries": None, "delta": 0.1},
+}
+FIELDS = [(key,) for key in ("algorithm", "params", *BASE)]
+FIELDS += [("instance", key) for key in ("generator", "n", "alpha", "p", "d", "ensure_maximal", "path")]
+FIELDS += [("oracle", key) for key in ("epsilon", "mode", "k", "apply_cap")]
+FIELDS += [("params", key) for key in sorted({key for params in PARAMS.values() for key in params})]
+# small ints keep every run small (at most 3 trials, workers or vertices from the
+# fuzz), and so do floats within 1e3: a budget_coeff of 1e300 is a valid request
+# for a run that does not end
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-1e3, 1e3)
+    | st.sampled_from([math.inf, -math.inf, math.nan]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.sampled_from(sorted(PARAMS)), st.sampled_from(FIELDS), JSON)
+def test_any_json_in_a_config_field_is_a_result_or_one_error_line(algorithm, field, value):
+    config = {"algorithm": algorithm, **json.loads(json.dumps(BASE)), "params": dict(PARAMS[algorithm])}
+    *block, key = field
+    (config[block[0]] if block else config)[key] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # an "output" or "path" string names a file in here
+        try:
+            Path("cfg.json").write_text(json.dumps(config))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", "cfg.json"])
+        finally:
+            os.chdir(cwd)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert (code, len(errors)) in ((0, 0), (1, 1)), (config, code, err.getvalue())

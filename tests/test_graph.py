@@ -2,11 +2,13 @@
 
 import gc
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from noisymis.bandit import run_bandit
 from noisymis.graph import (
     EXACT_MIS_MAX_N,
     Graph,
@@ -22,6 +24,7 @@ from noisymis.graph import (
     vertex_cover_2approx,
     write_edgelist,
 )
+from noisymis.oracle import Oracle, OracleConfig
 
 
 def random_graph(rng, n, p):
@@ -327,6 +330,24 @@ def test_induced_subgraph_rejects_bad_ids():
         induced_subgraph(g, [0, 3])
 
 
+NOT_IDS = [{1.9, 2}, [1.9, 2], np.array([0.0, 1.9]), np.array([True, False, True]), [2**70], [0, 2**63]]
+
+
+@pytest.mark.parametrize("ids", NOT_IDS, ids=["float-set", "float-list", "float-array", "bool-mask", "huge-id", "int64-max-plus-one"])
+def test_vertex_ids_that_are_not_integers_are_rejected(ids):
+    g = build_graph(3, [(1, 2)])
+    oracle = Oracle(np.array([True, False, False]), OracleConfig(epsilon=0.25, seed=0))
+    calls = (
+        lambda: is_independent_set(g, ids),
+        lambda: induced_subgraph(g, ids),
+        lambda: run_bandit(g, oracle, initial=ids),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="integers"):
+            call()
+    assert oracle.total_queries == 0
+
+
 # -- greedy ------------------------------------------------------------------
 
 
@@ -594,6 +615,15 @@ def test_edgelist_parse_errors(tmp_path):
     path.write_text("# only a comment\n")
     with pytest.raises(ValueError, match="missing header"):
         read_edgelist(path)
+
+
+def test_edgelist_endpoint_errors_name_the_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    # an endpoint beyond int64, one beyond n, and a vertex count beyond the 2**31 limit
+    for text, line in (("3 1\n99999999999999999999 1\n", 2), ("3 2\n0 1\n# c\n1 3\n", 4), ("2147483649 0\n", 1)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
+            read_edgelist(path)
 
 
 def test_edgelist_ignores_comments(tmp_path):

@@ -355,6 +355,19 @@ def test_csv_header_and_cell_errors(tmp_path):
         records_from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "column, cell",
+    [("ratio", ""), ("total_queries", ""), ("n", "x"), ("independent_set_valid", "yes"), ("rounds", "1.5")],
+)
+def test_csv_cells_that_do_not_parse_name_the_line_and_column(tmp_path, column, cell):
+    rows = [rec(0.5, 1).to_row(), rec(0.5, 2).to_row()]
+    rows[1][CSV_COLUMNS.index(column)] = cell
+    path = tmp_path / "r.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: column '{column}' must be "):
+        records_from_csv(path)
+
+
 def test_worker_errors_name_seed_and_algorithm(tmp_path):
     cfg = gnp_config(
         algorithm="persistent",

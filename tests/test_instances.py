@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,12 +10,11 @@ import pytest
 from scipy import stats
 
 import noisymis.instances as instances
-from noisymis.graph import build_graph, exact_mis, is_independent_set, write_edgelist
+from noisymis.graph import build_graph, exact_mis, is_independent_set, is_maximal_independent_set, write_edgelist
 from noisymis.instances import (
     PlantedInstance,
     gen_planted_bounded_degree,
     gen_planted_gnp,
-    is_planted_maximal,
     planted_mask,
     read_instance,
     write_instance,
@@ -57,13 +57,14 @@ def test_gnp_planted_always_independent():
 
 def test_gnp_ensure_maximal():
     inst = gen_planted_gnp(300, 0.3, 0.002, seed=5, ensure_maximal=True)
-    assert is_planted_maximal(inst)
+    assert is_maximal_independent_set(inst.graph, inst.planted_ids)
     mask = planted_mask(inst)
     for v in range(300):
         if not mask[v]:
             assert any(mask[u] for u in inst.graph.neighbors(v))
     # without the flag the same sparse draw leaves uncovered vertices
-    assert not is_planted_maximal(gen_planted_gnp(300, 0.3, 0.002, seed=5))
+    sparse = gen_planted_gnp(300, 0.3, 0.002, seed=5)
+    assert not is_maximal_independent_set(sparse.graph, sparse.planted_ids)
     # the check reads the planted rows alone and caches no edge-sized owner array
     assert inst.graph._owner is None
 
@@ -385,6 +386,19 @@ def test_read_malformed_lines_name_line_numbers(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="header"):
         read_instance(path)
+
+
+def test_read_instance_errors_name_the_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    for text, line in (
+        ("3 1\n99999999999999999999 1\n# planted: 0\n", 2),  # an endpoint beyond int64
+        ("3 1\n0 1\n# planted: 99999999999999999999\n", 3),
+        ("3 1\n0 1\n# planted: 0 1\n# params: {}\n", 3),  # not independent
+        ("3 1\n0 1\n# planted: 0\n# params: [1, 2]\n", 4),  # JSON, but not an object
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
+            read_instance(path)
 
 
 def test_instance_is_frozen():

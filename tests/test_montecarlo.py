@@ -45,10 +45,12 @@ def test_fair_coin_million():
     assert ci == pytest.approx(2.58 * math.sqrt(p * (1 - p) / 1_000_000))
 
 
-def test_batching_does_not_change_counts():
+def test_batching_does_not_change_counts(monkeypatch):
     # identical seed, different chunking: same stream, same estimate
-    a = estimate_tail(coin_event(0.3), 10_000, seed=3, batch=10_000)
-    b = estimate_tail(coin_event(0.3), 10_000, seed=3, batch=997)
+    monkeypatch.setattr("noisymis.montecarlo._BATCH", 10_000)
+    a = estimate_tail(coin_event(0.3), 10_000, seed=3)
+    monkeypatch.setattr("noisymis.montecarlo._BATCH", 997)
+    b = estimate_tail(coin_event(0.3), 10_000, seed=3)
     assert a == b
 
 
@@ -135,7 +137,8 @@ def test_member_elimination_resolvable_point():
 
 
 def test_nonmember_survival_direct_q():
-    p, ci = estimate_tail(nonmember_survival(32, 0.25, direct_q=True), 1_000_000, seed=17)
+    # delta = 1 and coeff 2 make the round-1 schedule q = 2 / 0.25^2 = 32
+    p, ci = estimate_tail(nonmember_survival(1, 0.25, 1.0, schedule_coeff=2.0), 1_000_000, seed=17)
     assert p - ci <= math.exp(-2 * 0.25**2 * 32)
     # cross-check against the exact binomial tail
     exact = binom.sf(15, 32, 0.25)
@@ -148,10 +151,10 @@ def test_nonmember_survival_schedule_form():
 
 
 def test_survival_validation():
-    with pytest.raises(ValueError, match="delta"):
+    with pytest.raises(TypeError, match="delta"):
         nonmember_survival(1, 0.25)
-    with pytest.raises(ValueError, match="query count"):
-        nonmember_survival(0, 0.25, direct_q=True)
+    with pytest.raises(ValueError, match="round index"):
+        nonmember_survival(0, 0.25, 1.0)
 
 
 # -- registry ---------------------------------------------------------------------------
