@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _int_ids
 from .oracle import Oracle, ModeError, BANDIT_BERNOULLI
 
 __all__ = [
@@ -71,11 +72,13 @@ def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, see
 def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None = None) -> frozenset:
     """Promote vertices that ``base_alg`` selects consistently, round by round.
 
-    ``base_alg(residual)`` gets the residual ids as a ``frozenset`` and may
-    return any iterable of ids; ids outside ``range(n)`` or outside the
-    residual are ignored, and so are repeats within one run.  Each round
-    reruns it ``reps_per_round`` times and promotes the vertices selected in
-    at least half the runs, removing them from the residual.  After the last
+    ``base_alg(residual)`` gets the residual ids as a ``frozenset``, the same
+    object for every run of one round, and may return any iterable of ids (an
+    integer array is taken as it is).  Ids outside ``range(n)`` or outside
+    the residual are ignored, and so are repeats within one run; an id that
+    is not an integer fitting int64 raises ``ValueError``.  Each round reruns
+    it ``reps_per_round`` times and promotes the vertices selected in at
+    least half the runs, removing them from the residual.  After the last
     round every leftover vertex is queried directly ``final_queries`` times
     and promoted on a majority of yes answers.  Requires the non-persistent
     Bernoulli oracle (the final sweep votes by repetition).
@@ -107,7 +110,7 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
         residual_ids = frozenset(np.flatnonzero(residual).tolist())
         votes = np.zeros(n, dtype=np.int64)
         for _ in range(reps):
-            picked = np.fromiter(base_alg(residual_ids), dtype=np.int64)
+            picked = _int_ids(base_alg(residual_ids), n)
             # ids outside range(n) are dropped before they can index (a negative
             # one would wrap around); repeats within one run count once
             picked = picked[(picked >= 0) & (picked < n)]

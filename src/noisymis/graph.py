@@ -224,6 +224,22 @@ def _block_slots(g: Graph, rows: np.ndarray) -> np.ndarray:
     return slots
 
 
+def _int_ids(vertices, n: int) -> np.ndarray:
+    """Vertex ids as an int64 array in the given order, not range-checked.
+
+    An integer array is cast (an int64 one is returned as it is); anything
+    else is read item by item, and an item that is not an integer fitting
+    int64 raises ``ValueError``, as does a bool array (a mask, not ids).
+    """
+    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
+        return vertices.astype(np.int64, copy=False)
+    try:
+        # array("q") checks each item in C: it takes only integers that fit int64
+        return np.frombuffer(array("q", list(vertices)), dtype=np.int64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"vertex ids must be integers in range(0, {n}): {exc}") from None
+
+
 def _sorted_ids(vertices, n: int) -> np.ndarray:
     """Unique ascending id array from any iterable of integer vertex ids.
 
@@ -232,14 +248,9 @@ def _sorted_ids(vertices, n: int) -> np.ndarray:
     first, so the caller's array is never sorted in place.  The result may
     be a prefix view of that copy, which is vertex-sized.
     """
-    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
-        ids = vertices.astype(np.int64).ravel()
-    else:
-        try:
-            # array("q") checks each item in C: it takes only integers that fit int64
-            ids = np.frombuffer(array("q", list(vertices)), dtype=np.int64)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"vertex ids must be integers in range(0, {n}): {exc}") from None
+    ids = _int_ids(vertices, n)
+    # an int64 array comes back as the caller's own, and the sort works in place
+    ids = ids.flatten() if ids is vertices else ids.ravel()
     ids = ids[: _sorted_unique(ids)]
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         raise ValueError(f"vertex ids must lie in range(0, {n})")
@@ -291,7 +302,7 @@ def _greedy_ids(g: Graph, order=None) -> np.ndarray:
     if order is None:
         scan = range(n)
     else:
-        arr = np.asarray(order, dtype=np.int64)
+        arr = _int_ids(order, n)
         if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
             raise ValueError("order must be a permutation of range(n)")
         scan = arr.tolist()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .graph import _has_inner_edge, _member_mask
+from .graph import _has_inner_edge, _int_ids, _member_mask
 from .graph import is_independent_set  # noqa: F401  (bench/traced.py times calls through this binding)
 
 __all__ = [
@@ -120,10 +120,10 @@ class QueryLedger:
         self.total = 0
 
     def record(self, verts, times: int) -> np.ndarray:
-        """Count ``times`` queries of each listed vertex; returns the ids as an int64 array."""
+        """Count ``times`` queries of each listed integer id; returns the ids as an int64 array."""
         if times < 0:
             raise ValueError("query count must be nonnegative")
-        arr = np.asarray(verts, dtype=np.int64)
+        arr = _int_ids(verts, len(self.per_vertex))
         np.add.at(self.per_vertex, arr, times)
         self.total += int(len(arr)) * int(times)
         return arr
@@ -272,7 +272,16 @@ class Oracle:
         if self.config.mode != BANDIT_BERNOULLI:
             raise ModeError("repeated querying needs the non-persistent Bernoulli oracle")
         arr = self.ledger.record(verts, q)
-        return self._rng.binomial(q, self._means(arr))
+        low = 0.5 - self.config.epsilon
+        if not 0.0 < low == 1.0 - (0.5 + self.config.epsilon):
+            return self._rng.binomial(q, self._means(arr))
+        # numpy draws Binomial(q, p > 1/2) as q - Binomial(q, 1 - p): when both
+        # means share that inner probability, one scalar-p call makes the same
+        # draws (p = 0 draws nothing, so eps = 1/2 keeps the per-vertex path)
+        counts = self._rng.binomial(q, low, size=arr.size)
+        member = self._members[arr]
+        counts[member] = q - counts[member]
+        return counts
 
     def query_reward_sums(self, verts, q: int) -> np.ndarray:
         """Sums of ``q`` fresh real rewards per vertex; counts ``len(verts) * q``."""

@@ -204,6 +204,25 @@ def test_amplify_drops_bad_ids_and_accepts_any_iterable():
     out = run_amplify(lambda residual: (v for v in sorted(residual) if v % 2), o2, n,
                       AmplifyParams(rounds=2, reps_per_round=3, final_queries=1))
     assert out == {1, 3, 5}
+    # every run of a round gets the same residual object, and an integer array
+    # is taken as it is
+    seen = []
+
+    def array_base(residual):
+        seen.append(residual)
+        return np.array([v for v in sorted(residual) if v % 2 == 0] + [-1, 9], dtype=np.int32)
+
+    out = run_amplify(array_base, make_oracle(inst, bern(0.5, seed=17)), n,
+                      AmplifyParams(rounds=2, reps_per_round=3, final_queries=1))
+    assert out == {0, 2, 4}
+    assert len(seen) == 6 and seen[0] is seen[1] is seen[2] == frozenset(range(n))
+    assert seen[3] is seen[4] is seen[5] == {1, 3, 5}
+    # an id that is not an integer raises instead of voting for a truncated id
+    o3 = make_oracle(inst, bern(0.5, seed=18))
+    for picks in ([1.5], np.array([1.5]), np.array([True, False]), [2**63]):
+        with pytest.raises(ValueError, match="integers"):
+            run_amplify(lambda residual: picks, o3, n, AmplifyParams(rounds=1, reps_per_round=1, final_queries=1))
+    assert o3.total_queries == 0
 
 
 def test_amplify_validation():

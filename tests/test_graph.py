@@ -341,6 +341,9 @@ def test_vertex_ids_that_are_not_integers_are_rejected(ids):
         lambda: is_independent_set(g, ids),
         lambda: induced_subgraph(g, ids),
         lambda: run_bandit(g, oracle, initial=ids),
+        # an order or a query list is not truncated to integers either
+        lambda: greedy_mis(g, ids),
+        lambda: oracle.query_yes_counts(ids, 5),
     )
     for call in calls:
         with pytest.raises(ValueError, match="integers"):

@@ -407,6 +407,65 @@ def test_trials_read_only_the_id_arrays(monkeypatch):
         assert inst.planted == frozenset(inst.planted_ids.tolist()) and vars(inst)["planted"] is inst.planted
         assert detail.independent_set == frozenset(ids.tolist())
         assert vars(detail)["independent_set"] is detail.independent_set
+    # amplify: each round's residual frozenset becomes an id array once, and
+    # no elimination run builds its output frozenset
+    results, kinds = [], []
+    run_bandit, sorted_ids_of = harness.run_bandit, harness._sorted_ids
+
+    def bandit(*args, **kwargs):
+        results.append(run_bandit(*args, **kwargs))
+        return results[-1]
+
+    def sorted_ids(vertices, n):
+        kinds.append(type(vertices))
+        return sorted_ids_of(vertices, n)
+
+    monkeypatch.setattr(harness, "run_bandit", bandit)
+    monkeypatch.setattr(harness, "_sorted_ids", sorted_ids)
+    rounds = 3
+    config = ExperimentConfig(algorithm="amplify", instance=instance, oracle={"epsilon": 0.25},
+                              params={"rounds": rounds, "reps_per_round": 7})
+    record, _ = run_trial(config, 5)
+    inst = made.pop()
+    assert "planted" not in vars(inst) and record.output_size > 0
+    assert len(results) > rounds and not any("independent_set" in vars(result) for result in results)
+    assert 1 <= kinds.count(frozenset) <= rounds and set(kinds) == {frozenset}
+
+
+def amplify_reference(config, seed):
+    # the public reduction with the frozenset base, built from the trial's own
+    # instance and oracle seeds
+    instance = harness._build_instance(config.instance, seed)
+    oracle = harness.make_oracle(instance, harness._oracle_config(config, seed))
+    g = instance.graph
+    params = harness.BanditParams()
+    amplify = harness.AmplifyParams(**config.params)
+
+    def base(residual):
+        return harness.run_bandit(g, oracle, params, initial=residual).independent_set
+
+    return harness.run_amplify(base, oracle, g.n, amplify), oracle
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_amplify_trial_equals_the_public_frozenset_reduction(monkeypatch, seed):
+    seen = []
+    run_amplify = harness.run_amplify
+
+    def amplify(base, oracle, n, params):
+        seen.append((run_amplify(base, oracle, n, params), oracle))
+        return seen[-1][0]
+
+    monkeypatch.setattr(harness, "run_amplify", amplify)
+    config = ExperimentConfig(algorithm="amplify", instance={"generator": "bounded-degree", "n": 400, "alpha": 0.5, "d": 3},
+                              oracle={"epsilon": 0.25}, params={"rounds": 3, "reps_per_round": 9})
+    record, _ = run_trial(config, seed)
+    [(output, oracle)] = seen
+    monkeypatch.undo()
+    want, reference = amplify_reference(config, seed)
+    assert output == want and record.output_size == len(want) > 0
+    assert oracle.total_queries == reference.total_queries == record.total_queries
+    assert oracle._rng.random() == reference._rng.random()
 
 
 def test_readme_library_example_runs(capsys):

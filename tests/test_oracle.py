@@ -255,6 +255,35 @@ def test_single_queries_keep_the_scalar_stream(mode):
     assert np.array_equal(new.ledger.per_vertex, old.ledger.per_vertex)
 
 
+def per_vertex_yes_counts(o, verts, q):
+    # the ledger update and the per-vertex-probability draw every yes-count
+    # call made before equal inner probabilities shared one scalar-p draw
+    arr = np.asarray(verts, dtype=np.int64)
+    np.add.at(o.ledger.per_vertex, arr, q)
+    o.ledger.total += int(len(arr)) * int(q)
+    eps = o.config.epsilon
+    return o._rng.binomial(q, np.where(o._members[arr], 0.5 + eps, 0.5 - eps))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.15, 0.2, 0.25, 0.3, 1 / 3, 0.5])
+def test_yes_counts_keep_the_per_vertex_stream(eps):
+    # q = 0 draws nothing; the others reach numpy's inversion branch
+    # (q * min(p, 1 - p) <= 30) and its BTPE branch; repeated ids included
+    n = 5000
+    members = np.random.default_rng(3).random(n) < 0.5
+    cfg = OracleConfig(epsilon=eps, mode=BANDIT_BERNOULLI, seed=23)
+    new, old = Oracle(members, cfg), Oracle(members, cfg)
+    pick = np.random.default_rng(4)
+    for q in (0, 1, 3, 30, 212, 404):
+        for size in (0, 1, 493, 4096):
+            verts = pick.integers(0, n, size=size)
+            got, want = new.query_yes_counts(verts, q), per_vertex_yes_counts(old, verts, q)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (q, size)
+            assert new._rng.bit_generator.state == old._rng.bit_generator.state, (q, size)
+    assert new.total_queries == old.total_queries
+    assert np.array_equal(new.ledger.per_vertex, old.ledger.per_vertex)
+
+
 def test_package_exports_every_module_public_name():
     import importlib
 
@@ -324,6 +353,14 @@ def test_ledger_counts_every_entry_point():
     assert o.total_queries == 3 + 3 + 20
     assert o.total_queries == int(o.ledger.per_vertex.sum())
     assert o.queries_for(0) == 2 + 10
+    # ids that are not integers are refused before anything is counted or drawn
+    state = o._rng.bit_generator.state
+    for verts in ([0.7, 1.2], np.array([0.7, 1.2]), np.array([True, False])):
+        with pytest.raises(ValueError, match="integers"):
+            o.query_yes_counts(verts, 5)
+        with pytest.raises(ValueError, match="integers"):
+            o.query_bool_many(verts)
+    assert o.total_queries == 26 and o._rng.bit_generator.state == state
 
 
 def test_ledger_one_query_per_distinct_vertex():
