@@ -15,6 +15,7 @@ stderr), 2 on bad usage.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -245,6 +246,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# the stats flag (by its argparse dest) that sets each Monte Carlo builder parameter
+_MC_ARGS = {"p": "prob", "deg": "deg", "k": "blockers", "epsilon": "eps", "n": "n", "r": "round_index", "delta": "delta"}
+
+
 def _cmd_stats(args) -> int:
     if (args.mc is None) == (args.input is None):
         raise ValueError("pass exactly one of --input or --mc")
@@ -254,13 +259,9 @@ def _cmd_stats(args) -> int:
         print(json.dumps(summary.__dict__, indent=2, sort_keys=True))
         return 0
     builder = EVENT_BUILDERS[args.mc]
-    kwargs = {
-        "coin": {"p": args.prob},
-        "filter-member": {"deg": args.deg, "epsilon": args.eps, "n": args.n},
-        "filter-blocker": {"deg": args.deg, "k": args.blockers, "epsilon": args.eps, "n": args.n},
-        "elim-member": {"r": args.round_index, "epsilon": args.eps, "delta": args.delta},
-        "elim-survivor": {"r": args.round_index, "epsilon": args.eps, "delta": args.delta},
-    }[args.mc]
+    # the event needs each of its builder's parameters that has no default
+    required = [p.name for p in inspect.signature(builder).parameters.values() if p.default is p.empty]
+    kwargs = {name: getattr(args, _MC_ARGS[name]) for name in required}
     missing = [k for k, v in kwargs.items() if v is None]
     if missing:
         raise ValueError(f"--mc {args.mc} needs: {', '.join(sorted(missing))}")

@@ -119,11 +119,6 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         return _checked(cls, d, "config")
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass
 class TrialRecord:
@@ -317,25 +312,26 @@ def _trial_name(seed: int, algorithm: str) -> str:
     return f"trial seed={seed} algorithm={algorithm}"
 
 
-def _run_trial_task(config: ExperimentConfig, seed: int) -> TrialRecord:
-    return run_trial(config, seed)[0]
+def _run_trial_task(config: ExperimentConfig, seed: int, keep_detail: bool) -> tuple[TrialRecord, object]:
+    # run_trial is looked up as a module global, so rebinding it takes effect here
+    record, detail = run_trial(config, seed)
+    return record, detail if keep_detail else None
 
 
 def run_experiment(config: ExperimentConfig, collect_details: bool = False):
     """Run all trials; returns the record list, plus a seed-keyed detail map
-    when ``collect_details`` is set (details force serial execution)."""
+    when ``collect_details`` is set."""
     seeds = trial_seeds(config)
-    records: list[TrialRecord] = []
-    details: dict[int, object] = {}
-    if config.workers > 1 and not collect_details:
+    if config.workers > 1:
         # imported here: serial runs, the common case, skip the pool machinery's import cost
         from concurrent.futures import ProcessPoolExecutor
 
+        results = []
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_trial_task, config, s) for s in seeds]
+            futures = [pool.submit(_run_trial_task, config, s, collect_details) for s in seeds]
             for s, future in zip(seeds, futures):
                 try:
-                    records.append(future.result())
+                    results.append(future.result())
                 except Exception as exc:
                     # a worker's traceback names no trial, so say which one failed
                     pool.shutdown(cancel_futures=True)
@@ -344,16 +340,13 @@ def run_experiment(config: ExperimentConfig, collect_details: bool = False):
                         raise
                     raise RuntimeError(f"{name}: {type(exc).__name__}: {exc}") from exc
     else:
-        for s in seeds:
-            record, detail = run_trial(config, s)
-            records.append(record)
-            if collect_details and detail is not None:
-                details[s] = detail
+        results = [_run_trial_task(config, s, collect_details) for s in seeds]
+    records = [record for record, _ in results]
     if config.output:
         with open(config.output, "w") as fh:
             fh.write(records_to_csv(records))
     if collect_details:
-        return records, details
+        return records, {s: detail for s, (_, detail) in zip(seeds, results) if detail is not None}
     return records
 
 

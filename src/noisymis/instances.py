@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _lazy_frozenset, _member_mask, _read_edges, _sorted_ids, _write_edges, build_graph
+from .graph import Graph, _lazy_frozenset, _read_edges, _sorted_ids, _write_edges, build_graph
 from .graph import _code_shift, _csr_from_codes, _edge_codes
 from .graph import is_independent_set
 
@@ -29,7 +29,6 @@ __all__ = [
     "gen_planted_bounded_degree",
     "write_instance",
     "read_instance",
-    "planted_mask",
 ]
 
 
@@ -50,10 +49,6 @@ class PlantedInstance:
     def __eq__(self, other):
         same = isinstance(other, PlantedInstance) and (self.graph, self.params) == (other.graph, other.params)
         return same and np.array_equal(self.planted_ids, other.planted_ids)
-
-
-def planted_mask(instance: PlantedInstance) -> np.ndarray:
-    return _member_mask(instance.graph, instance.planted_ids)
 
 
 def _split_planted(n: int, alpha: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

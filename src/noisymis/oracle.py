@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def cap_flip_probability(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Serializable oracle description used by the harness JSON configs."""
+    """Oracle description used by the harness JSON configs; an invalid one raises ``ValueError`` when built."""
 
     epsilon: float
     mode: str = BANDIT_BERNOULLI
@@ -81,7 +81,7 @@ class OracleConfig:
     seed: int = 0
     apply_cap: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not isinstance(self.epsilon, numbers.Real) or not 0.0 < self.epsilon <= 0.5:
             raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
         if self.mode not in ORACLE_MODES:
@@ -100,15 +100,6 @@ class OracleConfig:
             return min(self.epsilon, ADVANTAGE_CAP)
         return self.epsilon
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OracleConfig":
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
-
 
 class QueryLedger:
     """Per-vertex and total query counters."""
@@ -120,10 +111,14 @@ class QueryLedger:
         self.total = 0
 
     def record(self, verts, times: int) -> np.ndarray:
-        """Count ``times`` queries of each listed integer id; returns the ids as an int64 array."""
+        """Count ``times`` queries of each listed id in ``range(n)``; returns the ids as an int64 array."""
         if times < 0:
             raise ValueError("query count must be nonnegative")
-        arr = _int_ids(verts, len(self.per_vertex))
+        n = len(self.per_vertex)
+        arr = _int_ids(verts, n)
+        # a negative id reads as a huge unsigned one, so one max checks both ends
+        if arr.size and arr.view(np.uint64).max() >= n:
+            raise ValueError(f"vertex ids must lie in range(0, {n})")
         np.add.at(self.per_vertex, arr, times)
         self.total += int(len(arr)) * int(times)
         return arr
@@ -202,7 +197,6 @@ class Oracle:
     """
 
     def __init__(self, members: np.ndarray, config: OracleConfig):
-        config.validate()
         self._members = np.asarray(members, dtype=bool)
         self._members.setflags(write=False)
         self.n = int(len(self._members))

@@ -1,5 +1,7 @@
 """Command-line interface: gen / run / exact / verify / stats."""
 
+import concurrent.futures
+import inspect
 import json
 import os
 import re
@@ -15,6 +17,7 @@ from noisymis.cli import build_parser, main
 from noisymis.graph import exact_mis, is_maximal_independent_set
 from noisymis.harness import ALGORITHMS, CSV_COLUMNS, _build_instance, _oracle_config, _params_for, records_from_csv
 from noisymis.instances import gen_planted_gnp, read_instance, write_instance
+from noisymis.montecarlo import EVENT_BUILDERS
 from noisymis.persistent import PersistentParams, survival_threshold
 
 
@@ -155,6 +158,32 @@ def test_run_trace_lines_on_stderr(capsys):
     err = capsys.readouterr().err
     assert err.startswith("# seed=")
     assert "survivors=" in err and "best_round=" in err
+
+
+def test_trace_and_debug_dump_honour_workers(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    shape = ["--n", "200", "--alpha", "0.3", "--d", "4", "--eps", "0.25", "--trials", "3"]
+    outputs = {}
+    for workers in ("1", "2"):
+        dump = tmp_path / f"dd{workers}.csv"
+        args = ["--workers", workers, "--trace"]
+        assert main(["run", "--algo", "persistent", *shape, *args, "--debug-dump", str(dump)]) == 0
+        persistent = capsys.readouterr()
+        assert main(["run", "--algo", "bandit", *shape, *args]) == 0
+        bandit = capsys.readouterr()
+        # the filter's trace line and the CSV both carry a wall time
+        err = re.sub(r"wall_time_ms=\S+", "", persistent.err) + bandit.err
+        outputs[workers] = (strip_wall(persistent.out), strip_wall(bandit.out), err, dump.read_text())
+    assert pools == [2, 2]
+    assert outputs["1"] == outputs["2"]
+    assert outputs["1"][2].count("# seed=") > 6
 
 
 def test_run_debug_dump_for_persistent(tmp_path, capsys):
@@ -404,6 +433,24 @@ def test_stats_argument_errors(tmp_path, capsys):
     # filter events need their shape flags
     assert main(["stats", "--mc", "filter-member", "--eps", "0.25"]) == 1
     assert capsys.readouterr().err.count("error:") == 3
+
+
+def test_stats_mc_names_every_missing_builder_parameter(capsys):
+    needs = {
+        "coin": ["p"],
+        "filter-member": ["deg", "epsilon", "n"],
+        "filter-blocker": ["deg", "epsilon", "k", "n"],
+        "elim-member": ["delta", "epsilon", "r"],
+        "elim-survivor": ["delta", "epsilon", "r"],
+    }
+    assert needs.keys() == EVENT_BUILDERS.keys()
+    for event, names in needs.items():
+        params = inspect.signature(EVENT_BUILDERS[event]).parameters.values()
+        assert names == sorted(p.name for p in params if p.default is p.empty)
+        assert main(["stats", "--mc", event]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --mc {event} needs: {', '.join(names)}\n"
 
 
 # -- parser-level behavior ------------------------------------------------------------------

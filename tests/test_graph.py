@@ -489,6 +489,68 @@ def test_cover_against_networkx_matching():
         assert len(cover) <= 2 * len(nx.max_weight_matching(ref, maxcardinality=True))
 
 
+# -- networkx differential checks ----------------------------------------------
+
+
+def random_edge_lists(rng, count, max_n):
+    """Seeded ``(n, edges)`` pairs whose edge lists hold self-loops, repeats and both orientations."""
+    for _ in range(count):
+        n = int(rng.integers(1, max_n + 1))
+        yield n, rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+
+
+def edge_set(g):
+    return {(u, v) for u in range(g.n) for v in g.neighbors(u).tolist() if u < v}
+
+
+def networkx_graph(nx, n, edges):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    ref.remove_edges_from(list(nx.selfloop_edges(ref)))
+    return ref
+
+
+def test_build_graph_against_networkx():
+    nx = pytest.importorskip("networkx")
+    for n, edges in random_edge_lists(np.random.default_rng(41), 60, 40):
+        g, ref = build_graph(n, edges), networkx_graph(nx, n, edges)
+        assert edge_set(g) == {(min(e), max(e)) for e in ref.edges}
+        assert g.m == ref.number_of_edges()
+        assert g.degrees().tolist() == [ref.degree(v) for v in range(n)]
+
+
+def test_induced_subgraph_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(42)
+    for n, edges in random_edge_lists(rng, 60, 40):
+        g, ref = build_graph(n, edges), networkx_graph(nx, n, edges)
+        keep = rng.permutation(n)[: rng.integers(0, n + 1)].tolist()
+        sub, ids = induced_subgraph(g, keep)
+        assert ids.tolist() == sorted(keep)
+        expected = nx.relabel_nodes(ref.subgraph(keep), {v: rank for rank, v in enumerate(sorted(keep))})
+        assert sub.n == expected.number_of_nodes()
+        assert edge_set(sub) == {(min(e), max(e)) for e in expected.edges}
+
+
+def test_greedy_mis_is_independent_and_dominating_per_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(43)
+    for n, edges in random_edge_lists(rng, 60, 40):
+        g, ref = build_graph(n, edges), networkx_graph(nx, n, edges)
+        for order in (None, rng.permutation(n)):
+            chosen = greedy_mis(g, order)
+            assert ref.subgraph(chosen).number_of_edges() == 0
+            assert nx.is_dominating_set(ref, chosen)
+
+
+def test_exact_mis_is_the_largest_clique_of_the_complement():
+    nx = pytest.importorskip("networkx")
+    for n, edges in random_edge_lists(np.random.default_rng(44), 60, 14):
+        g, ref = build_graph(n, edges), networkx_graph(nx, n, edges)
+        assert len(exact_mis(g)) == max(len(c) for c in nx.find_cliques(nx.complement(ref)))
+
+
 # -- membership predicates ----------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Experiment harness: seeded trials, dispatch, aggregation, CSV persistence."""
 
+import concurrent.futures
+import dataclasses
 import functools
-import json
 import math
 import re
 from pathlib import Path
@@ -97,13 +98,6 @@ def test_config_round_trip_and_unknown_keys():
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError, match="unknown"):
         ExperimentConfig.from_dict({**cfg.to_dict(), "typo_key": 1})
-
-
-def test_config_from_json_file(tmp_path):
-    cfg = gnp_config()
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    assert ExperimentConfig.from_json_file(path) == cfg
 
 
 # -- run_trial ----------------------------------------------------------------------------
@@ -295,6 +289,48 @@ def test_collect_details_keyed_by_seed():
     )
     records, details = run_experiment(cfg, collect_details=True)
     assert set(details) == {r.seed for r in records}
+
+
+@pytest.mark.parametrize("algorithm, oracle", [
+    ("persistent", {"epsilon": 0.25}),
+    ("bandit", {"epsilon": 0.25}),
+    ("sampler", {"epsilon": 0.25}),
+])
+def test_details_come_back_from_worker_processes(monkeypatch, algorithm, oracle):
+    built = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = gnp_config(
+        algorithm=algorithm,
+        instance={"generator": "bounded-degree", "n": 300, "alpha": 0.3, "d": 5},
+        oracle=oracle,
+        trials=3,
+    )
+    serial_records, serial = run_experiment(cfg, collect_details=True)
+    assert built == []
+    pool_records, pooled = run_experiment(dataclasses.replace(cfg, workers=2), collect_details=True)
+    assert built == [2]
+    strip = lambda recs: [dataclasses.replace(r, wall_time_ms=0.0) for r in recs]
+    assert strip(pool_records) == strip(serial_records)
+    assert list(pooled) == list(serial)
+    if algorithm == "sampler":
+        assert serial == {}  # the sampler keeps no detail
+    for seed, detail in serial.items():
+        other = pooled[seed]
+        assert type(other) is type(detail)
+        for f in dataclasses.fields(detail):
+            a, b = getattr(detail, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            elif f.name == "stats":  # the filter's stats time the run
+                assert {**a, "wall_time_ms": 0} == {**b, "wall_time_ms": 0}
+            else:
+                assert a == b, f.name
 
 
 # -- aggregation ------------------------------------------------------------------------------

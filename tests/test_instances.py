@@ -10,12 +10,11 @@ import pytest
 from scipy import stats
 
 import noisymis.instances as instances
-from noisymis.graph import build_graph, exact_mis, is_independent_set, is_maximal_independent_set, write_edgelist
+from noisymis.graph import _member_mask, build_graph, exact_mis, is_independent_set, is_maximal_independent_set, write_edgelist
 from noisymis.instances import (
     PlantedInstance,
     gen_planted_bounded_degree,
     gen_planted_gnp,
-    planted_mask,
     read_instance,
     write_instance,
 )
@@ -58,7 +57,7 @@ def test_gnp_planted_always_independent():
 def test_gnp_ensure_maximal():
     inst = gen_planted_gnp(300, 0.3, 0.002, seed=5, ensure_maximal=True)
     assert is_maximal_independent_set(inst.graph, inst.planted_ids)
-    mask = planted_mask(inst)
+    mask = _member_mask(inst.graph, inst.planted_ids)
     for v in range(300):
         if not mask[v]:
             assert any(mask[u] for u in inst.graph.neighbors(v))
@@ -98,7 +97,7 @@ def test_bounded_degree_zero_is_edgeless():
 
 def test_bounded_degree_floor():
     inst = gen_planted_bounded_degree(10, 0.5, 2, seed=4)
-    mask = planted_mask(inst)
+    mask = _member_mask(inst.graph, inst.planted_ids)
     degs = inst.graph.degrees()
     for v in range(10):
         if not mask[v]:
@@ -228,7 +227,7 @@ def test_gnp_pair_frequencies_match_p():
         adj = np.zeros((n, n), dtype=bool)
         for u in range(n):
             adj[u, inst.graph.neighbors(u)] = True
-        inside = planted_mask(inst)
+        inside = _member_mask(inst.graph, inst.planted_ids)
         assert not adj[np.ix_(inside, inside)].any()
         allowed += ~np.outer(inside, inside)
         hits += adj
@@ -246,7 +245,7 @@ def test_gnp_universe_edge_counts_are_binomial():
     for seed in range(1500):
         inst = gen_planted_gnp(n, alpha, p, seed=seed)
         g = inst.graph
-        inside = planted_mask(inst)
+        inside = _member_mask(inst.graph, inst.planted_ids)
         owner = np.repeat(np.arange(n), g.degrees())
         ends_inside = inside[owner].astype(int) + inside[g.indices]
         assert not np.any(ends_inside == 2)
@@ -297,7 +296,7 @@ def test_bounded_degree_picks_are_distinct_and_uniform(monkeypatch):
         codes = captured.pop()
         forward = codes[: codes.size // 2]  # the picks, in generation order
         src, dst = forward >> shift, forward & ((1 << shift) - 1)
-        outside = np.flatnonzero(~planted_mask(inst))
+        outside = np.flatnonzero(~_member_mask(inst.graph, inst.planted_ids))
         assert np.array_equal(np.unique(src), outside)
         for u in outside:
             picks = dst[src == u]

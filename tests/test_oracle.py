@@ -36,20 +36,15 @@ def half_members(n):
 
 
 def test_config_validation():
-    OracleConfig(epsilon=0.25).validate()
+    OracleConfig(epsilon=0.25)
     with pytest.raises(ValueError, match="epsilon"):
-        OracleConfig(epsilon=0.0).validate()
+        OracleConfig(epsilon=0.0)
     with pytest.raises(ValueError, match="epsilon"):
-        OracleConfig(epsilon=0.51).validate()
+        OracleConfig(epsilon=0.51)
     with pytest.raises(ValueError, match="mode"):
-        OracleConfig(epsilon=0.25, mode="nope").validate()
+        OracleConfig(epsilon=0.25, mode="nope")
     with pytest.raises(ValueError, match="k >= 2"):
-        OracleConfig(epsilon=0.25, mode=PERSISTENT_KWISE, k=1).validate()
-
-
-def test_config_round_trip():
-    cfg = OracleConfig(epsilon=0.3, mode=PERSISTENT_KWISE, k=8, seed=42, apply_cap=False)
-    assert OracleConfig.from_dict(cfg.to_dict()) == cfg
+        OracleConfig(epsilon=0.25, mode=PERSISTENT_KWISE, k=1)
 
 
 def test_effective_epsilon_caps_persistent_only():
@@ -361,6 +356,39 @@ def test_ledger_counts_every_entry_point():
         with pytest.raises(ValueError, match="integers"):
             o.query_bool_many(verts)
     assert o.total_queries == 26 and o._rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+def test_queries_reject_ids_outside_the_universe(mode):
+    o = Oracle(half_members(3), OracleConfig(epsilon=0.25, mode=mode, seed=1))
+    batch_calls = {
+        BANDIT_BERNOULLI: [o.query_bool_many, lambda v: o.query_yes_counts(v, 5)],
+        BANDIT_GAUSSIAN: [lambda v: o.query_reward_sums(v, 5)],
+    }.get(mode, [o.query_bool_many])
+    single = o.query_real if mode == BANDIT_GAUSSIAN else o.query_bool
+    state = o._rng.bit_generator.state if hasattr(o, "_rng") else None
+    bad = (
+        [-1], [3], [0, 1, 2, 3], [2, -3], [2**40], [2**63 - 1],
+        np.array([-1]), np.array([0, 3], dtype=np.int32),
+        np.array([2**63 + 5, 2**64 - 1], dtype=np.uint64),
+    )
+    for verts in bad:
+        for call in batch_calls:
+            with pytest.raises(ValueError, match=r"range\(0, 3\)"):
+                call(verts)
+    for v in (-1, 3, 2**62):
+        with pytest.raises(ValueError, match=r"range\(0, 3\)"):
+            single(v)
+    # an id too large for int64 is refused as not an integer id
+    for call in batch_calls:
+        with pytest.raises(ValueError, match="integers"):
+            call([10**30])
+    # nothing was counted or drawn
+    assert o.total_queries == 0 and not o.ledger.per_vertex.any()
+    if state is not None:
+        assert o._rng.bit_generator.state == state
+    for call in batch_calls:
+        assert len(call([0, 1, 2])) == 3
 
 
 def test_ledger_one_query_per_distinct_vertex():
