@@ -2,8 +2,11 @@
 
 Builds the Petersen graph, compares the greedy baseline against the exact
 branch-and-bound answer, and shows why the complement of a 2-approximate
-vertex cover is the independence primitive both algorithms lean on.
+vertex cover is the independence primitive both algorithms lean on.  Every
+routine returns its vertex set as an ascending array of vertex ids.
 """
+
+import numpy as np
 
 from noisymis import (
     build_graph,
@@ -23,8 +26,8 @@ print(f"Petersen graph: n={g.n} m={g.m} max_degree={g.max_degree}")
 
 greedy = greedy_mis(g)
 exact = exact_mis(g)
-print(f"greedy MIS: {sorted(greedy)} (size {len(greedy)})")
-print(f"exact  MIS: {sorted(exact)} (size {len(exact)})")
+print(f"greedy MIS: {greedy.tolist()} (size {len(greedy)})")
+print(f"exact  MIS: {exact.tolist()} (size {len(exact)})")
 assert is_independent_set(g, greedy) and is_independent_set(g, exact)
 
 # both endpoints of a maximal matching cover every edge; the rest of the
@@ -33,13 +36,13 @@ assert is_independent_set(g, greedy) and is_independent_set(g, exact)
 # good vertex per blocker, so the complement keeps nearly everything.
 lop = build_graph(10, [(8, 0), (8, 1), (8, 2), (9, 3), (9, 4), (9, 5)])
 cover = vertex_cover_2approx(lop)
-complement = set(range(lop.n)) - cover
+complement = np.setdiff1d(np.arange(lop.n), cover)
 print(f"blockers 8 and 9 vs independent 0..7:")
-print(f"  2-approx cover: {sorted(cover)}")
-print(f"  complement:     {sorted(complement)} "
+print(f"  2-approx cover: {cover.tolist()}")
+print(f"  complement:     {complement.tolist()} "
       f"independent={is_independent_set(lop, complement)}")
 
 # greedy respects a caller-supplied visit order; a bad order costs size
 star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-print(f"star, id order:     {sorted(greedy_mis(star))}")
-print(f"star, center last:  {sorted(greedy_mis(star, [1, 2, 3, 0]))}")
+print(f"star, id order:     {greedy_mis(star).tolist()}")
+print(f"star, center last:  {greedy_mis(star, [1, 2, 3, 0]).tolist()}")

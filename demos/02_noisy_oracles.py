@@ -12,7 +12,8 @@ import numpy as np
 from noisymis import Oracle, OracleConfig, cap_flip_probability, gen_planted_gnp, make_oracle
 
 inst = gen_planted_gnp(200_000, 0.5, 0.0, seed=1)
-members = np.asarray([v in inst.planted for v in range(inst.graph.n)])
+members = np.zeros(inst.graph.n, dtype=bool)
+members[inst.planted_ids] = True
 verts = np.arange(inst.graph.n)
 
 print("empirical correctness per mode (target = 1/2 + effective eps):")

@@ -7,9 +7,13 @@ outsider neighbors, so its claimed count sits near (1/2 - eps) * deg, while
 a vertex blocking many members overshoots the threshold s_v and is dropped.
 Vertices of degree at most 36 ln n bypass the filter entirely; a final
 greedy pass over survivors plus bypassed vertices enforces independence.
+The report keeps the bypassed and surviving vertices as boolean masks over
+the vertex ids, and the output as an ascending id array.
 """
 
 import math
+
+import numpy as np
 
 from noisymis import (
     OracleConfig,
@@ -28,27 +32,29 @@ oracle = make_oracle(inst, OracleConfig(epsilon=eps, mode="persistent-random", s
 
 report = run_persistent(g, oracle)
 cutoff = 36 * math.log(n)
-print(f"instance: n={n} m={g.m} max_degree={g.max_degree} |I*|={len(inst.planted)}")
+planted = inst.planted_ids
+print(f"instance: n={n} m={g.m} max_degree={g.max_degree} |I*|={planted.size}")
 print(f"queries spent: {oracle.total_queries} (exactly one per vertex)")
 print(f"degree cutoff 36 ln n = {cutoff:.0f}: hidden-set members average degree "
-      f"{g.degrees()[sorted(inst.planted)].mean():.0f} here, so all of them bypass the filter")
-print(f"  bypassed (low degree): {len(report.low_degree)}, "
-      f"planted among them: {len(report.low_degree & inst.planted)}")
-print(f"  filtered and surviving: {len(report.surviving)}, "
-      f"planted among them: {len(report.surviving & inst.planted)}")
+      f"{g.degrees()[planted].mean():.0f} here, so all of them bypass the filter")
+print(f"  bypassed (low degree): {np.count_nonzero(report.low_degree_mask)}, "
+      f"planted among them: {np.count_nonzero(report.low_degree_mask[planted])}")
+print(f"  filtered and surviving: {np.count_nonzero(report.surviving_mask)}, "
+      f"planted among them: {np.count_nonzero(report.surviving_mask[planted])}")
 
-out = report.independent_set
-ratio = len(out) / len(inst.planted)
+out = report.independent_ids
+ratio = len(out) / planted.size
 bound = (eps / 12.0) / math.sqrt(g.max_degree * math.log(n))
-print(f"greedy over the union: {len(out)} vertices, {len(out & inst.planted)} planted, "
+print(f"greedy over the union: {len(out)} vertices, {np.intersect1d(out, planted).size} planted, "
       f"ratio {ratio:.3f} (guarantee {bound:.5f}, {ratio / bound:.0f}x margin)")
 print()
 
 # the threshold in action on two filtered vertices
 counts = neighbor_yes_counts(g, oracle)
-filtered = sorted(set(range(n)) - report.low_degree)
-dropped = max((v for v in filtered if v not in report.surviving), key=lambda v: counts[v])
-kept = min(report.surviving, key=lambda v: counts[v])
+dropped_ids = np.flatnonzero(~report.low_degree_mask & ~report.surviving_mask)
+surviving_ids = np.flatnonzero(report.surviving_mask)
+dropped = int(dropped_ids[np.argmax(counts[dropped_ids])])
+kept = int(surviving_ids[np.argmin(counts[surviving_ids])])
 for label, v in [("dropped", dropped), ("kept", kept)]:
     s_v = survival_threshold(g.degree(v), eps, n)
     print(f"  {label}: deg={g.degree(v)} claimed-member neighbors={int(counts[v])} "
@@ -59,5 +65,5 @@ print()
 # admits every blocker, leaving plain greedy on the whole graph
 for eps_eff in (0.25, 0.05):
     r = run_persistent(g, oracle, PersistentParams(epsilon_effective=eps_eff))
-    print(f"assumed eps={eps_eff:.2f}: {len(r.surviving)} survivors, "
-          f"output {len(r.independent_set)}")
+    print(f"assumed eps={eps_eff:.2f}: {np.count_nonzero(r.surviving_mask)} survivors, "
+          f"output {len(r.independent_ids)}")

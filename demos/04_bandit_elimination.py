@@ -5,8 +5,11 @@ re-queries every surviving vertex q_r times and keeps those with a majority
 of yes answers; q_r grows with the round index, so later rounds, which face
 fewer survivors, can afford near-certain verdicts.  A 2-approximate vertex
 cover of the survivors' induced subgraph turns each round's survivor set
-into a feasible answer, and the best one across rounds is kept.
+into a feasible answer, and the best one across rounds is kept, as an
+ascending array of vertex ids.
 """
+
+import numpy as np
 
 from noisymis import (
     BanditParams,
@@ -24,7 +27,8 @@ oracle = make_oracle(inst, OracleConfig(epsilon=eps, mode="bandit-bernoulli", se
 
 params = BanditParams(epsilon=eps, delta=delta)
 budget = query_budget(n, params)
-print(f"instance: n={n} m={inst.graph.m} |I*|={len(inst.planted)}")
+planted = inst.planted_ids
+print(f"instance: n={n} m={inst.graph.m} |I*|={planted.size}")
 print(f"query budget 30 n / eps^2 * ln(1/delta): {budget:,.0f}")
 print(f"per-vertex schedule q_r for r=1..5: {[query_schedule(r, params) for r in range(1, 6)]}")
 print()
@@ -42,6 +46,6 @@ print(f"terminated: {result.terminated_reason} after {len(result.trace)} rounds"
 print(f"the budget check runs after each round completes, so the final round")
 print(f"may overshoot by at most its own cost: {result.total_queries:,} spent "
       f"vs {budget:,.0f} allowed")
-out = result.independent_set
-print(f"output: {len(out)} vertices, {len(out & inst.planted)} planted, "
-      f"ratio {len(out) / len(inst.planted):.3f}, best round {result.best_round}")
+out = result.independent_ids
+print(f"output: {len(out)} vertices, {np.intersect1d(out, planted).size} planted, "
+      f"ratio {len(out) / planted.size:.3f}, best round {result.best_round}")

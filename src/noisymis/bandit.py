@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, _induce, _lazy_frozenset, _matched_mask, _sorted_ids, induced_subgraph
-from .graph import vertex_cover_2approx  # noqa: F401  (bench/traced.py times calls through this binding)
+from .graph import Graph, _induce, _sorted_ids, induced_subgraph, vertex_cover_2approx
 from .oracle import Oracle, ModeError, BANDIT_GAUSSIAN
 
 __all__ = [
@@ -65,7 +64,6 @@ class BanditResult:
     trace: list[RoundRecord] = field(default_factory=list)
     total_queries: int = 0
     terminated_reason: str = ""  # "budget" | "survivors-empty"
-    independent_set = _lazy_frozenset(lambda result: result.independent_ids)
 
 
 def log_inv_delta(delta: float) -> float:
@@ -112,15 +110,15 @@ def query_budget(n: int, params: BanditParams) -> float:
     return budget
 
 
-def elimination_round(survivors, oracle: Oracle, q: int) -> frozenset:
-    """One vote: query each survivor ``q`` times, keep majority-yes vertices.
+def elimination_round(survivors, oracle: Oracle, q: int) -> np.ndarray:
+    """One vote: query each survivor ``q`` times, return the majority-yes ones' ascending ids.
 
     A vertex is eliminated iff its yes-count (Bernoulli) or reward sum
     (Gaussian) is strictly below ``q / 2``; exact ties survive.  Requires a
     non-persistent oracle, since repeated queries must carry fresh noise.
     """
     verts = _sorted_ids(survivors, oracle.n)
-    return frozenset(verts[_majority(verts, oracle, q)].tolist())
+    return verts[_majority(verts, oracle, q)]
 
 
 def _majority(verts: np.ndarray, oracle: Oracle, q: int) -> np.ndarray:
@@ -130,15 +128,15 @@ def _majority(verts: np.ndarray, oracle: Oracle, q: int) -> np.ndarray:
     return 2 * oracle.query_yes_counts(verts, q) >= q
 
 
-def cover_complement(g: Graph, vertices) -> frozenset:
-    """Independent subset of ``vertices``: drop a 2-approximate cover of G[vertices].
+def cover_complement(g: Graph, vertices) -> np.ndarray:
+    """Independent subset of ``vertices`` as ascending ids: drop a 2-approximate cover of G[vertices].
 
     Whenever members of the hidden set outnumber outsiders 50:1 inside
     ``vertices``, the result keeps at least 49/50 of those members (each
     matched edge spends at most one member per outsider).
     """
     sub, ids = induced_subgraph(g, vertices)
-    return frozenset(ids[~_matched_mask(sub)].tolist())
+    return np.delete(ids, vertex_cover_2approx(sub))
 
 
 def run_bandit(
@@ -189,7 +187,7 @@ def run_bandit(
         # previous candidate, which depends on the survivors alone
         if candidate is None or survivors.size != before:
             sub = _induce(g, survivors) if candidate is None else _induce(sub, np.flatnonzero(keep))
-            candidate = survivors[~_matched_mask(sub)]
+            candidate = np.delete(survivors, vertex_cover_2approx(sub))
         if candidate.size > best.size:
             best = candidate
             result.best_round = r

@@ -43,8 +43,8 @@ class AmplifyParams:
     final_queries: int | None = None
 
 
-def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, seed: int = 0) -> frozenset:
-    """Majority-vote a random ``~n / ln n``-vertex sample.
+def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, seed: int = 0) -> np.ndarray:
+    """Majority-vote a random ``~n / ln n``-vertex sample; returns the kept vertices' ascending ids.
 
     Total cost is ``|sample| * queries_per_vertex``.  The subset sampling is
     the procedure's own randomness and is driven by ``seed``, separate from
@@ -66,14 +66,15 @@ def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, see
     rng = np.random.default_rng(seed)
     sampled = np.flatnonzero(rng.random(n) < prob)
     counts = oracle.query_yes_counts(sampled, q)
-    return frozenset(sampled[2 * counts >= q].tolist())
+    return sampled[2 * counts >= q]
 
 
-def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None = None) -> frozenset:
-    """Promote vertices that ``base_alg`` selects consistently, round by round.
+def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None = None) -> np.ndarray:
+    """Promote vertices that ``base_alg`` selects consistently, round by round; returns ascending ids.
 
-    ``base_alg(residual)`` gets the residual ids as a ``frozenset``, the same
-    object for every run of one round, and may return any iterable of ids (an
+    ``base_alg(residual)`` gets the residual ids as an ascending read-only
+    int64 array, the same array for every run of one round, so no run can
+    change the input of the next; it may return any iterable of ids (an
     integer array is taken as it is).  Ids outside ``range(n)`` or outside
     the residual are ignored, and so are repeats within one run; an id that
     is not an integer fitting int64 raises ``ValueError``.  Each round reruns
@@ -89,7 +90,7 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     if oracle.n != n:
         raise ValueError("oracle universe size does not match n")
     if n == 0:
-        return frozenset()
+        return np.zeros(0, dtype=np.int64)
     eps = oracle.config.epsilon
     rounds, reps = params.rounds, params.reps_per_round
     if (rounds is None or reps is None) and n < 3:
@@ -107,7 +108,8 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     for _ in range(rounds):
         if not residual.any():
             break
-        residual_ids = frozenset(np.flatnonzero(residual).tolist())
+        residual_ids = np.flatnonzero(residual)
+        residual_ids.setflags(write=False)
         votes = np.zeros(n, dtype=np.int64)
         for _ in range(reps):
             picked = _int_ids(base_alg(residual_ids), n)
@@ -121,4 +123,4 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     leftovers = np.flatnonzero(residual)
     counts = oracle.query_yes_counts(leftovers, final_q)
     promoted[leftovers[2 * counts >= final_q]] = True
-    return frozenset(np.flatnonzero(promoted).tolist())
+    return np.flatnonzero(promoted)

@@ -210,7 +210,7 @@ def _cmd_exact(args) -> int:
     instance = read_instance(args.instance)
     best = exact_mis(instance.graph)
     print(f"size={len(best)}")
-    print("set=" + ",".join(str(v) for v in sorted(best)))
+    print("set=" + ",".join(map(str, best.tolist())))
     return 0
 
 
@@ -241,8 +241,8 @@ def _cmd_verify(args) -> int:
     if not is_independent_set(instance.graph, vertices):
         print("not independent", file=sys.stderr)
         return 1
-    inside = len(vertices & instance.planted)
-    print(f"independent: size={len(vertices)} planted_overlap={inside}/{len(instance.planted)}")
+    inside = len(vertices.intersection(instance.planted_ids.tolist()))
+    print(f"independent: size={len(vertices)} planted_overlap={inside}/{instance.planted_ids.size}")
     return 0
 
 

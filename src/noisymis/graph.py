@@ -1,9 +1,9 @@
 """Immutable CSR graphs plus the combinatorial routines shared by every solver.
 
-Vertex ids are 0-based and live in ``range(g.n)``.  Inside the library a
-vertex set is an ascending int64 id array or a boolean mask over
-``range(g.n)``; public functions accept any iterable of ids and return
-``frozenset`` objects, converting once at that boundary.  Graphs are simple
+Vertex ids are 0-based and live in ``range(g.n)``.  A vertex set is an
+ascending int64 id array, or inside the library a boolean mask over
+``range(g.n)``; public functions accept any iterable of ids and return id
+arrays.  Graphs are simple
 (no self-loops, no parallel edges) and undirected, with every neighbor list
 stored in ascending order so that scan order, and therefore each algorithm
 built on top, is deterministic.
@@ -11,7 +11,6 @@ built on top, is deterministic.
 
 from __future__ import annotations
 
-import functools
 from array import array
 
 import numpy as np
@@ -286,18 +285,13 @@ def _induce(g: Graph, ids: np.ndarray) -> Graph:
     return Graph(ids.size, offsets, sub_indices)
 
 
-def greedy_mis(g: Graph, order=None) -> frozenset:
-    """First-fit maximal independent set scanned along ``order``.
+def greedy_mis(g: Graph, order=None) -> np.ndarray:
+    """First-fit maximal independent set scanned along ``order``, as ascending ids.
 
     ``order`` must be a permutation of ``range(g.n)``; the default is
     ascending vertex id.  A vertex is taken iff no earlier-taken neighbor
     exists, so the result is always maximal.
     """
-    return frozenset(_greedy_ids(g, order).tolist())
-
-
-def _greedy_ids(g: Graph, order=None) -> np.ndarray:
-    """``greedy_mis`` as an ascending id array."""
     n = g.n
     if order is None:
         scan = range(n)
@@ -316,18 +310,11 @@ def _greedy_ids(g: Graph, order=None) -> np.ndarray:
     return np.flatnonzero(~blocked)
 
 
-def vertex_cover_2approx(g: Graph) -> frozenset:
-    """Vertex cover at most twice the optimum, via greedy maximal matching.
+def vertex_cover_2approx(g: Graph) -> np.ndarray:
+    """Vertex cover at most twice the optimum, via greedy maximal matching, as ascending ids.
 
     Edges are scanned lowest endpoint first (ascending u, then ascending v
     within N(u)); both endpoints of every matched edge enter the cover.
-    """
-    return frozenset(np.flatnonzero(_matched_mask(g)).tolist())
-
-
-def _matched_mask(g: Graph) -> np.ndarray:
-    """Mask of the vertices that ``vertex_cover_2approx``'s greedy matching covers.
-
     Isolated vertices can never be matched, so only vertices of nonzero
     degree are scanned; the matching is the same as a scan over every id.
     """
@@ -343,12 +330,7 @@ def _matched_mask(g: Graph) -> np.ndarray:
             if not matched[v]:
                 matched[u] = matched[v] = 1
                 break
-    return np.frombuffer(matched, dtype=bool)
-
-
-def _lazy_frozenset(ids_of) -> functools.cached_property:
-    """Cached property: the id array ``ids_of(self)`` as a frozenset, built on first read."""
-    return functools.cached_property(lambda self: frozenset(ids_of(self).tolist()))
+    return np.flatnonzero(np.frombuffer(matched, dtype=bool))
 
 
 def _member_mask(g: Graph, s) -> np.ndarray:
@@ -386,8 +368,8 @@ def is_maximal_independent_set(g: Graph, s) -> bool:
     return bool(touched.all())
 
 
-def exact_mis(g: Graph) -> frozenset:
-    """Maximum independent set by branch and bound (only the size is canonical).
+def exact_mis(g: Graph) -> np.ndarray:
+    """Maximum independent set by branch and bound, as ascending ids (only the size is canonical).
 
     Branches on the highest-degree remaining vertex (exclude it, or include
     it and delete its neighborhood), seeded with the greedy set as incumbent.
@@ -400,7 +382,7 @@ def exact_mis(g: Graph) -> frozenset:
     for v in range(n):
         for u in g.neighbors(v).tolist():
             adj[v] |= 1 << u
-    best_mask = sum(1 << v for v in _greedy_ids(g).tolist())
+    best_mask = sum(1 << v for v in greedy_mis(g).tolist())
     best_size = best_mask.bit_count()
 
     def solve(cand: int, cur_mask: int, cur_size: int):
@@ -430,7 +412,7 @@ def exact_mis(g: Graph) -> frozenset:
         solve(cand & ~bit, cur_mask, cur_size)
 
     solve((1 << n) - 1, 0, 0)
-    return frozenset(v for v in range(n) if best_mask >> v & 1)
+    return np.flatnonzero([best_mask >> v & 1 for v in range(n)])
 
 
 def write_edgelist(g: Graph, path) -> None:

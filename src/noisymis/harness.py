@@ -22,7 +22,7 @@ import time
 import typing
 from dataclasses import dataclass, field
 
-from .graph import _sorted_ids, exact_mis, greedy_mis, is_independent_set
+from .graph import exact_mis, greedy_mis, is_independent_set
 from .oracle import (
     BANDIT_BERNOULLI,
     PERSISTENT_RANDOM,
@@ -274,13 +274,8 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
             bandit_params = _params_for(BanditParams, {k: v for k, v in config.params.items() if k == "delta"})
             delta = bandit_params.delta
 
-            # run_amplify hands every run of a round the same residual frozenset,
-            # so it becomes an id array once per round; the runs can share that
-            # array, as run_bandit copies its initial ids before sorting them
-            residual_ids = functools.lru_cache(maxsize=1)(_sorted_ids)
-
             def base(residual):
-                return run_bandit(g, oracle, bandit_params, initial=residual_ids(residual, g.n)).independent_ids
+                return run_bandit(g, oracle, bandit_params, initial=residual).independent_ids
 
             output = run_amplify(base, oracle, g.n, amplify_params)
         queries = oracle.total_queries

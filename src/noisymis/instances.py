@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _lazy_frozenset, _read_edges, _sorted_ids, _write_edges, build_graph
+from .graph import Graph, _read_edges, _sorted_ids, _write_edges, build_graph
 from .graph import _code_shift, _csr_from_codes, _edge_codes
 from .graph import is_independent_set
 
@@ -39,7 +39,6 @@ class PlantedInstance:
     graph: Graph
     planted_ids: np.ndarray
     params: dict
-    planted = _lazy_frozenset(lambda inst: inst.planted_ids)
 
     def __init__(self, graph: Graph, planted, params: dict):
         ids = _sorted_ids(planted, graph.n)

@@ -86,7 +86,13 @@ class OracleConfig:
             raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
         if self.mode not in ORACLE_MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}; expected one of {ORACLE_MODES}")
-        if self.mode == PERSISTENT_KWISE and not (isinstance(self.k, numbers.Integral) and self.k >= 2):
+        for name in ("k", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.apply_cap, bool):
+            raise ValueError(f"apply_cap must be a bool, got {self.apply_cap!r}")
+        if self.mode == PERSISTENT_KWISE and self.k < 2:
             raise ValueError(f"k-wise mode needs k >= 2, got {self.k}")
 
     @property
@@ -141,7 +147,7 @@ def _mix64(z):
 
 
 def _derive_key(seed: int, salt: int) -> np.uint64:
-    base = np.uint64((seed ^ (salt * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF)
+    base = np.uint64((int(seed) ^ (salt * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF)
     return np.uint64(_mix64(base))
 
 

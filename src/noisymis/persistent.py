@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _block_slots, _greedy_ids, _lazy_frozenset, _row_blocks, induced_subgraph
-from .graph import greedy_mis  # noqa: F401  (bench/traced.py wraps this binding; the filter calls _greedy_ids)
+from .graph import Graph, _block_slots, _row_blocks, greedy_mis, induced_subgraph
 from .oracle import Oracle, ModeError
 
 __all__ = [
@@ -54,8 +53,7 @@ class PersistentReport:
     """Everything the filtering run decided, for inspection and dumps.
 
     ``low_degree_mask`` and ``surviving_mask`` are boolean masks over the
-    vertex ids and ``independent_ids`` is ascending; ``low_degree``,
-    ``surviving`` and ``independent_set`` are frozensets built on first read.
+    vertex ids and ``independent_ids`` is ascending.
     """
 
     yes_counts: np.ndarray
@@ -65,9 +63,6 @@ class PersistentReport:
     surviving_mask: np.ndarray
     independent_ids: np.ndarray
     stats: dict = field(default_factory=dict)
-    low_degree = _lazy_frozenset(lambda report: np.flatnonzero(report.low_degree_mask))
-    surviving = _lazy_frozenset(lambda report: np.flatnonzero(report.surviving_mask))
-    independent_set = _lazy_frozenset(lambda report: report.independent_ids)
 
 
 def neighbor_yes_counts(g: Graph, oracle: Oracle) -> np.ndarray:
@@ -137,7 +132,7 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
     kept = low_mask | surviving_mask
     # when nothing was filtered out the induced subgraph is g itself
     sub, ids = (g, None) if kept.all() else induced_subgraph(g, np.flatnonzero(kept))
-    chosen = _greedy_ids(sub, _greedy_order(sub, params.greedy_order, params.order_seed))
+    chosen = greedy_mis(sub, _greedy_order(sub, params.greedy_order, params.order_seed))
     independent = chosen if ids is None else ids[chosen]
     return PersistentReport(
         yes_counts=yes,

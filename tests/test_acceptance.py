@@ -91,16 +91,16 @@ def test_a3_noiseless_exactness(criterion_report):
 
     bandit_oracle = make_oracle(inst, OracleConfig(epsilon=0.5, mode="bandit-bernoulli", seed=1))
     result = run_bandit(g, bandit_oracle, BanditParams(delta=0.1))
-    bandit_ok = result.independent_set == inst.planted and result.best_round == 1
+    bandit_ok = np.array_equal(result.independent_ids, inst.planted_ids) and result.best_round == 1
 
     pers_oracle = make_oracle(
         inst, OracleConfig(epsilon=0.5, mode="persistent-random", seed=2, apply_cap=False)
     )
     report = run_persistent(g, pers_oracle, PersistentParams(low_degree_cutoff_coeff=0.0))
     pers_ok = (
-        report.surviving == inst.planted
-        and report.independent_set == inst.planted
-        and is_maximal_independent_set(g, report.independent_set)
+        np.array_equal(np.flatnonzero(report.surviving_mask), inst.planted_ids)
+        and np.array_equal(report.independent_ids, inst.planted_ids)
+        and is_maximal_independent_set(g, report.independent_ids)
     )
     assert criterion_report(
         "A3",
@@ -127,19 +127,19 @@ def test_a4_brute_force_equivalence(criterion_report):
         exact = exact_mis(g)
 
         perfect = make_oracle(inst, OracleConfig(epsilon=0.5, mode="bandit-bernoulli", seed=i))
-        bandit_out = run_bandit(g, perfect, BanditParams(delta=0.1)).independent_set
-        if len(inst.planted) == len(exact):
+        bandit_out = run_bandit(g, perfect, BanditParams(delta=0.1)).independent_ids
+        if len(inst.planted_ids) == len(exact):
             size_checked += 1
             size_ok += len(bandit_out) == len(exact)
 
         noisy = make_oracle(inst, OracleConfig(epsilon=0.25, mode="bandit-bernoulli", seed=1000 + i))
-        outputs = [run_bandit(g, noisy, BanditParams(delta=0.1)).independent_set]
+        outputs = [run_bandit(g, noisy, BanditParams(delta=0.1)).independent_ids]
         pers = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=2000 + i))
-        outputs.append(run_persistent(g, pers).independent_set)
+        outputs.append(run_persistent(g, pers).independent_ids)
         samp = make_oracle(inst, OracleConfig(epsilon=0.25, mode="bandit-bernoulli", seed=3000 + i))
         outputs.append(run_sampler(n, samp, seed=4000 + i))
         amp = make_oracle(inst, OracleConfig(epsilon=0.25, mode="bandit-bernoulli", seed=5000 + i))
-        base = lambda residual: run_bandit(g, amp, BanditParams(delta=0.1), initial=residual).independent_set
+        base = lambda residual: run_bandit(g, amp, BanditParams(delta=0.1), initial=residual).independent_ids
         outputs.append(run_amplify(base, amp, n, AmplifyParams(rounds=2, reps_per_round=9)))
         outputs.append(greedy_mis(g))
         outputs.append(exact)
@@ -244,12 +244,13 @@ def test_a8_sampler_guarantees(criterion_report):
     t0 = time.perf_counter()
     n = 10_000
     inst = gen_planted_gnp(n, 0.5, 0.0, seed=800)
-    floor = len(inst.planted) / (2.0 * math.log(n))
+    planted = set(inst.planted_ids.tolist())
+    floor = len(planted) / (2.0 * math.log(n))
     subset_hits = size_hits = query_hits = 0
     for s in range(20):
         o = make_oracle(inst, OracleConfig(epsilon=0.25, mode="bandit-bernoulli", seed=900 + s))
         out = run_sampler(n, o, seed=1900 + s)
-        subset_hits += out <= inst.planted
+        subset_hits += set(out.tolist()) <= planted
         size_hits += len(out) >= floor
         query_hits += o.total_queries <= 4 * n / 0.25**2
     elapsed = time.perf_counter() - t0

@@ -103,7 +103,7 @@ def test_elimination_perfect_oracle_keeps_members_exactly():
     inst = gen_planted_gnp(200, 0.4, 0.05, seed=3)
     o = make_oracle(inst, bern(0.5, seed=5))
     for q in (1, 2, 7):
-        assert elimination_round(frozenset(range(200)), o, q) == inst.planted
+        assert np.array_equal(elimination_round(frozenset(range(200)), o, q), inst.planted_ids)
 
 
 def test_elimination_matches_majority_rule_and_ties_survive():
@@ -112,9 +112,9 @@ def test_elimination_matches_majority_rule_and_ties_survive():
     cfg = bern(0.05, seed=42)
     counts = Oracle(members, cfg).query_yes_counts(np.arange(60), 4)
     kept = elimination_round(frozenset(range(60)), Oracle(members, cfg), 4)
-    assert kept == frozenset(np.flatnonzero(2 * counts >= 4).tolist())
+    assert np.array_equal(kept, np.flatnonzero(2 * counts >= 4))
     assert np.any(2 * counts == 4), "no tie occurred; seed no longer exercises the boundary"
-    assert set(np.flatnonzero(2 * counts == 4).tolist()) <= kept
+    assert set(np.flatnonzero(2 * counts == 4).tolist()) <= set(kept.tolist())
 
 
 def test_elimination_gaussian_rule():
@@ -122,14 +122,14 @@ def test_elimination_gaussian_rule():
     cfg = OracleConfig(epsilon=0.2, mode=BANDIT_GAUSSIAN, seed=9)
     sums = Oracle(members, cfg).query_reward_sums(np.arange(50), 6)
     kept = elimination_round(frozenset(range(50)), Oracle(members, cfg), 6)
-    assert kept == frozenset(np.flatnonzero(sums >= 3.0).tolist())
+    assert np.array_equal(kept, np.flatnonzero(sums >= 3.0))
 
 
 def test_elimination_q1_keeps_iff_single_yes():
     members = np.arange(40) % 3 == 0
     cfg = bern(0.5, seed=0)
     kept = elimination_round(frozenset(range(40)), Oracle(members, cfg), 1)
-    assert kept == frozenset(np.flatnonzero(members).tolist())
+    assert np.array_equal(kept, np.flatnonzero(members))
 
 
 def test_elimination_ledger_and_subset():
@@ -137,7 +137,7 @@ def test_elimination_ledger_and_subset():
     o = make_oracle(inst, bern(0.25, seed=2))
     survivors = frozenset(range(0, 90, 2))
     kept = elimination_round(survivors, o, 11)
-    assert kept <= survivors
+    assert set(kept.tolist()) <= survivors
     assert o.total_queries == len(survivors) * 11
     assert all(o.queries_for(v) == 11 for v in survivors)
 
@@ -165,7 +165,7 @@ def test_nonmember_survival_rate_below_chernoff():
 
 def test_cover_complement_edgeless_keeps_all():
     g = build_graph(8, [])
-    assert cover_complement(g, frozenset(range(8))) == frozenset(range(8))
+    assert cover_complement(g, frozenset(range(8))).tolist() == list(range(8))
 
 
 def test_cover_complement_is_independent_subset():
@@ -177,7 +177,7 @@ def test_cover_complement_is_independent_subset():
         g = build_graph(n, edges)
         verts = frozenset(int(v) for v in rng.choice(n, size=max(1, n // 2), replace=False))
         out = cover_complement(g, verts)
-        assert out <= verts
+        assert set(out.tolist()) <= verts
         assert is_independent_set(g, out)
 
 
@@ -185,13 +185,13 @@ def test_cover_complement_lopsided_survivors():
     # hidden members outnumber outsiders 60:1, so each matched edge burns at
     # most one member per outsider: at least 295 of 300 members remain
     inst = gen_planted_gnp(400, 0.75, 0.02, seed=11)
-    planted = inst.planted
+    planted = set(inst.planted_ids.tolist())
     assert len(planted) == 300
     outsiders = sorted(set(range(400)) - planted)[:5]
     survivors = planted | set(outsiders)
     out = cover_complement(inst.graph, survivors)
     assert is_independent_set(inst.graph, out)
-    assert len(out & planted) >= 295
+    assert len(set(out.tolist()) & planted) >= 295
     assert len(out) >= math.ceil((49 / 50) * len(planted))
 
 
@@ -202,9 +202,9 @@ def test_run_perfect_oracle_returns_planted_in_round_one():
     inst = gen_planted_gnp(300, 0.4, 0.03, seed=21, ensure_maximal=True)
     o = make_oracle(inst, bern(0.5, seed=4))
     result = run_bandit(inst.graph, o, BanditParams(delta=0.1))
-    assert result.independent_set == inst.planted
+    assert np.array_equal(result.independent_ids, inst.planted_ids)
     assert result.best_round == 1
-    assert result.trace[0].survivors_after == len(inst.planted)
+    assert result.trace[0].survivors_after == len(inst.planted_ids)
     assert result.trace[0].cover_size == 0
 
 
@@ -216,7 +216,7 @@ def test_run_edgeless_candidates_equal_survivors():
     for rec in result.trace:
         assert rec.cover_size == 0
         assert rec.candidate_size == rec.survivors_after
-    assert result.independent_set == frozenset(range(30))
+    assert result.independent_ids.tolist() == list(range(30))
 
 
 def test_run_trace_invariants_and_budget_overshoot():
@@ -240,9 +240,9 @@ def test_run_trace_invariants_and_budget_overshoot():
     # by at most its own cost
     assert trace[-2].cumulative_queries <= budget
     assert result.total_queries <= budget + trace[-1].survivors_before * trace[-1].q
-    assert len(result.independent_set) == max(r.candidate_size for r in trace)
-    assert result.best_round == min(r.r for r in trace if r.candidate_size == len(result.independent_set))
-    assert is_independent_set(inst.graph, result.independent_set)
+    assert len(result.independent_ids) == max(r.candidate_size for r in trace)
+    assert result.best_round == min(r.r for r in trace if r.candidate_size == len(result.independent_ids))
+    assert is_independent_set(inst.graph, result.independent_ids)
 
 
 def test_run_restricted_to_initial_subset():
@@ -250,7 +250,7 @@ def test_run_restricted_to_initial_subset():
     o = make_oracle(inst, bern(0.25, seed=42))
     initial = range(100)
     result = run_bandit(inst.graph, o, BanditParams(delta=0.1), initial=initial)
-    assert result.independent_set <= set(initial)
+    assert set(result.independent_ids.tolist()) <= set(initial)
     assert np.all(o.ledger.per_vertex[100:] == 0)
     # the budget scales with the subset, not the whole graph
     if result.terminated_reason == "budget":
@@ -263,14 +263,14 @@ def test_run_empty_cases():
     g = build_graph(0, [])
     o = Oracle(np.zeros(0, dtype=bool), bern(0.25))
     result = run_bandit(g, o)
-    assert result.independent_set == frozenset()
+    assert result.independent_ids.size == 0
     assert result.terminated_reason == "survivors-empty"
     assert result.total_queries == 0 and result.trace == []
 
     inst = gen_planted_gnp(10, 0.5, 0.2, seed=0)
     o = make_oracle(inst, bern(0.25))
     result = run_bandit(inst.graph, o, initial=[])
-    assert result.independent_set == frozenset() and result.total_queries == 0
+    assert result.independent_ids.size == 0 and result.total_queries == 0
 
 
 def test_run_validation_errors():
@@ -287,8 +287,8 @@ def test_run_gaussian_mode_end_to_end():
     inst = gen_planted_gnp(150, 0.4, 0.05, seed=51, ensure_maximal=True)
     o = make_oracle(inst, OracleConfig(epsilon=0.25, mode=BANDIT_GAUSSIAN, seed=52))
     result = run_bandit(inst.graph, o, BanditParams(delta=0.1))
-    assert is_independent_set(inst.graph, result.independent_set)
-    assert len(result.independent_set) >= 0.9 * len(inst.planted)
+    assert is_independent_set(inst.graph, result.independent_ids)
+    assert len(result.independent_ids) >= 0.9 * len(inst.planted_ids)
 
 
 def test_run_output_independent_on_noisy_instances():
@@ -296,7 +296,7 @@ def test_run_output_independent_on_noisy_instances():
         inst = gen_planted_gnp(120, 0.3, 0.08, seed=seed)
         o = make_oracle(inst, bern(0.25, seed=seed + 100))
         result = run_bandit(inst.graph, o, BanditParams(delta=0.2))
-        assert is_independent_set(inst.graph, result.independent_set)
+        assert is_independent_set(inst.graph, result.independent_ids)
 
 
 def test_two_rounds_clean_almost_all_noise():
@@ -304,7 +304,7 @@ def test_two_rounds_clean_almost_all_noise():
     # alpha*n/100 outsiders survive and at least (49/50)*alpha*n members do,
     # in >= 90% of trials
     inst = gen_planted_gnp(2000, 0.5, 0.005, seed=61)
-    planted = inst.planted
+    planted = set(inst.planted_ids.tolist())
     assert len(planted) == 1000
     params = BanditParams(epsilon=0.25, delta=0.1)
     q1, q2 = query_schedule(1, params), query_schedule(2, params)
@@ -314,7 +314,7 @@ def test_two_rounds_clean_almost_all_noise():
     for seed in range(trials):
         o = make_oracle(inst, bern(0.25, seed=1000 + seed))
         v1 = elimination_round(frozenset(range(2000)), o, q1)
-        v2 = elimination_round(v1, o, q2)
+        v2 = set(elimination_round(v1, o, q2).tolist())
         if len(v2 - planted) <= 10 and len(v2 & planted) >= 980:
             good += 1
     assert good >= 45

@@ -32,15 +32,15 @@ def test_sampler_perfect_oracle_returns_sampled_members():
     # reproduce the sample with the same generator stream
     prob = 1.0 / math.log(n)
     sampled = np.flatnonzero(np.random.default_rng(7).random(n) < prob)
-    assert out == frozenset(sampled.tolist()) & inst.planted
-    assert out <= set(sampled.tolist())
+    assert np.array_equal(out, np.intersect1d(sampled, inst.planted_ids))
+    assert set(out.tolist()) <= set(sampled.tolist())
 
 
 def test_sampler_full_probability_classifies_everything():
     inst = gen_planted_gnp(60, 0.5, 0.1, seed=3)
     o = make_oracle(inst, bern(0.5, seed=4))
     out = run_sampler(60, o, SamplerParams(sample_prob=1.0), seed=0)
-    assert out == inst.planted
+    assert np.array_equal(out, inst.planted_ids)
     assert np.all(o.ledger.per_vertex > 0)
 
 
@@ -58,7 +58,7 @@ def test_sampler_query_accounting():
     expect = n / math.log(n)
     sigma = math.sqrt(n * (1 / math.log(n)) * (1 - 1 / math.log(n)))
     assert abs(sampled.size - expect) <= 3 * sigma
-    assert out <= set(sampled.tolist())
+    assert set(out.tolist()) <= set(sampled.tolist())
 
 
 def test_sampler_appendix_guarantees():
@@ -66,12 +66,13 @@ def test_sampler_appendix_guarantees():
     # always, and at least |I*| / (2 ln n) vertices in most trials
     n = 10_000
     inst = gen_planted_gnp(n, 0.5, 0.0, seed=800)
-    floor = len(inst.planted) / (2.0 * math.log(n))
+    planted = set(inst.planted_ids.tolist())
+    floor = len(planted) / (2.0 * math.log(n))
     subset_ok = size_ok = 0
     for s in range(20):
         o = make_oracle(inst, bern(0.25, seed=900 + s))
         out = run_sampler(n, o, seed=1900 + s)
-        subset_ok += out <= inst.planted
+        subset_ok += set(out.tolist()) <= planted
         size_ok += len(out) >= floor
         assert o.total_queries <= 4 * n / 0.25**2
     assert subset_ok >= 19
@@ -97,7 +98,7 @@ def test_sampler_validation():
     for n, oracle, params in ((0, Oracle(np.zeros(0, dtype=bool), bern(0.25)), None),
                               (30, make_oracle(inst, bern(0.25)), SamplerParams(sample_prob=1e-9))):
         state = oracle._rng.bit_generator.state
-        assert run_sampler(n, oracle, params) == frozenset()
+        assert run_sampler(n, oracle, params).size == 0
         assert oracle.total_queries == 0 and oracle._rng.bit_generator.state == state
 
 
@@ -107,14 +108,14 @@ def test_sampler_validation():
 def test_amplify_perfect_base_and_oracle():
     inst = gen_planted_gnp(100, 0.4, 0.05, seed=10)
     o = make_oracle(inst, bern(0.5, seed=11))
-    base = lambda residual: inst.planted & residual
+    base = lambda residual: np.intersect1d(inst.planted_ids, residual)
     out = run_amplify(base, o, 100)
-    assert out == inst.planted
+    assert np.array_equal(out, inst.planted_ids)
     # a base that selects every vertex promotes them all in the first round:
     # the final sweep is empty, so it records no query and draws no noise
     o = make_oracle(inst, bern(0.5, seed=11))
     state = o._rng.bit_generator.state
-    assert run_amplify(lambda residual: residual, o, 100) == frozenset(range(100))
+    assert run_amplify(lambda residual: residual, o, 100).tolist() == list(range(100))
     assert o.total_queries == 0 and o._rng.bit_generator.state == state
 
 
@@ -132,11 +133,11 @@ def test_amplify_fixed_subset_promoted_after_one_round():
     calls = []
 
     def base(residual):
-        calls.append(set(residual))
+        calls.append(set(residual.tolist()))
         return chunk
 
     out = run_amplify(base, o, n, AmplifyParams(rounds=1, reps_per_round=5, final_queries=3))
-    assert out == planted
+    assert set(out.tolist()) == planted
     assert len(calls) == 5
     assert all(c == set(range(n)) for c in calls)
 
@@ -155,7 +156,7 @@ def test_amplify_promotion_threshold_is_half_the_reps():
         return script.pop(0)
 
     out = run_amplify(base, o, n, AmplifyParams(rounds=1, reps_per_round=4, final_queries=5))
-    assert out == {0, 1}
+    assert out.tolist() == [0, 1]
     assert not script
 
 
@@ -170,11 +171,11 @@ def test_amplify_round_votes_ignore_nonresidual_vertices():
     seen = []
 
     def base(residual):
-        seen.append(frozenset(residual))
+        seen.append(residual.tolist())
         return {0, 1, 2, 3, 4, 5}
 
     out = run_amplify(base, o, n, AmplifyParams(rounds=3, reps_per_round=2, final_queries=1))
-    assert out == frozenset(range(6))
+    assert out.tolist() == list(range(6))
     # residual empties after round 1, so rounds 2..3 skip the base entirely
     assert len(seen) == 2
 
@@ -191,32 +192,33 @@ def test_amplify_drops_bad_ids_and_accepts_any_iterable():
     runs = [[-1, -6, 6, 99, 2, 2, 2], [-1, -6, 6, 99, 2], (v for v in (3, 3, -3, 4)), iter([])]
 
     def base(residual):
-        assert isinstance(residual, frozenset)
+        assert isinstance(residual, np.ndarray) and residual.dtype == np.int64
         return runs.pop(0)
 
     # a noiseless oracle answers no for every vertex, so only votes promote;
     # 2 of 4 runs name vertex 2; vertices 5 (via -1) and 0 (via -6) must not count
     out = run_amplify(base, o, n, AmplifyParams(rounds=1, reps_per_round=4, final_queries=1))
-    assert out == {2}
+    assert out.tolist() == [2]
     assert not runs
     # a base that returns a bare generator over several rounds
     o2 = make_oracle(inst, bern(0.5, seed=16))
-    out = run_amplify(lambda residual: (v for v in sorted(residual) if v % 2), o2, n,
+    out = run_amplify(lambda residual: (v for v in residual.tolist() if v % 2), o2, n,
                       AmplifyParams(rounds=2, reps_per_round=3, final_queries=1))
-    assert out == {1, 3, 5}
-    # every run of a round gets the same residual object, and an integer array
-    # is taken as it is
+    assert out.tolist() == [1, 3, 5]
+    # every run of a round gets the same read-only residual array, and an
+    # integer array is taken as it is
     seen = []
 
     def array_base(residual):
         seen.append(residual)
-        return np.array([v for v in sorted(residual) if v % 2 == 0] + [-1, 9], dtype=np.int32)
+        return np.array([v for v in residual.tolist() if v % 2 == 0] + [-1, 9], dtype=np.int32)
 
     out = run_amplify(array_base, make_oracle(inst, bern(0.5, seed=17)), n,
                       AmplifyParams(rounds=2, reps_per_round=3, final_queries=1))
-    assert out == {0, 2, 4}
-    assert len(seen) == 6 and seen[0] is seen[1] is seen[2] == frozenset(range(n))
-    assert seen[3] is seen[4] is seen[5] == {1, 3, 5}
+    assert out.tolist() == [0, 2, 4]
+    assert len(seen) == 6 and seen[0] is seen[1] is seen[2] and seen[0].tolist() == list(range(n))
+    assert seen[3] is seen[4] is seen[5] and seen[3].tolist() == [1, 3, 5]
+    assert not any(residual.flags.writeable for residual in seen)
     # an id that is not an integer raises instead of voting for a truncated id
     o3 = make_oracle(inst, bern(0.5, seed=18))
     for picks in ([1.5], np.array([1.5]), np.array([True, False]), [2**63]):
@@ -227,7 +229,7 @@ def test_amplify_drops_bad_ids_and_accepts_any_iterable():
 
 def test_amplify_validation():
     inst = gen_planted_gnp(30, 0.5, 0.1, seed=0)
-    base = lambda residual: inst.planted & residual
+    base = lambda residual: np.intersect1d(inst.planted_ids, residual)
     pers = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random"))
     with pytest.raises(ModeError):
         run_amplify(base, pers, 30)
@@ -242,7 +244,7 @@ def test_amplify_validation():
     o2 = make_oracle(two, bern(0.25))
     with pytest.raises(ValueError, match="n >= 3"):
         run_amplify(base, o2, 2)
-    assert run_amplify(base, Oracle(np.zeros(0, dtype=bool), bern(0.25)), 0) == frozenset()
+    assert run_amplify(base, Oracle(np.zeros(0, dtype=bool), bern(0.25)), 0).size == 0
 
 
 def test_amplify_recovers_planted_with_bandit_base():
@@ -256,8 +258,8 @@ def test_amplify_recovers_planted_with_bandit_base():
         o = make_oracle(inst, bern(0.25, seed=500 + t))
 
         def base(residual):
-            return run_bandit(inst.graph, o, BanditParams(delta=0.1), initial=residual).independent_set
+            return run_bandit(inst.graph, o, BanditParams(delta=0.1), initial=residual).independent_ids
 
-        wins += run_amplify(base, o, n) == inst.planted
+        wins += np.array_equal(run_amplify(base, o, n), inst.planted_ids)
     assert wins >= 8
 

@@ -43,7 +43,7 @@ def test_gen_writes_readable_instance(tmp_path, capsys):
     assert "planted=10" in capsys.readouterr().out
     inst = read_instance(path)
     assert inst.graph.n == 20
-    assert len(inst.planted) == 10
+    assert len(inst.planted_ids) == 10
 
 
 def test_gen_maximal_flag(tmp_path):
@@ -212,7 +212,7 @@ def reference_filter_dump(config, details):
         for v in range(g.n):
             lines.append(
                 f"{seed},{v},{int(degs[v])},{int(report.yes_counts[v])},{float(thresholds[v])!r},"
-                f"{str(v in report.low_degree).lower()},{str(v in report.surviving).lower()}\n"
+                f"{str(bool(report.low_degree_mask[v])).lower()},{str(bool(report.surviving_mask[v])).lower()}\n"
             )
     return "".join(lines)
 
@@ -353,24 +353,24 @@ def test_exact_refuses_large_instances(tmp_path, capsys):
 
 def test_verify_paths(inst_path, tmp_path, capsys):
     inst = read_instance(inst_path)
-    ok = ",".join(str(v) for v in sorted(inst.planted))
+    ok = ",".join(map(str, inst.planted_ids.tolist()))
     assert main(["verify", "--instance", inst_path, "--set", ok]) == 0
     out = capsys.readouterr().out
-    assert "independent:" in out and f"planted_overlap={len(inst.planted)}/{len(inst.planted)}" in out
+    assert "independent:" in out and f"planted_overlap={len(inst.planted_ids)}/{len(inst.planted_ids)}" in out
 
     u, v = next((a, b) for a in range(20) for b in inst.graph.neighbors(a).tolist() if a < b)
     assert main(["verify", "--instance", inst_path, "--set", f"{u},{v}"]) == 1
     assert "not independent" in capsys.readouterr().err
 
     listing = tmp_path / "set.txt"
-    listing.write_text("\n".join(str(x) for x in sorted(inst.planted)) + "\n")
+    listing.write_text("\n".join(map(str, inst.planted_ids.tolist())) + "\n")
     assert main(["verify", "--instance", inst_path, "--set", str(listing)]) == 0
 
     assert main(["verify", "--instance", inst_path, "--set", "99"]) == 1
     # text that names no file and holds no id is the empty set
     capsys.readouterr()
     assert main(["verify", "--instance", inst_path, "--set", ""]) == 0
-    assert f"size=0 planted_overlap=0/{len(inst.planted)}" in capsys.readouterr().out
+    assert f"size=0 planted_overlap=0/{len(inst.planted_ids)}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("bad", ["file", "list", "float"])

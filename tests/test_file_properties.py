@@ -51,7 +51,7 @@ def test_edge_list_and_instance_files_round_trip(inst):
         assert read_edgelist(edges_path) == inst.graph
         back = read_instance(inst_path)
     assert back.graph == inst.graph
-    assert back.planted == inst.planted
+    assert back.planted_ids.tolist() == inst.planted_ids.tolist()
     assert back.params == inst.params
     assert inst.graph._owner is None
 

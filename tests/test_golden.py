@@ -70,7 +70,7 @@ def _next_draw(o) -> int | float:
 def _bandit_case(g, o, params, initial):
     result = run_bandit(g, o, params, initial=initial)
     return {
-        "independent_set": _ids(result.independent_set),
+        "independent_set": _ids(result.independent_ids),
         "best_round": result.best_round,
         "total_queries": result.total_queries,
         "terminated_reason": result.terminated_reason,
@@ -94,13 +94,13 @@ def compute() -> dict:
             subset = frozenset(np.flatnonzero(rng.random(n) < frac).tolist())
             out[f"{name}/cover_complement-{i}"] = _ids(cover_complement(g, subset))
         out[f"{name}/cover_complement-planted-plus"] = _ids(
-            cover_complement(g, inst.planted | frozenset(range(0, n, 7)))
+            cover_complement(g, np.union1d(inst.planted_ids, np.arange(0, n, 7)))
         )
 
         for mode in (BANDIT_BERNOULLI, BANDIT_GAUSSIAN):
             o = make_oracle(inst, OracleConfig(epsilon=0.2, mode=mode, seed=n + 1))
             kept = elimination_round(frozenset(range(n)), o, 9)
-            kept2 = elimination_round(kept | frozenset(range(0, n, 5)), o, 4)
+            kept2 = elimination_round(np.union1d(kept, np.arange(0, n, 5)), o, 4)
             out[f"{name}/elimination/{mode}"] = {
                 "first": _ids(kept),
                 "second": _ids(kept2),
@@ -129,9 +129,9 @@ def compute() -> dict:
             report = run_persistent(g, o, params)
             key = f"{name}/persistent/{mode}/{params.low_degree_cutoff_coeff}-{params.greedy_order}"
             out[key] = {
-                "independent_set": _ids(report.independent_set),
-                "low_degree": _ids(report.low_degree),
-                "surviving": _ids(report.surviving),
+                "independent_set": _ids(report.independent_ids),
+                "low_degree": _ids(np.flatnonzero(report.low_degree_mask)),
+                "surviving": _ids(np.flatnonzero(report.surviving_mask)),
                 "yes_counts_sha256": hashlib.sha256(report.yes_counts.astype("<i8").tobytes()).hexdigest(),
                 "ledger": _ledger(o),
             }
@@ -149,7 +149,7 @@ def compute() -> dict:
         o = make_oracle(inst, OracleConfig(epsilon=eps, mode=BANDIT_BERNOULLI, seed=g.n + 9))
 
         def base(residual, g=g, o=o):
-            return run_bandit(g, o, BanditParams(delta=0.1), initial=residual).independent_set
+            return run_bandit(g, o, BanditParams(delta=0.1), initial=residual).independent_ids
 
         promoted = run_amplify(base, o, g.n, params)
         out[f"amplify/{name}"] = {"output": _ids(promoted), "ledger": _ledger(o), "next_draw": _next_draw(o)}

@@ -356,19 +356,19 @@ def test_vertex_ids_that_are_not_integers_are_rejected(ids):
 
 def test_greedy_on_five_cycle():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert greedy_mis(g) == frozenset({0, 2})
+    assert greedy_mis(g).tolist() == [0, 2]
 
 
 def test_greedy_can_be_suboptimal():
     # center scanned first blocks both leaves
     g = build_graph(3, [(0, 1), (0, 2)])
-    assert greedy_mis(g) == frozenset({0})
-    assert exact_mis(g) == frozenset({1, 2})
+    assert greedy_mis(g).tolist() == [0]
+    assert exact_mis(g).tolist() == [1, 2]
 
 
 def test_greedy_respects_order():
     g = build_graph(3, [(0, 1), (0, 2)])
-    assert greedy_mis(g, order=[1, 2, 0]) == frozenset({1, 2})
+    assert greedy_mis(g, order=[1, 2, 0]).tolist() == [1, 2]
 
 
 def test_greedy_order_must_be_permutation():
@@ -399,7 +399,7 @@ def two_mask_greedy(g, order=None):
         if not blocked[v]:
             chosen[v] = True
             blocked[g.neighbors(v)] = True
-    return frozenset(np.flatnonzero(chosen).tolist())
+    return np.flatnonzero(chosen)
 
 
 def test_greedy_matches_two_mask_reference():
@@ -407,10 +407,10 @@ def test_greedy_matches_two_mask_reference():
     graphs = [build_graph(0, []), build_graph(6, [])]
     graphs += [random_graph(rng, int(rng.integers(1, 40)), float(rng.uniform(0.02, 0.7))) for _ in range(40)]
     for g in graphs:
-        assert greedy_mis(g) == two_mask_greedy(g)
+        assert np.array_equal(greedy_mis(g), two_mask_greedy(g))
         for _ in range(3):
             order = rng.permutation(g.n)
-            assert greedy_mis(g, order) == two_mask_greedy(g, order.tolist())
+            assert np.array_equal(greedy_mis(g, order), two_mask_greedy(g, order.tolist()))
 
 
 # -- vertex cover -------------------------------------------------------------
@@ -418,7 +418,7 @@ def test_greedy_matches_two_mask_reference():
 
 def test_cover_on_path():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert vertex_cover_2approx(g) == frozenset({0, 1, 2, 3})
+    assert vertex_cover_2approx(g).tolist() == [0, 1, 2, 3]
 
 
 def test_cover_covers_all_edges_and_is_2approx():
@@ -433,7 +433,7 @@ def test_cover_covers_all_edges_and_is_2approx():
         optimum = g.n - brute_force_mis_size(g)
         assert len(cover) <= 2 * optimum
         # complement of a cover is independent
-        assert is_independent_set(g, frozenset(range(g.n)) - cover)
+        assert is_independent_set(g, np.setdiff1d(np.arange(g.n), cover))
 
 
 def reference_cover(g):
@@ -451,7 +451,7 @@ def reference_cover(g):
                 matched[u] = True
                 matched[v] = True
                 break
-    return frozenset(v for v in range(n) if matched[v])
+    return np.flatnonzero(matched)
 
 
 def sparse_graphs(rng):
@@ -470,9 +470,9 @@ def sparse_graphs(rng):
 def test_cover_matches_all_vertex_reference():
     rng = np.random.default_rng(31)
     for g in sparse_graphs(rng):
-        assert vertex_cover_2approx(g) == reference_cover(g)
+        assert np.array_equal(vertex_cover_2approx(g), reference_cover(g))
         sub, ids = induced_subgraph(g, rng.permutation(g.n)[: g.n // 2])
-        assert vertex_cover_2approx(sub) == reference_cover(sub)
+        assert np.array_equal(vertex_cover_2approx(sub), reference_cover(sub))
 
 
 def test_cover_against_networkx_matching():
@@ -594,7 +594,7 @@ def test_membership_predicates_match_one_shot_references(monkeypatch, chunk):
     seen = set()
     for g in graphs:
         greedy = np.zeros(g.n, dtype=bool)
-        greedy[list(greedy_mis(g))] = True
+        greedy[greedy_mis(g)] = True
         masks = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool), greedy]
         masks += [rng.random(g.n) < q for q in (0.1, 0.5)]
         for v in range(min(g.n, 4)):
@@ -640,14 +640,14 @@ def test_exact_complement_is_minimum_cover():
     for _ in range(15):
         n = int(rng.integers(2, 13))
         g = random_graph(rng, n, 0.4)
-        cover = frozenset(range(n)) - exact_mis(g)
+        cover = np.setdiff1d(np.arange(n), exact_mis(g))
         for u in range(g.n):
             for v in g.neighbors(u).tolist():
                 assert u in cover or v in cover
 
 
 def test_exact_edgeless_and_complete():
-    assert exact_mis(build_graph(6, [])) == frozenset(range(6))
+    assert exact_mis(build_graph(6, [])).tolist() == list(range(6))
     complete = build_graph(5, list(itertools.combinations(range(5), 2)))
     assert len(exact_mis(complete)) == 1
 

@@ -135,7 +135,7 @@ def test_instance_path_reused_across_trials(tmp_path):
     cfg = gnp_config(instance={"path": str(path)}, trials=3)
     records = run_experiment(cfg)
     assert {r.m for r in records} == {inst.graph.m}
-    assert {r.planted_size for r in records} == {len(inst.planted)}
+    assert {r.planted_size for r in records} == {len(inst.planted_ids)}
     # greedy on a fixed instance is deterministic across trial seeds
     assert len({(r.output_size, r.ratio) for r in records}) == 1
 
@@ -203,7 +203,7 @@ def test_param_values_of_the_declared_types_are_accepted():
                 "greedy_order": "degree", "order_seed": 3},
     )
     record, report = run_trial(cfg, 1)
-    assert record.total_queries == record.n and report.independent_set
+    assert record.total_queries == record.n and report.independent_ids.size
 
 
 def test_output_must_be_a_path_string():
@@ -434,43 +434,32 @@ def test_trials_read_only_the_id_arrays(monkeypatch):
         config = ExperimentConfig(algorithm=algorithm, instance=instance, oracle={"epsilon": 0.25})
         record, detail = run_trial(config, 5)
         inst = made.pop()
-        # nothing on the run path builds the planted or the output frozenset
-        assert "planted" not in vars(inst) and "independent_set" not in vars(detail)
         ids = detail.independent_ids
         assert record.planted_size == inst.planted_ids.size and record.output_size == ids.size > 0
         assert ids.dtype == np.int64 and np.all(np.diff(ids) > 0)
-        # once read, each frozenset holds its array's ids and is kept
-        assert inst.planted == frozenset(inst.planted_ids.tolist()) and vars(inst)["planted"] is inst.planted
-        assert detail.independent_set == frozenset(ids.tolist())
-        assert vars(detail)["independent_set"] is detail.independent_set
-    # amplify: each round's residual frozenset becomes an id array once, and
-    # no elimination run builds its output frozenset
-    results, kinds = [], []
-    run_bandit, sorted_ids_of = harness.run_bandit, harness._sorted_ids
+    # amplify: every elimination run of a round starts from that round's one
+    # read-only residual id array
+    residuals = []
+    run_bandit = harness.run_bandit
 
-    def bandit(*args, **kwargs):
-        results.append(run_bandit(*args, **kwargs))
-        return results[-1]
-
-    def sorted_ids(vertices, n):
-        kinds.append(type(vertices))
-        return sorted_ids_of(vertices, n)
+    def bandit(*args, initial, **kwargs):
+        residuals.append(initial)
+        return run_bandit(*args, initial=initial, **kwargs)
 
     monkeypatch.setattr(harness, "run_bandit", bandit)
-    monkeypatch.setattr(harness, "_sorted_ids", sorted_ids)
     rounds = 3
     config = ExperimentConfig(algorithm="amplify", instance=instance, oracle={"epsilon": 0.25},
                               params={"rounds": rounds, "reps_per_round": 7})
     record, _ = run_trial(config, 5)
-    inst = made.pop()
-    assert "planted" not in vars(inst) and record.output_size > 0
-    assert len(results) > rounds and not any("independent_set" in vars(result) for result in results)
-    assert 1 <= kinds.count(frozenset) <= rounds and set(kinds) == {frozenset}
+    assert record.output_size > 0 and len(residuals) > rounds
+    assert 1 <= len({id(residual) for residual in residuals}) <= rounds
+    for residual in residuals:
+        assert residual.dtype == np.int64 and not residual.flags.writeable and np.all(np.diff(residual) > 0)
 
 
 def amplify_reference(config, seed):
-    # the public reduction with the frozenset base, built from the trial's own
-    # instance and oracle seeds
+    # the public reduction with a base that runs on frozensets, built from the
+    # trial's own instance and oracle seeds
     instance = harness._build_instance(config.instance, seed)
     oracle = harness.make_oracle(instance, harness._oracle_config(config, seed))
     g = instance.graph
@@ -478,7 +467,8 @@ def amplify_reference(config, seed):
     amplify = harness.AmplifyParams(**config.params)
 
     def base(residual):
-        return harness.run_bandit(g, oracle, params, initial=residual).independent_set
+        result = harness.run_bandit(g, oracle, params, initial=frozenset(residual.tolist()))
+        return frozenset(result.independent_ids.tolist())
 
     return harness.run_amplify(base, oracle, g.n, amplify), oracle
 
@@ -499,7 +489,7 @@ def test_amplify_trial_equals_the_public_frozenset_reduction(monkeypatch, seed):
     [(output, oracle)] = seen
     monkeypatch.undo()
     want, reference = amplify_reference(config, seed)
-    assert output == want and record.output_size == len(want) > 0
+    assert np.array_equal(output, want) and record.output_size == len(want) > 0
     assert oracle.total_queries == reference.total_queries == record.total_queries
     assert oracle._rng.random() == reference._rng.random()
 
@@ -507,7 +497,7 @@ def test_amplify_trial_equals_the_public_frozenset_reduction(monkeypatch, seed):
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
-    assert "result.independent_set & inst.planted" in example
+    assert "np.intersect1d(result.independent_ids, inst.planted_ids)" in example
     exec(example, {})
     overlap, queries = map(int, capsys.readouterr().out.split())
     assert 0 < overlap <= 900 and queries > 0

@@ -26,8 +26,8 @@ from noisymis.instances import (
 def test_gnp_zero_probability_is_edgeless():
     inst = gen_planted_gnp(10, 0.5, 0.0, seed=0)
     assert inst.graph.m == 0
-    assert len(inst.planted) == 5
-    assert is_independent_set(inst.graph, inst.planted)
+    assert len(inst.planted_ids) == 5
+    assert is_independent_set(inst.graph, inst.planted_ids)
 
 
 def test_gnp_full_probability_unique_maximum():
@@ -35,12 +35,12 @@ def test_gnp_full_probability_unique_maximum():
     # maximum independent set
     inst = gen_planted_gnp(10, 0.5, 1.0, seed=3)
     assert inst.graph.m == 35  # C(10,2) - C(5,2)
-    assert exact_mis(inst.graph) == inst.planted
+    assert np.array_equal(exact_mis(inst.graph), inst.planted_ids)
 
 
 def test_gnp_edge_count_moment():
     inst = gen_planted_gnp(2000, 0.3, 0.01, seed=7)
-    assert len(inst.planted) == 600
+    assert len(inst.planted_ids) == 600
     pairs = 1400 * 1399 // 2 + 1400 * 600
     mu = 0.01 * pairs
     sigma = math.sqrt(pairs * 0.01 * 0.99)
@@ -50,8 +50,8 @@ def test_gnp_edge_count_moment():
 def test_gnp_planted_always_independent():
     for seed in range(8):
         inst = gen_planted_gnp(150, 0.35, 0.15, seed=seed)
-        assert is_independent_set(inst.graph, inst.planted)
-        assert len(inst.planted) == math.floor(0.35 * 150)
+        assert is_independent_set(inst.graph, inst.planted_ids)
+        assert len(inst.planted_ids) == math.floor(0.35 * 150)
 
 
 def test_gnp_ensure_maximal():
@@ -72,8 +72,8 @@ def test_gnp_determinism_and_seed_sensitivity():
     a = gen_planted_gnp(100, 0.4, 0.1, seed=9)
     b = gen_planted_gnp(100, 0.4, 0.1, seed=9)
     c = gen_planted_gnp(100, 0.4, 0.1, seed=10)
-    assert a.graph == b.graph and a.planted == b.planted and a.params == b.params
-    assert a.graph != c.graph or a.planted != c.planted
+    assert a.graph == b.graph and np.array_equal(a.planted_ids, b.planted_ids) and a.params == b.params
+    assert a.graph != c.graph or not np.array_equal(a.planted_ids, c.planted_ids)
 
 
 def test_gnp_validation():
@@ -102,14 +102,14 @@ def test_bounded_degree_floor():
     for v in range(10):
         if not mask[v]:
             assert degs[v] >= 2
-    assert is_independent_set(inst.graph, inst.planted)
+    assert is_independent_set(inst.graph, inst.planted_ids)
 
 
 def test_bounded_degree_max_degree_band():
     for seed in (0, 1, 2):
         inst = gen_planted_bounded_degree(2000, 0.5, 30, seed=seed)
         assert 30 <= inst.graph.max_degree <= 90
-        assert is_independent_set(inst.graph, inst.planted)
+        assert is_independent_set(inst.graph, inst.planted_ids)
 
 
 def test_bounded_degree_validation():
@@ -124,7 +124,7 @@ def test_bounded_degree_validation():
 def test_bounded_degree_determinism():
     a = gen_planted_bounded_degree(200, 0.4, 6, seed=2)
     b = gen_planted_bounded_degree(200, 0.4, 6, seed=2)
-    assert a.graph == b.graph and a.planted == b.planted
+    assert a.graph == b.graph and np.array_equal(a.planted_ids, b.planted_ids)
 
 
 def _bounded_degree_reference(n, alpha, d, seed):
@@ -136,7 +136,7 @@ def _bounded_degree_reference(n, alpha, d, seed):
     nbrs = edges[:, :, 1]
     nbrs[...] = instances._distinct_picks(rng, outside.size, d, n - 1)
     nbrs += nbrs >= outside[:, None]
-    return build_graph(n, edges.reshape(-1, 2)), frozenset(planted.tolist())
+    return build_graph(n, edges.reshape(-1, 2)), planted
 
 
 @pytest.mark.parametrize(
@@ -149,7 +149,7 @@ def test_bounded_degree_codes_match_the_edge_array_reference(n, alpha, d, seeds)
     for seed in seeds:
         inst = gen_planted_bounded_degree(n, alpha, d, seed)
         graph, planted = _bounded_degree_reference(n, alpha, d, seed)
-        assert inst.planted == planted
+        assert np.array_equal(inst.planted_ids, planted)
         for got, want in ((inst.graph.offsets, graph.offsets), (inst.graph.indices, graph.indices)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # the grown pick matrix became indices, so no larger buffer sits behind it
@@ -172,13 +172,11 @@ def test_bounded_degree_peak_memory_stays_near_the_csr():
 
 def test_independence_check_peak_memory_stays_far_below_the_indices():
     # only the planted rows are read, block by block; gen-filter's instance
-    # is large enough that the blocks are a small share of its CSR; the lazy
-    # planted frozenset is built before tracing, as the check is measured alone
+    # is large enough that the blocks are a small share of its CSR
     inst = gen_planted_bounded_degree(100000, 0.3, 20, seed=0)
-    planted = inst.planted
     tracemalloc.start()
     try:
-        assert is_independent_set(inst.graph, planted)
+        assert is_independent_set(inst.graph, inst.planted_ids)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -317,7 +315,7 @@ def test_round_trip(tmp_path):
     write_instance(inst, path)
     back = read_instance(path)
     assert back.graph == inst.graph
-    assert back.planted == inst.planted
+    assert np.array_equal(back.planted_ids, inst.planted_ids)
     assert back.params == inst.params
 
 
@@ -325,7 +323,7 @@ def test_instance_file_is_the_edge_list_plus_two_comment_lines(tmp_path):
     inst = gen_planted_gnp(40, 0.4, 0.2, seed=6)
     write_instance(inst, tmp_path / "inst.txt")
     write_edgelist(inst.graph, tmp_path / "edges.txt")
-    tail = "# planted: " + " ".join(map(str, sorted(inst.planted))) + "\n"
+    tail = "# planted: " + " ".join(map(str, inst.planted_ids.tolist())) + "\n"
     tail += '# params: {"alpha": 0.4, "ensure_maximal": false, "generator": "gnp", "n": 40, "p": 0.2, "seed": 6}\n'
     assert (tmp_path / "inst.txt").read_bytes() == (tmp_path / "edges.txt").read_bytes() + tail.encode()
 
@@ -345,7 +343,7 @@ def test_hand_authored_fixture(tmp_path):
     assert inst.graph.n == 5 and inst.graph.m == 3
     assert sorted(inst.graph.neighbors(3).tolist()) == [0, 1]
     assert sorted(inst.graph.neighbors(4).tolist()) == [2]
-    assert inst.planted == frozenset({0, 1, 2})
+    assert inst.planted_ids.tolist() == [0, 1, 2]
     assert inst.params == {}
 
 
@@ -403,18 +401,15 @@ def test_read_instance_errors_name_the_line(tmp_path):
 def test_instance_is_frozen():
     inst = gen_planted_gnp(10, 0.5, 0.1, seed=0)
     with pytest.raises(AttributeError):
-        inst.planted = frozenset()
+        inst.graph = None
     with pytest.raises(AttributeError):
         inst.planted_ids = inst.planted_ids[:0]
 
 
-def test_planted_ids_are_ascending_and_read_only_and_the_frozenset_is_built_on_read():
+def test_planted_ids_are_ascending_and_read_only():
     for inst in (gen_planted_gnp(40, 0.4, 0.2, seed=6), gen_planted_bounded_degree(40, 0.3, 3, seed=6)):
-        # the generators hand over their arrays: no frozenset is built until one is read
-        assert "planted" not in vars(inst)
         ids = inst.planted_ids
         assert ids.dtype == np.int64 and not ids.flags.writeable and np.all(np.diff(ids) > 0)
-        assert inst.planted == frozenset(ids.tolist()) and vars(inst)["planted"] is inst.planted
 
 
 def test_instance_takes_planted_as_any_iterable_of_ids():
@@ -422,10 +417,10 @@ def test_instance_takes_planted_as_any_iterable_of_ids():
     mine = np.array([4, 0, 2, 2])
     for planted in (frozenset({4, 0, 2}), [4, 2, 0, 2], mine, (v for v in (0, 4, 2))):
         inst = PlantedInstance(graph=g, planted=planted, params={"k": 1})
-        assert inst.planted_ids.tolist() == [0, 2, 4] and inst.planted == frozenset({0, 2, 4})
+        assert inst.planted_ids.tolist() == [0, 2, 4]
         assert inst == PlantedInstance(g, [0, 2, 4], {"k": 1})
         assert inst != PlantedInstance(g, [0, 2], {"k": 1}) and inst != PlantedInstance(g, [0, 2, 4], {})
     assert mine.tolist() == [4, 0, 2, 2]  # the caller's array is copied, not sorted in place
-    assert PlantedInstance(g, (), {}).planted == frozenset()
+    assert PlantedInstance(g, (), {}).planted_ids.size == 0
     with pytest.raises(ValueError, match="range"):
         PlantedInstance(g, [5], {})

@@ -47,6 +47,27 @@ def test_config_validation():
         OracleConfig(epsilon=0.25, mode=PERSISTENT_KWISE, k=1)
 
 
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+def test_config_rejects_fields_of_the_wrong_type(mode):
+    bad = [("seed", "x"), ("seed", True), ("seed", 1.0), ("seed", None), ("apply_cap", "no"),
+           ("apply_cap", 1), ("apply_cap", None), ("k", 2.5), ("k", "3"), ("k", True)]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            OracleConfig(epsilon=0.25, mode=mode, **{field: value})
+
+    # numpy integers are integers, and answer as the same Python ints do
+    def answers(config):
+        oracle, verts = Oracle(half_members(64), config), np.arange(64)
+        if config.is_persistent:
+            return oracle.query_bool_many(verts)
+        if config.mode == BANDIT_GAUSSIAN:
+            return oracle.query_reward_sums(verts, 3)
+        return oracle.query_yes_counts(verts, 3)
+
+    numpy_ints = OracleConfig(epsilon=0.25, mode=mode, k=np.int64(3), seed=np.int64(7))
+    assert np.array_equal(answers(numpy_ints), answers(OracleConfig(epsilon=0.25, mode=mode, k=3, seed=7)))
+
+
 def test_effective_epsilon_caps_persistent_only():
     assert OracleConfig(epsilon=0.5, mode=PERSISTENT_RANDOM).effective_epsilon == ADVANTAGE_CAP
     assert OracleConfig(epsilon=0.5, mode=PERSISTENT_RANDOM, apply_cap=False).effective_epsilon == 0.5

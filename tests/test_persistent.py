@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisymis.graph import _UNIQUE_CHUNK, _greedy_ids, build_graph, greedy_mis, induced_subgraph, is_independent_set
+from noisymis.graph import _UNIQUE_CHUNK, build_graph, greedy_mis, induced_subgraph, is_independent_set
 from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp
 from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, make_oracle
 from noisymis.persistent import (
@@ -172,7 +172,7 @@ def test_threshold_matches_the_one_expression_reference_bit_for_bit():
 
 def test_run_peak_memory_stays_far_below_the_indices():
     # ids are queried and hashed in blocks, the thresholds are built in one
-    # array, and with nothing filtered out no kept-id array or frozenset is made
+    # array, and with nothing filtered out no kept-id array is made
     inst = gen_planted_bounded_degree(20000, 0.3, 20, seed=0)
     g = inst.graph
     for seed in (0, 1):
@@ -191,7 +191,7 @@ def test_edgeless_returns_everything():
     g = build_graph(7, [])
     inst = PlantedInstance(graph=g, planted=frozenset({0}), params={})
     report = run_persistent(g, perfect_oracle(inst))
-    assert report.independent_set == frozenset(range(7))
+    assert report.independent_ids.tolist() == list(range(7))
 
 
 def test_empty_graph():
@@ -200,7 +200,7 @@ def test_empty_graph():
     for mode in ("persistent-random", "persistent-kwise"):
         o = make_oracle(inst, OracleConfig(epsilon=0.25, mode=mode, seed=0))
         report = run_persistent(g, o)
-        assert report.independent_set == frozenset()
+        assert report.independent_ids.size == 0
         for name, dtype in (("yes_counts", np.int64), ("degrees", np.int64), ("thresholds", np.float64),
                             ("low_degree_mask", bool), ("surviving_mask", bool)):
             arr = getattr(report, name)
@@ -225,8 +225,8 @@ def test_unfiltered_run_uses_the_graph_itself():
     for policy, report in zip(policies, reports):
         chosen = greedy_mis(sub, _greedy_order(sub, policy, 2))
         assert np.array_equal(report.yes_counts, yes)
-        assert report.low_degree == frozenset(range(g.n)) and report.surviving == frozenset()
-        assert report.independent_set == frozenset(ids[sorted(chosen)].tolist())
+        assert report.low_degree_mask.all() and not report.surviving_mask.any()
+        assert np.array_equal(report.independent_ids, ids[chosen])
         assert report.stats["num_selected"] == len(chosen)
 
 
@@ -242,9 +242,9 @@ def test_two_level_instance_recovers_planted_exactly():
     inst = PlantedInstance(graph=g, planted=frozenset(planted), params={})
     params = PersistentParams(low_degree_cutoff_coeff=0.0)
     report = run_persistent(g, perfect_oracle(inst), params)
-    assert report.low_degree == frozenset()
-    assert report.surviving == frozenset(planted)
-    assert report.independent_set == frozenset(planted)
+    assert not report.low_degree_mask.any()
+    assert np.flatnonzero(report.surviving_mask).tolist() == planted
+    assert report.independent_ids.tolist() == planted
 
 
 def test_report_set_algebra_invariants():
@@ -253,9 +253,9 @@ def test_report_set_algebra_invariants():
         inst = gen_planted_gnp(120, 0.4, 0.08, seed=trial)
         o = make_oracle(inst, OracleConfig(epsilon=0.2, mode="persistent-random", seed=trial + 100))
         report = run_persistent(inst.graph, o, PersistentParams(low_degree_cutoff_coeff=float(rng.uniform(0, 2))))
-        assert not (report.low_degree & report.surviving)
-        assert report.independent_set <= (report.low_degree | report.surviving)
-        assert is_independent_set(inst.graph, report.independent_set)
+        assert not (report.low_degree_mask & report.surviving_mask).any()
+        assert (report.low_degree_mask | report.surviving_mask)[report.independent_ids].all()
+        assert is_independent_set(inst.graph, report.independent_ids)
         assert o.total_queries == inst.graph.n
 
 
@@ -269,13 +269,14 @@ def test_output_independent_under_adversarial_answers():
     for members in (np.zeros(60, dtype=bool), np.ones(60, dtype=bool)):
         o = Oracle(members, OracleConfig(epsilon=0.5, mode="persistent-random", seed=0, apply_cap=False))
         report = run_persistent(g, o, PersistentParams(low_degree_cutoff_coeff=0.5))
-        assert is_independent_set(g, report.independent_set)
+        assert is_independent_set(g, report.independent_ids)
     # all-yes answers and no exemption on a graph without isolated vertices:
     # every vertex is filtered out, and no owner array is built for the empty survivor set
     path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     o = Oracle(np.ones(4, dtype=bool), OracleConfig(epsilon=0.5, mode="persistent-random", seed=0, apply_cap=False))
     report = run_persistent(path, o, PersistentParams(low_degree_cutoff_coeff=0.0))
-    assert report.independent_set == report.low_degree == report.surviving == frozenset()
+    assert report.independent_ids.size == 0
+    assert not report.low_degree_mask.any() and not report.surviving_mask.any()
     assert path._owner is None
 
 
@@ -288,8 +289,8 @@ def test_filter_is_monotone_in_epsilon():
         report = run_persistent(
             inst.graph, o, PersistentParams(epsilon_effective=eps, low_degree_cutoff_coeff=0.0)
         )
-        surviving.append(report.surviving)
-    assert surviving[0] <= surviving[1] <= surviving[2]
+        surviving.append(report.surviving_mask)
+    assert not (surviving[0] & ~surviving[1]).any() and not (surviving[1] & ~surviving[2]).any()
 
 
 def test_greedy_order_policies():
@@ -297,7 +298,7 @@ def test_greedy_order_policies():
     o = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=7))
     for policy in ("id", "degree", "random"):
         report = run_persistent(inst.graph, o, PersistentParams(greedy_order=policy, order_seed=3))
-        assert is_independent_set(inst.graph, report.independent_set)
+        assert is_independent_set(inst.graph, report.independent_ids)
     with pytest.raises(ValueError, match="policy"):
         run_persistent(inst.graph, o, PersistentParams(greedy_order="nope"))
 
@@ -305,9 +306,9 @@ def test_greedy_order_policies():
 def test_stats_fields():
     inst = gen_planted_gnp(40, 0.5, 0.1, seed=8)
     report = run_persistent(inst.graph, perfect_oracle(inst))
-    assert report.stats["num_selected"] == len(report.independent_set)
-    assert report.stats["num_low_degree"] == len(report.low_degree)
-    assert report.stats["num_surviving"] == len(report.surviving)
+    assert report.stats["num_selected"] == len(report.independent_ids)
+    assert report.stats["num_low_degree"] == np.count_nonzero(report.low_degree_mask)
+    assert report.stats["num_surviving"] == np.count_nonzero(report.surviving_mask)
     assert report.stats["wall_time_ms"] >= 0.0
 
 
@@ -315,12 +316,10 @@ def test_report_sets_are_its_masks():
     inst = gen_planted_gnp(60, 0.4, 0.3, seed=9)
     params = PersistentParams(low_degree_cutoff_coeff=2.0, threshold_coeff=0.3)
     report = run_persistent(inst.graph, perfect_oracle(inst), params)
-    for mask, ids in ((report.low_degree_mask, report.low_degree), (report.surviving_mask, report.surviving)):
+    low, surviving = report.low_degree_mask, report.surviving_mask
+    for mask in (low, surviving):
         assert mask.dtype == bool and mask.shape == (inst.graph.n,)
-        assert ids == frozenset(np.flatnonzero(mask).tolist())
-    assert report.low_degree and report.surviving and len(report.low_degree | report.surviving) < inst.graph.n
-    # built once, on first read
-    assert report.low_degree is report.low_degree and report.surviving is report.surviving
+    assert low.any() and surviving.any() and not (low | surviving).all()
 
 
 def test_unfiltered_run_returns_the_greedy_set_itself(monkeypatch):
@@ -330,10 +329,10 @@ def test_unfiltered_run_returns_the_greedy_set_itself(monkeypatch):
     sets = []
 
     def greedy(g, order=None):
-        sets.append(_greedy_ids(g, order))
+        sets.append(greedy_mis(g, order))
         return sets[-1]
 
-    monkeypatch.setattr(persistent, "_greedy_ids", greedy)
+    monkeypatch.setattr(persistent, "greedy_mis", greedy)
     report = run_persistent(inst.graph, perfect_oracle(inst))
     assert report.independent_ids is sets.pop()
 
