@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import Graph, _induce, _sorted_ids, induced_subgraph, vertex_cover_2approx
-from .oracle import Oracle, ModeError, BANDIT_GAUSSIAN
+from .oracle import Oracle, ModeError, BANDIT_GAUSSIAN, _check_types
 
 __all__ = [
     "BanditParams",
@@ -33,17 +33,27 @@ __all__ = [
 _DELTA_ONE = 1.0 - 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class BanditParams:
     """Schedule and budget knobs; coefficient defaults are the analyzed values.
 
-    ``epsilon`` defaults to the oracle's advantage.
+    ``epsilon`` defaults to the oracle's advantage.  An invalid field raises
+    ``ValueError`` when built; so does a schedule or budget that leaves the floats, when computed.
     """
 
     epsilon: float | None = None
     delta: float = 0.1
     schedule_coeff: float = 4.0
     budget_coeff: float = 30.0
+
+    def __post_init__(self):
+        _check_types(BanditParams, vars(self), "params")
+        if self.epsilon is not None and not 0.0 < self.epsilon <= 0.5:
+            raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        if self.schedule_coeff <= 0.0:  # rounds of no queries would never end
+            raise ValueError(f"schedule_coeff must be positive, got {self.schedule_coeff}")
 
 
 @dataclass
@@ -76,10 +86,10 @@ def log_inv_delta(delta: float) -> float:
 
 
 def _squared_epsilon(params: BanditParams) -> float:
-    """``params.epsilon ** 2``, once epsilon lies in (0, 1/2] and its square is a positive float."""
+    """``params.epsilon ** 2``, once epsilon is set and its square is a positive float."""
     eps = params.epsilon
-    if eps is None or not 0.0 < eps <= 0.5 or eps**2 == 0.0:
-        raise ValueError(f"params.epsilon must lie in (0, 1/2] and square to a positive float, got {eps}")
+    if eps is None or eps**2 == 0.0:
+        raise ValueError(f"params.epsilon must be set and square to a positive float, got {eps}")
     return eps**2
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _int_ids
-from .oracle import Oracle, ModeError, BANDIT_BERNOULLI
+from .oracle import Oracle, ModeError, BANDIT_BERNOULLI, _check_types
 
 __all__ = [
     "SamplerParams",
@@ -25,15 +25,22 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerParams:
     """Defaults: sample probability ``1/ln n``, ``ceil(ln n / eps^2)`` queries each."""
 
     sample_prob: float | None = None
     queries_per_vertex: int | None = None
 
+    def __post_init__(self):
+        _check_types(SamplerParams, vars(self), "params")
+        if self.sample_prob is not None and not 0.0 < self.sample_prob <= 1.0:
+            raise ValueError(f"sample_prob must lie in (0, 1], got {self.sample_prob}")
+        if self.queries_per_vertex is not None and self.queries_per_vertex < 1:
+            raise ValueError(f"queries_per_vertex must be >= 1, got {self.queries_per_vertex}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class AmplifyParams:
     """Defaults: ``ceil(log_1.5 ln n)`` rounds of ``ceil(100 ln ln n)`` reruns,
     then ``ceil(2 ln n / eps^2)`` direct queries per leftover vertex."""
@@ -41,6 +48,12 @@ class AmplifyParams:
     rounds: int | None = None
     reps_per_round: int | None = None
     final_queries: int | None = None
+
+    def __post_init__(self):
+        _check_types(AmplifyParams, vars(self), "params")
+        for (name, value), low in zip(vars(self).items(), (0, 1, 1)):
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, seed: int = 0) -> np.ndarray:
@@ -53,16 +66,9 @@ def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, see
     params = params or SamplerParams()
     if oracle.n != n:
         raise ValueError("oracle universe size does not match n")
-    if params.sample_prob is not None:
-        if not 0.0 < params.sample_prob <= 1.0:
-            raise ValueError(f"sample_prob must lie in (0, 1], got {params.sample_prob}")
-        prob = params.sample_prob
-    else:
-        prob = min(1.0, 1.0 / math.log(n)) if n > 1 else 1.0
+    prob = params.sample_prob if params.sample_prob is not None else (min(1.0, 1.0 / math.log(n)) if n > 1 else 1.0)
     eps = oracle.config.epsilon
     q = params.queries_per_vertex if params.queries_per_vertex is not None else math.ceil(math.log(max(n, 2)) / eps**2)
-    if q < 1:
-        raise ValueError(f"queries_per_vertex must be >= 1, got {q}")
     rng = np.random.default_rng(seed)
     sampled = np.flatnonzero(rng.random(n) < prob)
     counts = oracle.query_yes_counts(sampled, q)
@@ -92,16 +98,11 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     eps = oracle.config.epsilon
-    rounds, reps = params.rounds, params.reps_per_round
-    if (rounds is None or reps is None) and n < 3:
+    if (params.rounds is None or params.reps_per_round is None) and n < 3:
         raise ValueError("default rounds and reps_per_round need n >= 3; pass both explicitly")
-    if rounds is None:
-        rounds = math.ceil(math.log(math.log(n)) / math.log(1.5))
-    if reps is None:
-        reps = math.ceil(100.0 * math.log(math.log(n)))
+    rounds = params.rounds if params.rounds is not None else math.ceil(math.log(math.log(n)) / math.log(1.5))
+    reps = params.reps_per_round if params.reps_per_round is not None else math.ceil(100.0 * math.log(math.log(n)))
     final_q = params.final_queries if params.final_queries is not None else math.ceil(2.0 * math.log(max(n, 2)) / eps**2)
-    if rounds < 0 or reps < 1 or final_q < 1:
-        raise ValueError("rounds must be >= 0, reps_per_round and final_queries >= 1")
 
     residual = np.ones(n, dtype=bool)
     promoted = np.zeros(n, dtype=bool)

@@ -16,10 +16,8 @@ import hashlib
 import inspect
 import io
 import json
-import numbers
 import os
 import time
-import typing
 from dataclasses import dataclass, field
 
 from .graph import exact_mis, greedy_mis, is_independent_set
@@ -27,6 +25,8 @@ from .oracle import (
     BANDIT_BERNOULLI,
     PERSISTENT_RANDOM,
     OracleConfig,
+    _check_types,
+    _fits,
     make_oracle,
 )
 from .persistent import PersistentParams, run_persistent
@@ -103,8 +103,8 @@ class ExperimentConfig:
         for what in ("instance", "oracle"):
             if "seed" in getattr(self, what):
                 raise ValueError(f"{what} 'seed' cannot be set: every seed derives from seed_base/seeds")
-        if self.seeds is not None and not all(_fits(s, (int,)) for s in self.seeds):
-            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
+        if self.seeds is not None and not (self.seeds and all(_fits(s, (int,)) for s in self.seeds)):
+            raise ValueError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
         if ALGORITHMS[self.algorithm] is None and self.params:
             raise ValueError(f"{self.algorithm} takes no params, got {sorted(self.params)}")
         if self.seeds is None and self.trials < 1:
@@ -192,10 +192,6 @@ def _oracle_config(config: ExperimentConfig, trial_seed: int) -> OracleConfig:
     return _checked(OracleConfig, {**spec, "seed": derive_seed(trial_seed, "oracle")}, "oracle")
 
 
-def _params_for(cls, overrides: dict):
-    return _checked(cls, overrides, cls.__name__)
-
-
 def _checked(target, values, what: str):
     """``target(**values)``, once ``values`` fits ``target``'s parameters.
 
@@ -213,26 +209,6 @@ def _checked(target, values, what: str):
             raise ValueError(f"{what} is missing the required key {name!r}")
     _check_types(target, values, what)
     return target(**values)
-
-
-def _check_types(target, values: dict, what: str) -> None:
-    types = typing.get_type_hints(target)
-    for key, value in values.items():
-        kinds = typing.get_args(types[key]) or (types[key],)
-        if not _fits(value, kinds):
-            names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-            raise ValueError(f"{what} {key!r} must be {names}, got {value!r}")
-
-
-def _fits(value, kinds: tuple) -> bool:
-    """Whether ``value`` suits a field typed as the union of ``kinds``; bools are not numbers here."""
-    if isinstance(value, bool):
-        return bool in kinds
-    if float in kinds and isinstance(value, numbers.Real):
-        return True
-    if int in kinds and isinstance(value, numbers.Integral):
-        return True
-    return isinstance(value, kinds)
 
 
 def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]:
@@ -257,21 +233,21 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
         oracle = make_oracle(instance, ocfg)
         epsilon = ocfg.epsilon
         if algorithm == "persistent":
-            report = run_persistent(g, oracle, _params_for(PersistentParams, config.params))
+            report = run_persistent(g, oracle, _checked(PersistentParams, config.params, "params"))
             output = report.independent_ids
             detail = report
         elif algorithm == "bandit":
-            params = _params_for(BanditParams, config.params)
+            params = _checked(BanditParams, config.params, "params")
             result = run_bandit(g, oracle, params)
             output = result.independent_ids
             rounds = result.best_round
             delta = params.delta
             detail = result
         elif algorithm == "sampler":
-            output = run_sampler(g.n, oracle, _params_for(SamplerParams, config.params), seed=derive_seed(seed, "sampler"))
+            output = run_sampler(g.n, oracle, _checked(SamplerParams, config.params, "params"), seed=derive_seed(seed, "sampler"))
         elif algorithm == "amplify":
-            amplify_params = _params_for(AmplifyParams, {k: v for k, v in config.params.items() if k != "delta"})
-            bandit_params = _params_for(BanditParams, {k: v for k, v in config.params.items() if k == "delta"})
+            amplify_params = _checked(AmplifyParams, {k: v for k, v in config.params.items() if k != "delta"}, "params")
+            bandit_params = _checked(BanditParams, {k: v for k, v in config.params.items() if k == "delta"}, "params")
             delta = bandit_params.delta
 
             def base(residual):
@@ -322,7 +298,8 @@ def run_experiment(config: ExperimentConfig, collect_details: bool = False):
         from concurrent.futures import ProcessPoolExecutor
 
         results = []
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # the pool forks all its workers up front, so it gets no more than there are trials
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(seeds))) as pool:
             futures = [pool.submit(_run_trial_task, config, s, collect_details) for s in seeds]
             for s, future in zip(seeds, futures):
                 try:

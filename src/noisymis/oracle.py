@@ -13,8 +13,10 @@ mutate under queries.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,30 @@ def cap_flip_probability(epsilon: float) -> float:
     return (epsilon - ADVANTAGE_CAP) / (0.5 + epsilon)
 
 
+# a class's annotations, evaluated once: every params object checks its fields when built
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _check_types(target, values: dict, what: str) -> None:
+    types = _type_hints(target)
+    for key, value in values.items():
+        kinds = typing.get_args(types[key]) or (types[key],)
+        if not _fits(value, kinds):
+            names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+            raise ValueError(f"{what} {key!r} must be {names}, got {value!r}")
+
+
+def _fits(value, kinds: tuple) -> bool:
+    """Whether ``value`` suits a field typed as the union of ``kinds``; bools are not numbers here."""
+    if isinstance(value, bool):
+        return bool in kinds
+    if float in kinds and isinstance(value, numbers.Real):
+        return True
+    if int in kinds and isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, kinds)
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Oracle description used by the harness JSON configs; an invalid one raises ``ValueError`` when built."""
@@ -82,16 +108,11 @@ class OracleConfig:
     apply_cap: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.epsilon, numbers.Real) or not 0.0 < self.epsilon <= 0.5:
+        _check_types(OracleConfig, vars(self), "oracle")
+        if not 0.0 < self.epsilon <= 0.5:
             raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
         if self.mode not in ORACLE_MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}; expected one of {ORACLE_MODES}")
-        for name in ("k", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.apply_cap, bool):
-            raise ValueError(f"apply_cap must be a bool, got {self.apply_cap!r}")
         if self.mode == PERSISTENT_KWISE and self.k < 2:
             raise ValueError(f"k-wise mode needs k >= 2, got {self.k}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _block_slots, _row_blocks, greedy_mis, induced_subgraph
-from .oracle import Oracle, ModeError
+from .oracle import Oracle, ModeError, _check_types
 
 __all__ = [
     "PersistentParams",
@@ -30,7 +30,7 @@ __all__ = [
 _QUERY_BLOCK = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class PersistentParams:
     """Tuning knobs; the defaults are the analyzed values.
 
@@ -38,7 +38,7 @@ class PersistentParams:
     ``low_degree_cutoff_coeff * ln(n)`` is the degree below which vertices
     skip the filter; ``threshold_coeff`` scales the slack in the survival
     threshold.  Both are exposed because contrived test instances need to
-    force the cutoff.
+    force the cutoff.  An invalid field raises ``ValueError`` when built.
     """
 
     epsilon_effective: float | None = None
@@ -46,6 +46,13 @@ class PersistentParams:
     threshold_coeff: float = 6.0
     greedy_order: str = "id"  # "id" | "degree" | "random"
     order_seed: int = 0
+
+    def __post_init__(self):
+        _check_types(PersistentParams, vars(self), "params")
+        if self.epsilon_effective is not None and not 0.0 < self.epsilon_effective <= 0.5:
+            raise ValueError(f"epsilon_effective must lie in (0, 1/2], got {self.epsilon_effective}")
+        if self.greedy_order not in ("id", "degree", "random"):
+            raise ValueError(f"unknown greedy order policy {self.greedy_order!r}")
 
 
 @dataclass
@@ -99,13 +106,11 @@ def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):
 
 
 def _greedy_order(sub: Graph, policy: str, seed: int) -> np.ndarray | None:
-    if policy == "id":
-        return None
     if policy == "degree":
         return np.argsort(sub.degrees(), kind="stable")
     if policy == "random":
         return np.random.default_rng(seed).permutation(sub.n)
-    raise ValueError(f"unknown greedy order policy {policy!r}")
+    return None
 
 
 def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = None) -> PersistentReport:

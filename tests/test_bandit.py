@@ -70,6 +70,18 @@ def test_schedule_validation():
         query_schedule(1, BanditParams(epsilon=0.7))
 
 
+def test_params_check_themselves_when_built():
+    bad = [("epsilon", 0.7), ("epsilon", 0.0), ("epsilon", math.nan), ("epsilon", "0.25"), ("delta", 0.0),
+           ("delta", 1.5), ("delta", math.nan), ("delta", None), ("schedule_coeff", 0), ("schedule_coeff", -1.0),
+           ("budget_coeff", True)]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            BanditParams(**{field: value})
+    params = BanditParams(epsilon=0.25)
+    with pytest.raises(AttributeError):
+        params.epsilon = 0.7
+
+
 def test_schedule_and_budget_reject_counts_no_run_can_use():
     # each value passes its range check, yet the arithmetic would leave floats:
     # a zero eps^2, an infinite or NaN count, a count beyond int64

@@ -94,6 +94,9 @@ def test_sampler_validation():
         run_sampler(30, o, SamplerParams(sample_prob=1.5))
     with pytest.raises(ValueError, match="queries_per_vertex"):
         run_sampler(30, o, SamplerParams(queries_per_vertex=0))
+    for prob in (0.0, math.nan, "0.5"):
+        with pytest.raises(ValueError, match="sample_prob"):
+            SamplerParams(sample_prob=prob)
     # n = 0, and a sample that comes out empty: no query and no draw from the oracle's stream
     for n, oracle, params in ((0, Oracle(np.zeros(0, dtype=bool), bern(0.25)), None),
                               (30, make_oracle(inst, bern(0.25)), SamplerParams(sample_prob=1e-9))):
@@ -240,6 +243,10 @@ def test_amplify_validation():
         run_amplify(base, o, 30, AmplifyParams(rounds=-1))
     with pytest.raises(ValueError, match="reps_per_round"):
         run_amplify(base, o, 30, AmplifyParams(reps_per_round=0))
+    with pytest.raises(ValueError, match="final_queries"):
+        AmplifyParams(final_queries=0)
+    with pytest.raises(ValueError, match="'rounds' must be int"):
+        AmplifyParams(rounds=2.0)
     two = gen_planted_gnp(2, 0.5, 0.0, seed=0)
     o2 = make_oracle(two, bern(0.25))
     with pytest.raises(ValueError, match="n >= 3"):

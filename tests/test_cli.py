@@ -15,7 +15,7 @@ import noisymis
 import noisymis.cli as cli
 from noisymis.cli import build_parser, main
 from noisymis.graph import exact_mis, is_maximal_independent_set
-from noisymis.harness import ALGORITHMS, CSV_COLUMNS, _build_instance, _oracle_config, _params_for, records_from_csv
+from noisymis.harness import ALGORITHMS, CSV_COLUMNS, _build_instance, _checked, _oracle_config, records_from_csv
 from noisymis.instances import gen_planted_gnp, read_instance, write_instance
 from noisymis.montecarlo import EVENT_BUILDERS
 from noisymis.persistent import PersistentParams, survival_threshold
@@ -200,7 +200,7 @@ def test_run_debug_dump_for_persistent(tmp_path, capsys):
 def reference_filter_dump(config, details):
     # the dump as it was first written: regenerate each trial's instance and
     # recompute its thresholds from the config
-    params = _params_for(PersistentParams, config.params)
+    params = _checked(PersistentParams, config.params, "params")
     lines = ["seed,v,deg,yes_count,threshold,in_low,in_surviving\n"]
     for seed, report in details.items():
         g = _build_instance(config.instance, seed).graph

@@ -1,21 +1,29 @@
 """Property tests over input files: edge-list and instance files round-trip
 through the writer, a one-line edit to an instance file reads back or names
-its line, and any JSON in a config field is a result or one error line."""
+its line, any JSON in a config field is a result or one error line, and any
+such value in a field of a params class is rejected when the class is built
+or runs through its solver."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
 import tempfile
+import typing
 from pathlib import Path
 
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
+from noisymis.bandit import BanditParams, run_bandit
+from noisymis.baselines import AmplifyParams, SamplerParams, run_amplify, run_sampler
 from noisymis.cli import main
 from noisymis.graph import build_graph, greedy_mis, read_edgelist, write_edgelist
-from noisymis.instances import PlantedInstance, read_instance, write_instance
+from noisymis.instances import PlantedInstance, gen_planted_gnp, read_instance, write_instance
+from noisymis.oracle import BANDIT_BERNOULLI, PERSISTENT_RANDOM, ModeError, OracleConfig, make_oracle
+from noisymis.persistent import PersistentParams, run_persistent
 
 # derandomized and without an example database: the same examples every run
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -151,3 +159,49 @@ def test_any_json_in_a_config_field_is_a_result_or_one_error_line(algorithm, fie
             os.chdir(cwd)
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert (code, len(errors)) in ((0, 0), (1, 1)), (config, code, err.getvalue())
+
+
+# every field of every config class that a library caller builds directly
+CLASS_FIELDS = [(cls, f.name) for cls in (OracleConfig, PersistentParams, BanditParams, SamplerParams, AmplifyParams)
+                for f in dataclasses.fields(cls)]
+SMALL = gen_planted_gnp(30, 0.4, 0.1, seed=0)
+
+
+def fits(value, hint) -> bool:
+    """Whether ``value`` is of a type ``hint`` names; an int stands in for a float, a bool only for a bool."""
+    kinds = typing.get_args(hint) or (hint,)
+    kinds += (int,) if float in kinds else ()
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def solve(built):
+    """Run ``built`` through the solver that takes it, on a 30-vertex instance."""
+    if isinstance(built, OracleConfig):
+        oracle = make_oracle(SMALL, built)
+        return run_persistent(SMALL.graph, oracle) if built.is_persistent else run_bandit(SMALL.graph, oracle)
+    mode = PERSISTENT_RANDOM if isinstance(built, PersistentParams) else BANDIT_BERNOULLI
+    oracle = make_oracle(SMALL, OracleConfig(epsilon=0.25, mode=mode, seed=1))
+    if isinstance(built, PersistentParams):
+        return run_persistent(SMALL.graph, oracle, built)
+    if isinstance(built, BanditParams):
+        return run_bandit(SMALL.graph, oracle, built)
+    if isinstance(built, SamplerParams):
+        return run_sampler(SMALL.graph.n, oracle, built, seed=2)
+    return run_amplify(lambda residual: residual[::2], oracle, SMALL.graph.n, built)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.sampled_from(CLASS_FIELDS), JSON)
+def test_any_value_in_a_params_field_is_rejected_when_built_or_runs(class_field, value):
+    cls, name = class_field
+    try:
+        built = cls(**{"epsilon": 0.25, name: value} if cls is OracleConfig else {name: value})
+    except ValueError:
+        return
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(built):
+        assert fits(getattr(built, f.name), hints[f.name]), (cls.__name__, f.name, value)
+    try:
+        solve(built)
+    except (ValueError, ModeError):
+        pass

@@ -83,6 +83,9 @@ def test_config_validation():
         gnp_config(trials=0)
     with pytest.raises(ValueError, match="workers"):
         gnp_config(workers=0)
+    # an empty seed list would run no trial and leave nothing to record
+    with pytest.raises(ValueError, match="seeds"):
+        gnp_config(seeds=[])
     with pytest.raises(ValueError, match="instance"):
         ExperimentConfig(algorithm="greedy", instance={})
     # the oracle-free algorithms take no params at all
@@ -402,6 +405,20 @@ def test_csv_cells_that_do_not_parse_name_the_line_and_column(tmp_path, column, 
     path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(",".join(row) + "\n" for row in rows))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: column '{column}' must be "):
         records_from_csv(path)
+
+
+def test_pool_starts_no_more_workers_than_trials(monkeypatch):
+    built = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    records = run_experiment(gnp_config(trials=2, workers=4))
+    assert built == [2]
+    assert len(records) == 2
 
 
 def test_worker_errors_name_seed_and_algorithm(tmp_path):

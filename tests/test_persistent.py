@@ -303,6 +303,17 @@ def test_greedy_order_policies():
         run_persistent(inst.graph, o, PersistentParams(greedy_order="nope"))
 
 
+def test_params_check_themselves_when_built():
+    # outside (0, 1/2] the thresholds mean nothing: above 1/2, NaN or inf would leave no survivor
+    bad = [("epsilon_effective", 0.7), ("epsilon_effective", math.nan), ("epsilon_effective", math.inf),
+           ("epsilon_effective", -0.3), ("threshold_coeff", "x"), ("low_degree_cutoff_coeff", None),
+           ("greedy_order", 1), ("order_seed", 1.5)]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            PersistentParams(**{field: value})
+    assert PersistentParams(epsilon_effective=0.5, threshold_coeff=6).threshold_coeff == 6
+
+
 def test_stats_fields():
     inst = gen_planted_gnp(40, 0.5, 0.1, seed=8)
     report = run_persistent(inst.graph, perfect_oracle(inst))
