@@ -72,15 +72,15 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: an algorithm, an instance source, an oracle, seeds.
 
     ``instance`` is either ``{"path": ...}`` or a generator spec
     (``{"generator": "gnp" | "bounded-degree", ...}``).  ``seeds`` wins over
     ``(seed_base, trials)`` when given.  ``params`` holds algorithm-specific
-    overrides.  Each block rejects unknown keys and values that do not fit
-    their annotations; the nested ones are checked when a trial runs.
+    overrides.  Building the config checks every block for unknown keys and
+    values that do not fit their annotations, before any instance exists.
     Neither ``instance`` nor ``oracle`` may hold a ``seed``.
     """
 
@@ -98,8 +98,6 @@ class ExperimentConfig:
         _check_types(ExperimentConfig, vars(self), "config")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}")
-        if not ({"path", "generator"} & self.instance.keys()):
-            raise ValueError("instance must be a dict with either a 'path' or a 'generator' key")
         for what in ("instance", "oracle"):
             if "seed" in getattr(self, what):
                 raise ValueError(f"{what} 'seed' cannot be set: every seed derives from seed_base/seeds")
@@ -111,6 +109,12 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _check_args(*_instance_source(self.instance, 0), "instance")  # trial seed 0 stands in; nothing is read
+        if ALGORITHMS[self.algorithm] is not None:
+            # built once, outside the fields, so a trial only swaps in its oracle seed
+            oracle = {**self.oracle, "mode": self.oracle.get("mode", ALGORITHMS[self.algorithm])}
+            object.__setattr__(self, "_oracle", _checked(OracleConfig, oracle, "oracle"))
+            object.__setattr__(self, "_params", _build_params(self.algorithm, self.params))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -173,9 +177,12 @@ def _read_instance_file(path: str) -> PlantedInstance:
     return _read_instance_cached(path, (os.path.abspath(path), st.st_mtime_ns, st.st_size))
 
 
-def _build_instance(spec: dict, trial_seed: int) -> PlantedInstance:
+def _instance_source(spec: dict, trial_seed: int) -> tuple:
+    """The function that reads or generates a trial's instance from ``spec``, and its arguments."""
     if "path" in spec:
-        return _checked(_read_instance_file, spec, "instance")
+        return _read_instance_file, spec
+    if "generator" not in spec:
+        raise ValueError("instance must be a dict with either a 'path' or a 'generator' key")
     # looked up per call, so rebinding a generator on this module takes effect
     generators = {"gnp": gen_planted_gnp, "bounded-degree": gen_planted_bounded_degree}
     kind = spec["generator"]
@@ -183,21 +190,21 @@ def _build_instance(spec: dict, trial_seed: int) -> PlantedInstance:
         raise ValueError(f"unknown instance generator {kind!r}")
     kwargs = {k: v for k, v in spec.items() if k != "generator"}
     kwargs["seed"] = derive_seed(trial_seed, "instance")
-    return _checked(generators[kind], kwargs, "instance")
+    return generators[kind], kwargs
 
 
-def _oracle_config(config: ExperimentConfig, trial_seed: int) -> OracleConfig:
-    spec = dict(config.oracle)
-    spec.setdefault("mode", ALGORITHMS[config.algorithm])
-    return _checked(OracleConfig, {**spec, "seed": derive_seed(trial_seed, "oracle")}, "oracle")
+def _build_params(algorithm: str, values: dict):
+    """The params object an oracle algorithm runs with; amplify's ``delta`` goes to its elimination runs."""
+    if algorithm == "amplify":
+        amplify = _checked(AmplifyParams, {k: v for k, v in values.items() if k != "delta"}, "params")
+        return amplify, _checked(BanditParams, {k: v for k, v in values.items() if k == "delta"}, "params")
+    cls = {"persistent": PersistentParams, "bandit": BanditParams, "sampler": SamplerParams}[algorithm]
+    return _checked(cls, values, "params")
 
 
-def _checked(target, values, what: str):
-    """``target(**values)``, once ``values`` fits ``target``'s parameters.
-
-    ``values`` must be a dict with no unknown key, every required key, and
-    each value of its annotated type; errors name the key and the block ``what``.
-    """
+def _check_args(target, values, what: str) -> None:
+    """Raise unless ``values`` is a dict of ``target``'s parameters, the required ones included,
+    each of its annotated type; errors name the key and the block ``what``."""
     if not isinstance(values, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(values).__name__}")
     params = inspect.signature(target).parameters
@@ -208,13 +215,18 @@ def _checked(target, values, what: str):
         if param.default is param.empty and name not in values:
             raise ValueError(f"{what} is missing the required key {name!r}")
     _check_types(target, values, what)
+
+
+def _checked(target, values, what: str):
+    _check_args(target, values, what)
     return target(**values)
 
 
 def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]:
     """Run one seeded trial; returns the record and the algorithm's detail
     object (elimination trace or filter report) when one exists."""
-    instance = _build_instance(config.instance, seed)
+    build, kwargs = _instance_source(config.instance, seed)
+    instance = build(**kwargs)
     g = instance.graph
     planted = instance.planted_ids
     algorithm = config.algorithm
@@ -229,25 +241,24 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
     elif algorithm == "exact":
         output = exact_mis(g)
     else:
-        ocfg = _oracle_config(config, seed)
+        ocfg = dataclasses.replace(config._oracle, seed=derive_seed(seed, "oracle"))
         oracle = make_oracle(instance, ocfg)
         epsilon = ocfg.epsilon
+        params = config._params
         if algorithm == "persistent":
-            report = run_persistent(g, oracle, _checked(PersistentParams, config.params, "params"))
+            report = run_persistent(g, oracle, params)
             output = report.independent_ids
             detail = report
         elif algorithm == "bandit":
-            params = _checked(BanditParams, config.params, "params")
             result = run_bandit(g, oracle, params)
             output = result.independent_ids
             rounds = result.best_round
             delta = params.delta
             detail = result
         elif algorithm == "sampler":
-            output = run_sampler(g.n, oracle, _checked(SamplerParams, config.params, "params"), seed=derive_seed(seed, "sampler"))
+            output = run_sampler(g.n, oracle, params, seed=derive_seed(seed, "sampler"))
         elif algorithm == "amplify":
-            amplify_params = _checked(AmplifyParams, {k: v for k, v in config.params.items() if k != "delta"}, "params")
-            bandit_params = _checked(BanditParams, {k: v for k, v in config.params.items() if k == "delta"}, "params")
+            amplify_params, bandit_params = params
             delta = bandit_params.delta
 
             def base(residual):

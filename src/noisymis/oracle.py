@@ -115,6 +115,8 @@ class OracleConfig:
             raise ValueError(f"unknown oracle mode {self.mode!r}; expected one of {ORACLE_MODES}")
         if self.mode == PERSISTENT_KWISE and self.k < 2:
             raise ValueError(f"k-wise mode needs k >= 2, got {self.k}")
+        if self.seed < 0:  # numpy seeds no generator from a negative integer
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def is_persistent(self) -> bool:

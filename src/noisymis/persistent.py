@@ -53,6 +53,8 @@ class PersistentParams:
             raise ValueError(f"epsilon_effective must lie in (0, 1/2], got {self.epsilon_effective}")
         if self.greedy_order not in ("id", "degree", "random"):
             raise ValueError(f"unknown greedy order policy {self.greedy_order!r}")
+        if self.order_seed < 0:  # numpy seeds no generator from a negative integer
+            raise ValueError(f"order_seed must be >= 0, got {self.order_seed}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Command-line interface: gen / run / exact / verify / stats."""
 
 import concurrent.futures
+import functools
 import inspect
 import json
 import os
@@ -13,10 +14,11 @@ import pytest
 
 import noisymis
 import noisymis.cli as cli
+import noisymis.harness as harness
 from noisymis.cli import build_parser, main
 from noisymis.graph import exact_mis, is_maximal_independent_set
-from noisymis.harness import ALGORITHMS, CSV_COLUMNS, _build_instance, _checked, _oracle_config, records_from_csv
-from noisymis.instances import gen_planted_gnp, read_instance, write_instance
+from noisymis.harness import ALGORITHMS, CSV_COLUMNS, ExperimentConfig, _checked, _instance_source, records_from_csv
+from noisymis.instances import gen_planted_bounded_degree, gen_planted_gnp, read_instance, write_instance
 from noisymis.montecarlo import EVENT_BUILDERS
 from noisymis.persistent import PersistentParams, survival_threshold
 
@@ -197,17 +199,53 @@ def test_run_debug_dump_for_persistent(tmp_path, capsys):
     assert len(lines) == 31
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"params": {"budget_coeff": "x"}}, "params 'budget_coeff' must be float, got 'x'"),
+        ({"oracle": {"epsilon": 0.25, "k": 1.5}}, "oracle 'k' must be int, got 1.5"),
+        ({"instance": {"generator": "bounded-degree", "n": 300, "alpha": 0.3, "d": 5, "degree": 5}},
+         "unknown instance keys: ['degree']"),
+    ],
+)
+def test_bad_config_fails_before_any_instance_or_worker(tmp_path, capsys, monkeypatch, overrides, message):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    @functools.wraps(gen_planted_bounded_degree)
+    def generate(*args, **kwargs):
+        raise AssertionError("an instance was generated for a bad config")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "gen_planted_bounded_degree", generate)
+    config = {"algorithm": "bandit", "instance": {"generator": "bounded-degree", "n": 300, "alpha": 0.3, "d": 5},
+              "oracle": {"epsilon": 0.25}, "trials": 2, **overrides}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_dict(config)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    for workers in ("1", "2"):
+        assert main(["run", "--config", str(path), "--workers", workers]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert pools == []
+
+
 def reference_filter_dump(config, details):
     # the dump as it was first written: regenerate each trial's instance and
     # recompute its thresholds from the config
     params = _checked(PersistentParams, config.params, "params")
     lines = ["seed,v,deg,yes_count,threshold,in_low,in_surviving\n"]
     for seed, report in details.items():
-        g = _build_instance(config.instance, seed).graph
+        build, kwargs = _instance_source(config.instance, seed)
+        g = build(**kwargs).graph
         degs = g.degrees()
         eps = params.epsilon_effective
         if eps is None:
-            eps = _oracle_config(config, seed).effective_epsilon
+            eps = config._oracle.effective_epsilon
         thresholds = survival_threshold(degs, eps, g.n, params.threshold_coeff)
         for v in range(g.n):
             lines.append(

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import json
 import math
 import re
 from pathlib import Path
@@ -165,16 +166,14 @@ def test_generated_instances_differ_per_trial():
 
 
 def test_missing_epsilon_rejected():
-    cfg = gnp_config(algorithm="bandit", oracle={})
     with pytest.raises(ValueError, match="epsilon"):
-        run_trial(cfg, 1)
+        gnp_config(algorithm="bandit", oracle={})
 
 
 def test_unknown_param_key_rejected():
-    cfg = gnp_config(algorithm="persistent", oracle={"epsilon": 0.25, "mode": "persistent-random"},
-                     params={"not_a_knob": 1})
     with pytest.raises(ValueError, match="not_a_knob"):
-        run_trial(cfg, 1)
+        gnp_config(algorithm="persistent", oracle={"epsilon": 0.25, "mode": "persistent-random"},
+                   params={"not_a_knob": 1})
 
 
 @pytest.mark.parametrize(
@@ -192,9 +191,8 @@ def test_unknown_param_key_rejected():
     ],
 )
 def test_param_values_are_type_checked(algorithm, params, key):
-    cfg = gnp_config(algorithm=algorithm, oracle={"epsilon": 0.25}, params=params)
     with pytest.raises(ValueError, match=f"'{key}' must be"):
-        run_trial(cfg, 1)
+        gnp_config(algorithm=algorithm, oracle={"epsilon": 0.25}, params=params)
 
 
 def test_param_values_of_the_declared_types_are_accepted():
@@ -223,9 +221,8 @@ def test_from_dict_names_a_missing_required_key():
 
 
 def test_bad_oracle_config_wrapped_as_value_error():
-    cfg = gnp_config(algorithm="bandit", oracle={"epsilon": 0.25, "bogus": True})
     with pytest.raises(ValueError, match="oracle"):
-        run_trial(cfg, 1)
+        gnp_config(algorithm="bandit", oracle={"epsilon": 0.25, "bogus": True})
 
 
 def test_amplify_delta_plumbs_through():
@@ -422,16 +419,14 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
 
 
 def test_worker_errors_name_seed_and_algorithm(tmp_path):
-    cfg = gnp_config(
-        algorithm="persistent",
-        oracle={"epsilon": 0.25, "mode": "persistent-random"},
-        params={"not_a_knob": 1},
-        trials=2,
-        workers=2,
-    )
-    first = trial_seeds(cfg)[0]
-    with pytest.raises(RuntimeError, match=rf"trial seed={first} algorithm=persistent: ValueError: .*not_a_knob"):
-        run_experiment(cfg)
+    with pytest.raises(ValueError, match="not_a_knob"):
+        gnp_config(
+            algorithm="persistent",
+            oracle={"epsilon": 0.25, "mode": "persistent-random"},
+            params={"not_a_knob": 1},
+            trials=2,
+            workers=2,
+        )
     missing = gnp_config(instance={"path": str(tmp_path / "absent.txt")}, workers=2)
     with pytest.raises(RuntimeError, match=rf"trial seed={trial_seeds(missing)[0]} algorithm=greedy: FileNotFoundError"):
         run_experiment(missing)
@@ -477,8 +472,9 @@ def test_trials_read_only_the_id_arrays(monkeypatch):
 def amplify_reference(config, seed):
     # the public reduction with a base that runs on frozensets, built from the
     # trial's own instance and oracle seeds
-    instance = harness._build_instance(config.instance, seed)
-    oracle = harness.make_oracle(instance, harness._oracle_config(config, seed))
+    build, kwargs = harness._instance_source(config.instance, seed)
+    instance = build(**kwargs)
+    oracle = harness.make_oracle(instance, dataclasses.replace(config._oracle, seed=derive_seed(seed, "oracle")))
     g = instance.graph
     params = harness.BanditParams()
     amplify = harness.AmplifyParams(**config.params)
@@ -518,3 +514,10 @@ def test_readme_library_example_runs(capsys):
     exec(example, {})
     overlap, queries = map(int, capsys.readouterr().out.split())
     assert 0 < overlap <= 900 and queries > 0
+
+
+def test_readme_config_example_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"A config file is JSON with the same shape as `ExperimentConfig`:\n\n```json\n(.*?)```", readme, re.S)
+    config = ExperimentConfig.from_dict(json.loads(example.group(1)))
+    assert config.algorithm == "bandit" and config.instance["generator"] == "gnp" and config.trials == 20
