@@ -9,6 +9,7 @@ far is returned when the query budget runs out or no survivor remains.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -146,7 +147,23 @@ def cover_complement(g: Graph, vertices) -> np.ndarray:
     matched edge spends at most one member per outsider).
     """
     sub, ids = induced_subgraph(g, vertices)
-    return np.delete(ids, vertex_cover_2approx(sub))
+    return _drop_cover(ids, sub)
+
+
+def _drop_cover(ids: np.ndarray, sub: Graph) -> np.ndarray:
+    """``ids`` without the positions of a 2-approximate cover of ``sub``, the graph they induce."""
+    cover = vertex_cover_2approx(sub)
+    if not cover.size:
+        return ids
+    keep = np.ones(ids.size, dtype=bool)
+    keep[cover] = False
+    return ids[keep]
+
+
+@functools.lru_cache(maxsize=16)
+def _with_epsilon(params: BanditParams, epsilon: float) -> BanditParams:
+    """``params`` with ``epsilon`` filled in unless it has one; built and checked once, not on every run."""
+    return params if params.epsilon is not None else replace(params, epsilon=epsilon)
 
 
 def run_bandit(
@@ -162,13 +179,11 @@ def run_bandit(
     each round's cover phase, so the final round may overshoot by at most its
     own cost; the trace records cumulative totals per round.
     """
-    params = params or BanditParams()
     if oracle.n != g.n:
         raise ValueError("oracle universe size does not match the graph")
     if oracle.config.is_persistent:
         raise ModeError("elimination needs a non-persistent oracle; repeated queries must be fresh")
-    if params.epsilon is None:
-        params = replace(params, epsilon=oracle.config.epsilon)
+    params = _with_epsilon(params or BanditParams(), oracle.config.epsilon)
 
     if initial is None:
         survivors = np.arange(g.n, dtype=np.int64)
@@ -197,7 +212,7 @@ def run_bandit(
         # previous candidate, which depends on the survivors alone
         if candidate is None or survivors.size != before:
             sub = _induce(g, survivors) if candidate is None else _induce(sub, np.flatnonzero(keep))
-            candidate = np.delete(survivors, vertex_cover_2approx(sub))
+            candidate = _drop_cover(survivors, sub)
         if candidate.size > best.size:
             best = candidate
             result.best_round = r

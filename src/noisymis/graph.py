@@ -243,14 +243,15 @@ def _sorted_ids(vertices, n: int) -> np.ndarray:
     """Unique ascending id array from any iterable of integer vertex ids.
 
     Ids that are not integers raise ``ValueError``, and so does a bool array
-    (a mask, not ids) or an id outside ``range(n)``.  The ids are copied
-    first, so the caller's array is never sorted in place.  The result may
-    be a prefix view of that copy, which is vertex-sized.
+    (a mask, not ids) or an id outside ``range(n)``.  The result is a copy,
+    never the caller's array; unless the ids are already strictly ascending,
+    that copy is sorted and deduplicated, and the result may be a prefix view.
     """
     ids = _int_ids(vertices, n)
     # an int64 array comes back as the caller's own, and the sort works in place
     ids = ids.flatten() if ids is vertices else ids.ravel()
-    ids = ids[: _sorted_unique(ids)]
+    if not (ids[1:] > ids[:-1]).all():
+        ids = ids[: _sorted_unique(ids)]
     if ids.size and (ids[0] < 0 or ids[-1] >= n):
         raise ValueError(f"vertex ids must lie in range(0, {n})")
     return ids
@@ -270,9 +271,9 @@ def _induce(g: Graph, ids: np.ndarray) -> Graph:
     """Induced subgraph on the ascending distinct ids ``ids``, renumbered by rank."""
     mask = np.zeros(g.n, dtype=bool)
     mask[ids] = True
-    slot = mask[g.indices]
+    # no ids read no edge, and no kept id with a neighbor builds no owner
+    slot = mask[g.indices] if ids.size else mask[:0]
     offsets = np.zeros(ids.size + 1, dtype=np.int64)
-    # no kept id has a neighbor (always so for no ids): skip building the owner
     if not slot.any():
         return Graph(ids.size, offsets, np.zeros(0, dtype=np.int64))
     owner = g.owner()
@@ -318,6 +319,8 @@ def vertex_cover_2approx(g: Graph) -> np.ndarray:
     Isolated vertices can never be matched, so only vertices of nonzero
     degree are scanned; the matching is the same as a scan over every id.
     """
+    if not g.m:
+        return np.zeros(0, dtype=np.int64)
     offsets = g.offsets
     active = np.flatnonzero(offsets[1:] != offsets[:-1])
     matched = bytearray(g.n)

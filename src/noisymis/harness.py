@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 # each algorithm's native oracle mode, used unless the config names another;
-# None marks the oracle-free algorithms, which also take no params
+# None marks the oracle-free algorithms, which take no oracle and no params
 ALGORITHMS = {
     "persistent": PERSISTENT_RANDOM,
     "bandit": BANDIT_BERNOULLI,
@@ -103,8 +103,9 @@ class ExperimentConfig:
                 raise ValueError(f"{what} 'seed' cannot be set: every seed derives from seed_base/seeds")
         if self.seeds is not None and not (self.seeds and all(_fits(s, (int,)) for s in self.seeds)):
             raise ValueError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
-        if ALGORITHMS[self.algorithm] is None and self.params:
-            raise ValueError(f"{self.algorithm} takes no params, got {sorted(self.params)}")
+        for what in ("oracle", "params"):
+            if ALGORITHMS[self.algorithm] is None and getattr(self, what):
+                raise ValueError(f"{self.algorithm} takes no {what}, got {sorted(getattr(self, what))}")
         if self.seeds is None and self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:

@@ -152,6 +152,14 @@ class QueryLedger:
         self.total += int(len(arr)) * int(times)
         return arr
 
+    def record_one(self, v) -> int:
+        """``record([v], 1)`` for a single id, returned as an int."""
+        if type(v) is not int or not 0 <= v < len(self.per_vertex):
+            return int(self.record([v], 1)[0])  # any other id gets the batch path's checks
+        self.per_vertex[v] += 1
+        self.total += 1
+        return v
+
 
 # ---------------------------------------------------------------------------
 # counter-mode randomness for persistent answers: a splitmix64-style mixer
@@ -266,11 +274,19 @@ class Oracle:
         eps = self.config.epsilon
         return np.where(self._members[verts], 0.5 + eps, 0.5 - eps)
 
+    def _mean(self, v: int) -> float:
+        """``_means`` of the single id ``v``, as a float."""
+        eps = self.config.epsilon
+        return 0.5 + eps if self._members[v] else 0.5 - eps
+
     # -- query surface -------------------------------------------------------
 
     def query_bool(self, v: int) -> bool:
         """One yes/no membership answer for ``v``; counts one query."""
-        return bool(self.query_bool_many([v])[0])
+        if self.config.mode != BANDIT_BERNOULLI:
+            return bool(self.query_bool_many([v])[0])
+        # the batch path on scalars: the ledger is updated, and an id checked, before the draw
+        return bool(self._mean(self.ledger.record_one(v)) > self._rng.random())
 
     def query_bool_many(self, verts) -> np.ndarray:
         """One answer per listed vertex; counts ``len(verts)`` queries."""
@@ -283,7 +299,10 @@ class Oracle:
 
     def query_real(self, v: int) -> float:
         """One real reward: N(1/2 + eps, 1) for members, N(1/2 - eps, 1) otherwise."""
-        return float(self.query_reward_sums([v], 1)[0])
+        if self.config.mode != BANDIT_GAUSSIAN:
+            return float(self.query_reward_sums([v], 1)[0])  # raises the mode error
+        # the batch path on scalars: the ledger is updated, and an id checked, before the draw
+        return float(self._mean(self.ledger.record_one(v)) + self._rng.standard_normal())
 
     def query_yes_counts(self, verts, q: int) -> np.ndarray:
         """Yes-counts of ``q`` fresh queries per vertex; counts ``len(verts) * q``.
@@ -302,9 +321,7 @@ class Oracle:
         # means share that inner probability, one scalar-p call makes the same
         # draws (p = 0 draws nothing, so eps = 1/2 keeps the per-vertex path)
         counts = self._rng.binomial(q, low, size=arr.size)
-        member = self._members[arr]
-        counts[member] = q - counts[member]
-        return counts
+        return np.subtract(q, counts, out=counts, where=self._members[arr])
 
     def query_reward_sums(self, verts, q: int) -> np.ndarray:
         """Sums of ``q`` fresh real rewards per vertex; counts ``len(verts) * q``."""

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,6 +284,38 @@ def test_run_empty_cases():
     o = make_oracle(inst, bern(0.25))
     result = run_bandit(inst.graph, o, initial=[])
     assert result.independent_ids.size == 0 and result.total_queries == 0
+
+
+def test_run_takes_epsilon_from_the_oracle_without_touching_params():
+    inst = gen_planted_gnp(300, 0.4, 0.03, seed=51)
+    params = BanditParams(delta=0.1)
+    explicit = replace(params, epsilon=0.25)
+    runs = []
+    for p in (params, explicit, params):
+        o = make_oracle(inst, bern(0.25, seed=52))
+        runs.append((run_bandit(inst.graph, o, p), o))
+    assert params == BanditParams(delta=0.1) and params.epsilon is None
+    (got, o_got), (want, o_want), (again, _) = runs
+    assert got.trace == want.trace == again.trace
+    assert got.total_queries == want.total_queries and got.terminated_reason == want.terminated_reason == "budget"
+    assert np.array_equal(got.independent_ids, want.independent_ids)
+    assert np.array_equal(o_got.ledger.per_vertex, o_want.ledger.per_vertex)
+    # each round's q follows the schedule, and the run stops at the budget of the explicit params
+    assert [rec.q for rec in got.trace] == [query_schedule(rec.r, explicit) for rec in got.trace]
+    assert got.trace[-2].cumulative_queries <= query_budget(300, explicit) < got.total_queries
+
+
+def test_run_result_never_aliases_initial():
+    # an edgeless graph and a perfect oracle: no cover, every member survives
+    g = build_graph(30, [])
+    inst = PlantedInstance(graph=g, planted=frozenset(range(0, 30, 2)), params={})
+    for ids in (np.zeros(0, dtype=np.int64), np.arange(0, 30, 2), np.arange(30)):
+        for writeable in (True, False):
+            initial = ids.copy()
+            initial.setflags(write=writeable)
+            result = run_bandit(g, make_oracle(inst, bern(0.5, seed=9)), BanditParams(delta=0.1), initial=initial)
+            assert result.independent_ids.tolist() == [v for v in ids.tolist() if v % 2 == 0]
+            assert not np.shares_memory(result.independent_ids, initial)
 
 
 def test_run_validation_errors():

@@ -206,6 +206,9 @@ def test_run_debug_dump_for_persistent(tmp_path, capsys):
         ({"oracle": {"epsilon": 0.25, "k": 1.5}}, "oracle 'k' must be int, got 1.5"),
         ({"instance": {"generator": "bounded-degree", "n": 300, "alpha": 0.3, "d": 5, "degree": 5}},
          "unknown instance keys: ['degree']"),
+        ({"algorithm": "greedy", "oracle": {"epsilon": 0.25, "mode": "nope"}},
+         "greedy takes no oracle, got ['epsilon', 'mode']"),
+        ({"algorithm": "exact", "oracle": {"k": 3}}, "exact takes no oracle, got ['k']"),
     ],
 )
 def test_bad_config_fails_before_any_instance_or_worker(tmp_path, capsys, monkeypatch, overrides, message):
@@ -232,6 +235,14 @@ def test_bad_config_fails_before_any_instance_or_worker(tmp_path, capsys, monkey
         assert main(["run", "--config", str(path), "--workers", workers]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
     assert pools == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_oracle_flags_for_an_oracle_free_algorithm_are_one_error_line(capsys, workers):
+    argv = ["run", "--algo", "greedy", "--n", "30", "--alpha", "0.3", "--p", "0.1", "--eps", "0.25",
+            "--mode", "nope", "--trials", "2", "--workers", workers]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: greedy takes no oracle, got ['epsilon', 'mode']\n")
 
 
 def reference_filter_dump(config, details):

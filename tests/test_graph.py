@@ -12,6 +12,7 @@ from noisymis.bandit import run_bandit
 from noisymis.graph import (
     EXACT_MIS_MAX_N,
     Graph,
+    _induce,
     _sorted_ids,
     _sorted_unique,
     build_graph,
@@ -172,6 +173,41 @@ def test_sorted_ids_matches_reference():
             assert np.array_equal(got, expected) and got.dtype == expected.dtype
 
 
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.arange(0, 40, 3),  # strictly ascending: no sort
+        np.array([9, 2, 30, 4]),
+        np.array([2, 4, 4, 9, 9, 9, 30]),  # ascending but repeated
+        np.zeros(0, dtype=np.int64),
+        np.array([7]),
+        np.array([[1, 2], [5, 8]]),  # ascending once flattened
+        np.array([[5, 8], [1, 2]]),
+        np.arange(0, 40, 3)[::2],  # a strided view
+    ],
+    ids=["ascending", "unsorted", "repeated", "empty", "single", "2d-ascending", "2d-unsorted", "strided"],
+)
+@pytest.mark.parametrize("writeable", [True, False])
+def test_sorted_ids_returns_a_fresh_array_on_every_path(arr, writeable):
+    arr = arr.copy() if arr.base is None else arr
+    arr.setflags(write=writeable)
+    before = arr.copy()
+    got = _sorted_ids(arr, 40)
+    assert got.dtype == np.int64 and np.array_equal(got, np.unique(arr))
+    assert not np.shares_memory(got, arr)
+    assert np.array_equal(arr, before) and arr.flags.writeable == writeable
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [np.array([0, 5, 40]), np.array([-1, 0, 5]), np.array([40, 5, 0]), np.array([[0, 1], [2, 40]])],
+    ids=["ascending-high", "ascending-negative", "unsorted-high", "2d-high"],
+)
+def test_sorted_ids_range_checks_every_path(arr):
+    with pytest.raises(ValueError, match=r"range\(0, 40\)"):
+        _sorted_ids(arr, 40)
+
+
 def unique_cases(chunk, rng):
     """Arrays with repeats placed around _sorted_unique's chunk boundaries."""
     yield from (np.zeros(0, dtype=np.int64), np.array([5]), np.array([5, 5]), np.array([7, 3]))
@@ -302,6 +338,14 @@ def test_induced_subgraph_small():
     assert sub.neighbors(2).tolist() == []
 
 
+def test_induce_on_no_ids_reads_no_edge():
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    g.indices = np.array([g.n])  # an out-of-range slot: any edge pass would fail on it
+    sub = _induce(g, np.zeros(0, dtype=np.int64))
+    assert sub == build_graph(0, []) and sub.indices.dtype == np.int64
+    assert g._owner is None
+
+
 def test_induced_subgraph_preserves_adjacency():
     rng = np.random.default_rng(77)
     for _ in range(20):
@@ -330,10 +374,14 @@ def test_induced_subgraph_rejects_bad_ids():
         induced_subgraph(g, [0, 3])
 
 
-NOT_IDS = [{1.9, 2}, [1.9, 2], np.array([0.0, 1.9]), np.array([True, False, True]), [2**70], [0, 2**63]]
+NOT_IDS = [
+    {1.9, 2}, [1.9, 2], np.array([0.0, 1.9]), np.array([True, False, True]), np.array([False, True]), [2**70], [0, 2**63]
+]
 
 
-@pytest.mark.parametrize("ids", NOT_IDS, ids=["float-set", "float-list", "float-array", "bool-mask", "huge-id", "int64-max-plus-one"])
+@pytest.mark.parametrize(
+    "ids", NOT_IDS, ids=["float-set", "float-list", "float-array", "bool-mask", "ascending-bool-mask", "huge-id", "int64-max-plus-one"]
+)
 def test_vertex_ids_that_are_not_integers_are_rejected(ids):
     g = build_graph(3, [(1, 2)])
     oracle = Oracle(np.array([True, False, False]), OracleConfig(epsilon=0.25, seed=0))
@@ -419,6 +467,12 @@ def test_greedy_matches_two_mask_reference():
 def test_cover_on_path():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert vertex_cover_2approx(g).tolist() == [0, 1, 2, 3]
+
+
+def test_cover_of_an_edgeless_graph_is_an_empty_id_array():
+    for n in (0, 1, 9):
+        cover = vertex_cover_2approx(build_graph(n, []))
+        assert cover.dtype == np.int64 and cover.shape == (0,)
 
 
 def test_cover_covers_all_edges_and_is_2approx():

@@ -89,10 +89,12 @@ def test_config_validation():
         gnp_config(seeds=[])
     with pytest.raises(ValueError, match="instance"):
         ExperimentConfig(algorithm="greedy", instance={})
-    # the oracle-free algorithms take no params at all
+    # the oracle-free algorithms take no params and no oracle at all
     for algorithm in ("greedy", "exact"):
         with pytest.raises(ValueError, match="junk"):
             gnp_config(algorithm=algorithm, params={"delta": 0.1, "junk": 1})
+        with pytest.raises(ValueError, match=rf"{algorithm} takes no oracle, got \['epsilon', 'mode'\]"):
+            gnp_config(algorithm=algorithm, oracle={"epsilon": 0.25, "mode": "nope"})
     # an explicit seed list sidesteps the trials knob entirely
     assert trial_seeds(gnp_config(seeds=[1, 2], trials=3)) == [1, 2]
 
@@ -467,6 +469,15 @@ def test_trials_read_only_the_id_arrays(monkeypatch):
     assert 1 <= len({id(residual) for residual in residuals}) <= rounds
     for residual in residuals:
         assert residual.dtype == np.int64 and not residual.flags.writeable and np.all(np.diff(residual) > 0)
+
+
+def test_bench_shaped_amplify_trial_keeps_its_record():
+    # the benchmark's amplify workload, which the golden fixture does not cover
+    instance = {"generator": "gnp", "n": 4096, "alpha": 0.8797, "p": 0.005, "ensure_maximal": True}
+    config = ExperimentConfig(algorithm="amplify", instance=instance, oracle={"epsilon": 0.25}, seed_base=1)
+    record, _ = run_trial(config, trial_seeds(config)[0])
+    assert (record.total_queries, record.output_size, record.planted_size) == (1074121935, 3603, 3603)
+    assert (record.m, record.max_degree, record.ratio) == (9571, 34, 1.0)
 
 
 def amplify_reference(config, seed):

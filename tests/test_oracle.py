@@ -273,6 +273,21 @@ def test_single_queries_keep_the_scalar_stream(mode):
     assert np.array_equal(new.ledger.per_vertex, old.ledger.per_vertex)
 
 
+@pytest.mark.parametrize("mode", [BANDIT_BERNOULLI, BANDIT_GAUSSIAN])
+def test_single_queries_take_any_integer_id_as_its_int(mode):
+    # a plain int in range takes the scalar path; numpy integers and bools
+    # take the batch path's checks, and both make the same draws and counts
+    cfg = OracleConfig(epsilon=0.25, mode=mode, seed=29)
+    ints, others = Oracle(half_members(6), cfg), Oracle(half_members(6), cfg)
+    single = Oracle.query_real if mode == BANDIT_GAUSSIAN else Oracle.query_bool
+    for v in (np.int64(3), np.uint8(0), True, np.int32(5), False):
+        got, want = single(others, v), single(ints, int(v))
+        assert got == want and type(got) is type(want)
+    assert others.total_queries == ints.total_queries == 5
+    assert np.array_equal(others.ledger.per_vertex, ints.ledger.per_vertex)
+    assert others._rng.bit_generator.state == ints._rng.bit_generator.state
+
+
 def per_vertex_yes_counts(o, verts, q):
     # the ledger update and the per-vertex-probability draw every yes-count
     # call made before equal inner probabilities shared one scalar-p draw
