@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--n", type=int)
     p_stats.add_argument("--deg", type=int)
     p_stats.add_argument("--blockers", type=int, help="planted neighbors of the non-member (filter-blocker)")
-    p_stats.add_argument("--round", type=int, dest="round_index")
+    p_stats.add_argument("--round", type=int)
     p_stats.add_argument("--delta", type=float)
     p_stats.add_argument("--prob", type=float, help="success probability for the plain coin event")
 
@@ -246,8 +246,8 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-# the stats flag (by its argparse dest) that sets each Monte Carlo builder parameter
-_MC_ARGS = {"p": "prob", "deg": "deg", "k": "blockers", "epsilon": "eps", "n": "n", "r": "round_index", "delta": "delta"}
+# the stats flag that sets each Monte Carlo builder parameter; its argparse dest is the flag's name
+_MC_FLAGS = {"p": "--prob", "deg": "--deg", "k": "--blockers", "epsilon": "--eps", "n": "--n", "r": "--round", "delta": "--delta"}
 
 
 def _cmd_stats(args) -> int:
@@ -261,8 +261,8 @@ def _cmd_stats(args) -> int:
     builder = EVENT_BUILDERS[args.mc]
     # the event needs each of its builder's parameters that has no default
     required = [p.name for p in inspect.signature(builder).parameters.values() if p.default is p.empty]
-    kwargs = {name: getattr(args, _MC_ARGS[name]) for name in required}
-    missing = [k for k, v in kwargs.items() if v is None]
+    kwargs = {name: getattr(args, _MC_FLAGS[name][2:]) for name in required}
+    missing = [_MC_FLAGS[k] for k, v in kwargs.items() if v is None]
     if missing:
         raise ValueError(f"--mc {args.mc} needs: {', '.join(sorted(missing))}")
     sampler = builder(**kwargs)

@@ -72,6 +72,18 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+class _ReadOnlyDict(dict):
+    """A built config's block: a dict whose every mutator raises, and which pickles and copies whole."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("config blocks are read-only; change a config with dataclasses.replace or from_dict")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: an algorithm, an instance source, an oracle, seeds.
@@ -81,7 +93,8 @@ class ExperimentConfig:
     ``(seed_base, trials)`` when given.  ``params`` holds algorithm-specific
     overrides.  Building the config checks every block for unknown keys and
     values that do not fit their annotations, before any instance exists.
-    Neither ``instance`` nor ``oracle`` may hold a ``seed``.
+    Neither ``instance`` nor ``oracle`` may hold a ``seed``.  A built
+    config's blocks are read-only dicts and its ``seeds`` a tuple.
     """
 
     algorithm: str
@@ -96,6 +109,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_types(ExperimentConfig, vars(self), "config")
+        for what in ("instance", "oracle", "params"):
+            object.__setattr__(self, what, _ReadOnlyDict(getattr(self, what)))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}")
         for what in ("instance", "oracle"):
@@ -103,6 +118,7 @@ class ExperimentConfig:
                 raise ValueError(f"{what} 'seed' cannot be set: every seed derives from seed_base/seeds")
         if self.seeds is not None and not (self.seeds and all(_fits(s, (int,)) for s in self.seeds)):
             raise ValueError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", self.seeds and tuple(self.seeds))  # None stays None
         for what in ("oracle", "params"):
             if ALGORITHMS[self.algorithm] is None and getattr(self, what):
                 raise ValueError(f"{self.algorithm} takes no {what}, got {sorted(getattr(self, what))}")
@@ -118,7 +134,8 @@ class ExperimentConfig:
             object.__setattr__(self, "_params", _build_params(self.algorithm, self.params))
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        values = ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
+        return {k: dict(v) if isinstance(v, dict) else list(v) if isinstance(v, tuple) else v for k, v in values}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -484,22 +484,37 @@ def test_stats_argument_errors(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 3
 
 
+# the flags each Monte Carlo event needs, by the builder parameter each one sets
+MC_NEEDS = {
+    "coin": {"p": "--prob"},
+    "filter-member": {"deg": "--deg", "epsilon": "--eps", "n": "--n"},
+    "filter-blocker": {"deg": "--deg", "epsilon": "--eps", "k": "--blockers", "n": "--n"},
+    "elim-member": {"delta": "--delta", "epsilon": "--eps", "r": "--round"},
+    "elim-survivor": {"delta": "--delta", "epsilon": "--eps", "r": "--round"},
+}
+
+
 def test_stats_mc_names_every_missing_builder_parameter(capsys):
-    needs = {
-        "coin": ["p"],
-        "filter-member": ["deg", "epsilon", "n"],
-        "filter-blocker": ["deg", "epsilon", "k", "n"],
-        "elim-member": ["delta", "epsilon", "r"],
-        "elim-survivor": ["delta", "epsilon", "r"],
-    }
-    assert needs.keys() == EVENT_BUILDERS.keys()
-    for event, names in needs.items():
+    assert MC_NEEDS.keys() == EVENT_BUILDERS.keys()
+    for event, flags in MC_NEEDS.items():
         params = inspect.signature(EVENT_BUILDERS[event]).parameters.values()
-        assert names == sorted(p.name for p in params if p.default is p.empty)
+        assert list(flags) == sorted(p.name for p in params if p.default is p.empty)
         assert main(["stats", "--mc", event]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --mc {event} needs: {', '.join(names)}\n"
+        assert captured.err == f"error: --mc {event} needs: {', '.join(sorted(flags.values()))}\n"
+
+
+@pytest.mark.parametrize("event", MC_NEEDS)
+def test_stats_mc_runs_on_exactly_the_flags_its_error_names(capsys, event):
+    assert main(["stats", "--mc", event]) == 1
+    named = capsys.readouterr().err.strip().split("needs: ")[1].split(", ")
+    values = {"--prob": "0.5", "--deg": "20", "--eps": "0.25", "--blockers": "2", "--n": "1000", "--delta": "0.1", "--round": "1"}
+    argv = ["stats", "--mc", event, "--trials", "1000"]
+    for flag in named:
+        argv += [flag, values[flag]]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["event"] == event
 
 
 # -- parser-level behavior ------------------------------------------------------------------

@@ -5,7 +5,9 @@ import dataclasses
 import functools
 import json
 import math
+import pickle
 import re
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,104 @@ def test_config_round_trip_and_unknown_keys():
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError, match="unknown"):
         ExperimentConfig.from_dict({**cfg.to_dict(), "typo_key": 1})
+
+
+# -- a built config is read-only ------------------------------------------------------------
+
+BLOCK_EDITS = {
+    "__setitem__": lambda block: block.__setitem__("n", 10**9),
+    "__delitem__": lambda block: block.__delitem__(next(iter(block))),
+    "__ior__": lambda block: block.__ior__({"bogus": 1}),
+    "clear": lambda block: block.clear(),
+    "pop": lambda block: block.pop(next(iter(block))),
+    "popitem": lambda block: block.popitem(),
+    "setdefault": lambda block: block.setdefault("bogus", 1),
+    "update": lambda block: block.update(bogus=1),
+}
+
+
+def bandit_config(**overrides):
+    return gnp_config(algorithm="bandit", oracle={"epsilon": 0.25}, params={"delta": 0.1}, **overrides)
+
+
+@pytest.mark.parametrize("edit", sorted(BLOCK_EDITS))
+@pytest.mark.parametrize("what", ["instance", "oracle", "params"])
+def test_every_block_mutator_raises(what, edit):
+    config = bandit_config()
+    before = dict(getattr(config, what))
+    with pytest.raises(TypeError, match="read-only.*dataclasses.replace"):
+        BLOCK_EDITS[edit](getattr(config, what))
+    assert getattr(config, what) == before and config == bandit_config()
+
+
+def test_seeds_cannot_change():
+    config = bandit_config(seeds=[3, 4])
+    assert config.seeds == (3, 4)
+    with pytest.raises(AttributeError):
+        config.seeds.append(5)
+    with pytest.raises(TypeError):
+        config.seeds[0] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seeds = [5]
+    assert trial_seeds(config) == [3, 4]
+
+
+def test_refused_edits_leave_the_record_as_built():
+    config = bandit_config()
+    for what, key, value in [("params", "delta", 0.5), ("oracle", "epsilon", 0.4), ("instance", "n", 61)]:
+        with pytest.raises(TypeError):
+            getattr(config, what)[key] = value
+    record, _ = run_trial(config, 1)
+    assert (record.delta, record.epsilon, record.n) == (0.1, 0.25, 60)
+    fresh, _ = run_trial(bandit_config(), 1)
+    assert dataclasses.replace(record, wall_time_ms=0.0) == dataclasses.replace(fresh, wall_time_ms=0.0)
+
+
+def test_read_only_config_round_trips():
+    config = bandit_config(seeds=(3, 4))
+    assert config == bandit_config(seeds=[3, 4])
+    for copy in (pickle.loads(pickle.dumps(config)), deepcopy(config), dataclasses.replace(config)):
+        assert copy == config and copy.params is not config.params
+        with pytest.raises(TypeError):
+            copy.params["delta"] = 0.5
+        assert copy._params == config._params and copy._oracle == config._oracle
+    changed = dataclasses.replace(config, params={"delta": 0.5})
+    assert changed._params.delta == 0.5 and config._params.delta == 0.1
+    with pytest.raises(ValueError, match="unknown params keys"):
+        dataclasses.replace(config, params={"bogus": 1})
+    strip = lambda recs: [r.to_row()[:13] + r.to_row()[14:] for r in recs]
+    assert strip(run_experiment(dataclasses.replace(config, workers=2))) == strip(run_experiment(config))
+
+
+# algorithm -> (oracle, params, an edit to the params)
+ROUND_TRIP_CONFIGS = {
+    "persistent": ({"epsilon": 0.25}, {"threshold_coeff": 5.0}, {"threshold_coeff": 4.0}),
+    "bandit": ({"epsilon": 0.25}, {"delta": 0.1}, {"delta": 0.2}),
+    "sampler": ({"epsilon": 0.25}, {"sample_prob": 0.5}, {"sample_prob": 0.25}),
+    "amplify": ({"epsilon": 0.25}, {"delta": 0.1, "rounds": 2}, {"delta": 0.2, "rounds": 3}),
+    "greedy": ({}, {}, {}),
+    "exact": ({}, {}, {}),
+}
+
+
+@pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+def test_to_dict_round_trips_and_is_the_edit_path(algorithm):
+    oracle, params, edit = ROUND_TRIP_CONFIGS[algorithm]
+    config = gnp_config(algorithm=algorithm, oracle=oracle, params=params, seeds=[3, 4])
+    d = config.to_dict()
+    assert ExperimentConfig.from_dict(d) == config
+    assert [type(d[what]) for what in ("instance", "oracle", "params", "seeds")] == [dict, dict, dict, list]
+    d["instance"]["n"] = 20
+    d["seeds"].append(5)
+    d["params"].update(edit)
+    edited = ExperimentConfig.from_dict(d)
+    assert edited.instance["n"] == 20 and edited.seeds == (3, 4, 5) and edited.params == {**params, **edit}
+    assert config == gnp_config(algorithm=algorithm, oracle=oracle, params=params, seeds=[3, 4])
+    if oracle:
+        assert edited._params == harness._build_params(algorithm, {**params, **edit}) != config._params
+    d["instance"]["bogus"] = 1
+    with pytest.raises(ValueError, match=r"unknown instance keys: \['bogus'\]"):
+        ExperimentConfig.from_dict(d)
 
 
 # -- run_trial ----------------------------------------------------------------------------
@@ -532,3 +632,9 @@ def test_readme_config_example_builds():
     example = re.search(r"A config file is JSON with the same shape as `ExperimentConfig`:\n\n```json\n(.*?)```", readme, re.S)
     config = ExperimentConfig.from_dict(json.loads(example.group(1)))
     assert config.algorithm == "bandit" and config.instance["generator"] == "gnp" and config.trials == 20
+    # to_dict gives back the same JSON a config of plain dicts gave
+    assert json.dumps(config.to_dict(), sort_keys=True) == (
+        '{"algorithm": "bandit", "instance": {"alpha": 0.3, "ensure_maximal": true, "generator": "gnp", "n": 5000,'
+        ' "p": 0.01}, "oracle": {"epsilon": 0.25, "mode": "bandit-bernoulli"}, "output": null, "params": {"delta": 0.1},'
+        ' "seed_base": 202, "seeds": null, "trials": 20, "workers": 1}'
+    )
