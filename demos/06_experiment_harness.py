@@ -26,9 +26,11 @@ config = ExperimentConfig(
     seed_base=7,
 )
 
-print(f"trial seeds from seed_base={config.seed_base}: {trial_seeds(config)}")
-print(f"  (seed derivation is a keyed hash: derive_seed(7, 'trial', 0) = "
-      f"{derive_seed(7, 'trial', 0)})")
+seeds = trial_seeds(config)
+print(f"trial seeds from seed_base={config.seed_base}: {seeds}")
+first = derive_seed(config.seed_base, 0)
+assert first == seeds[0]
+print(f"  (seed derivation is a keyed hash: derive_seed({config.seed_base}, 0) = {first})")
 print()
 
 records = run_experiment(config)
@@ -43,7 +45,7 @@ print(f"  pass rate at ratio >= 0.95: {summary.pass_rate:.0%}")
 print()
 
 # explicit seeds override (seed_base, trials); handy for re-running one trial
-pinned = ExperimentConfig(**{**config.to_dict(), "seeds": trial_seeds(config)[:2]})
+pinned = ExperimentConfig(**{**config.to_dict(), "seeds": seeds[:2]})
 rerun = run_experiment(pinned)
 same = all(
     a.to_row()[:13] == b.to_row()[:13] and a.to_row()[14:] == b.to_row()[14:]

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from .graph import exact_mis, greedy_mis, is_independent_set
 from .oracle import (
     BANDIT_BERNOULLI,
+    BANDIT_GAUSSIAN,
+    PERSISTENT_KWISE,
     PERSISTENT_RANDOM,
     OracleConfig,
     _check_types,
@@ -49,15 +51,15 @@ __all__ = [
     "records_from_csv",
 ]
 
-# each algorithm's native oracle mode, used unless the config names another;
-# None marks the oracle-free algorithms, which take no oracle and no params
+# each algorithm's oracle modes, native mode first (the default), and its params class;
+# greedy and exact take no oracle and no params
 ALGORITHMS = {
-    "persistent": PERSISTENT_RANDOM,
-    "bandit": BANDIT_BERNOULLI,
-    "sampler": BANDIT_BERNOULLI,
-    "amplify": BANDIT_BERNOULLI,
-    "greedy": None,
-    "exact": None,
+    "persistent": ((PERSISTENT_RANDOM, PERSISTENT_KWISE), PersistentParams),
+    "bandit": ((BANDIT_BERNOULLI, BANDIT_GAUSSIAN), BanditParams),
+    "sampler": ((BANDIT_BERNOULLI,), SamplerParams),
+    "amplify": ((BANDIT_BERNOULLI,), AmplifyParams),
+    "greedy": ((), None),
+    "exact": ((), None),
 }
 
 def derive_seed(*parts) -> int:
@@ -92,7 +94,8 @@ class ExperimentConfig:
     (``{"generator": "gnp" | "bounded-degree", ...}``).  ``seeds`` wins over
     ``(seed_base, trials)`` when given.  ``params`` holds algorithm-specific
     overrides.  Building the config checks every block for unknown keys and
-    values that do not fit their annotations, before any instance exists.
+    values that do not fit their annotations, and the oracle mode against
+    the algorithm's ``ALGORITHMS`` entry, before any instance exists.
     Neither ``instance`` nor ``oracle`` may hold a ``seed``.  A built
     config's blocks are read-only dicts and its ``seeds`` a tuple.
     """
@@ -118,20 +121,23 @@ class ExperimentConfig:
                 raise ValueError(f"{what} 'seed' cannot be set: every seed derives from seed_base/seeds")
         if self.seeds is not None and not (self.seeds and all(_fits(s, (int,)) for s in self.seeds)):
             raise ValueError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
-        object.__setattr__(self, "seeds", self.seeds and tuple(self.seeds))  # None stays None
+        object.__setattr__(self, "seeds", self.seeds and tuple(int(s) for s in self.seeds))  # None stays None
+        modes, params_class = ALGORITHMS[self.algorithm]
         for what in ("oracle", "params"):
-            if ALGORITHMS[self.algorithm] is None and getattr(self, what):
+            if not modes and getattr(self, what):
                 raise ValueError(f"{self.algorithm} takes no {what}, got {sorted(getattr(self, what))}")
         if self.seeds is None and self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         _check_args(*_instance_source(self.instance, 0), "instance")  # trial seed 0 stands in; nothing is read
-        if ALGORITHMS[self.algorithm] is not None:
+        if modes:
             # built once, outside the fields, so a trial only swaps in its oracle seed
-            oracle = {**self.oracle, "mode": self.oracle.get("mode", ALGORITHMS[self.algorithm])}
-            object.__setattr__(self, "_oracle", _checked(OracleConfig, oracle, "oracle"))
-            object.__setattr__(self, "_params", _build_params(self.algorithm, self.params))
+            oracle = _checked(OracleConfig, {**self.oracle, "mode": self.oracle.get("mode", modes[0])}, "oracle")
+            if oracle.mode not in modes:
+                raise ValueError(f"{self.algorithm} cannot run on a {oracle.mode} oracle; it takes {' or '.join(modes)}")
+            object.__setattr__(self, "_oracle", oracle)
+            object.__setattr__(self, "_params", _build_params(params_class, self.params))
 
     def to_dict(self) -> dict:
         values = ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
@@ -179,7 +185,7 @@ def _fmt(value) -> str:
 
 def trial_seeds(config: ExperimentConfig) -> list[int]:
     if config.seeds is not None:
-        return [int(s) for s in config.seeds]
+        return list(config.seeds)
     return [derive_seed(config.seed_base, i) for i in range(config.trials)]
 
 
@@ -211,12 +217,11 @@ def _instance_source(spec: dict, trial_seed: int) -> tuple:
     return generators[kind], kwargs
 
 
-def _build_params(algorithm: str, values: dict):
-    """The params object an oracle algorithm runs with; amplify's ``delta`` goes to its elimination runs."""
-    if algorithm == "amplify":
+def _build_params(cls, values: dict):
+    """The ``cls`` params object an oracle algorithm runs with; amplify's ``delta`` goes to its elimination runs."""
+    if cls is AmplifyParams:
         amplify = _checked(AmplifyParams, {k: v for k, v in values.items() if k != "delta"}, "params")
         return amplify, _checked(BanditParams, {k: v for k, v in values.items() if k == "delta"}, "params")
-    cls = {"persistent": PersistentParams, "bandit": BanditParams, "sampler": SamplerParams}[algorithm]
     return _checked(cls, values, "params")
 
 

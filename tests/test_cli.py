@@ -323,6 +323,10 @@ def test_algo_choices_follow_the_algorithm_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     line = next(line for line in readme.splitlines() if line.startswith("Algorithms:"))
     assert tuple(re.findall(r"`([a-z]+)`", line)) == tuple(ALGORITHMS)
+    rows = re.findall(r"^\| `([a-z]+)` \| (.*) \|$", readme, re.M)
+    listed = {name: tuple(re.findall(r"`([a-z-]+)`", modes)) for name, modes in rows}
+    assert listed == {name: modes for name, (modes, _) in ALGORITHMS.items()}
+    assert tuple(listed) == tuple(ALGORITHMS)
 
 
 @pytest.mark.parametrize(

@@ -15,5 +15,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(Path(noisymis.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300)
+    # the same warning rule as the Tier-1 run: a warning in a demo fails it
+    cmd = [sys.executable, "-X", "dev", "-W", "error", str(demo)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 import noisymis.harness as harness
+from noisymis.baselines import run_amplify, run_sampler
+from noisymis.bandit import run_bandit
+from noisymis.cli import main
 from noisymis.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -27,6 +30,8 @@ from noisymis.harness import (
     trial_seeds,
 )
 from noisymis.instances import gen_planted_bounded_degree, gen_planted_gnp, write_instance
+from noisymis.oracle import ORACLE_MODES, ModeError, OracleConfig, make_oracle
+from noisymis.persistent import run_persistent
 
 
 def gnp_config(**overrides):
@@ -189,8 +194,9 @@ ROUND_TRIP_CONFIGS = {
 @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
 def test_to_dict_round_trips_and_is_the_edit_path(algorithm):
     oracle, params, edit = ROUND_TRIP_CONFIGS[algorithm]
-    config = gnp_config(algorithm=algorithm, oracle=oracle, params=params, seeds=[3, 4])
+    config = gnp_config(algorithm=algorithm, oracle=oracle, params=params, seeds=list(np.arange(3, 5)))
     d = config.to_dict()
+    assert [type(s) for s in config.seeds] == [int, int] and json.loads(json.dumps(d)) == d
     assert ExperimentConfig.from_dict(d) == config
     assert [type(d[what]) for what in ("instance", "oracle", "params", "seeds")] == [dict, dict, dict, list]
     d["instance"]["n"] = 20
@@ -200,10 +206,50 @@ def test_to_dict_round_trips_and_is_the_edit_path(algorithm):
     assert edited.instance["n"] == 20 and edited.seeds == (3, 4, 5) and edited.params == {**params, **edit}
     assert config == gnp_config(algorithm=algorithm, oracle=oracle, params=params, seeds=[3, 4])
     if oracle:
-        assert edited._params == harness._build_params(algorithm, {**params, **edit}) != config._params
+        params_class = harness.ALGORITHMS[algorithm][1]
+        assert edited._params == harness._build_params(params_class, {**params, **edit}) != config._params
     d["instance"]["bogus"] = 1
     with pytest.raises(ValueError, match=r"unknown instance keys: \['bogus'\]"):
         ExperimentConfig.from_dict(d)
+
+
+# each oracle algorithm's solver, called directly on a graph and an oracle
+SOLVERS = {
+    "persistent": run_persistent,
+    "bandit": run_bandit,
+    "sampler": lambda g, oracle: run_sampler(g.n, oracle),
+    "amplify": lambda g, oracle: run_amplify(lambda residual: residual, oracle, g.n),
+}
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+@pytest.mark.parametrize("algorithm", SOLVERS)
+def test_algorithm_table_holds_the_modes_each_solver_runs_on(algorithm, mode, capsys, monkeypatch):
+    modes, _ = harness.ALGORITHMS[algorithm]
+    fields = dict(algorithm=algorithm, instance={"generator": "gnp", "n": 30, "alpha": 0.3, "p": 0.1},
+                  oracle={"epsilon": 0.25, "mode": mode})
+    if mode in modes:
+        record, _ = run_trial(ExperimentConfig(**fields), 1)
+        assert (record.n, record.independent_set_valid) == (30, True)
+        return
+    message = f"{algorithm} cannot run on a {mode} oracle; it takes {' or '.join(modes)}"
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig(**fields)
+    assert str(info.value) == message
+
+    @functools.wraps(gen_planted_gnp)
+    def generate(*args, **kwargs):
+        raise AssertionError("an instance was generated for a config that cannot run")
+
+    monkeypatch.setattr(harness, "gen_planted_gnp", generate)
+    for workers in ("1", "2"):
+        rc = main(["run", "--algo", algorithm, "--n", "30", "--alpha", "0.3", "--p", "0.1", "--eps", "0.25",
+                   "--mode", mode, "--trials", "2", "--workers", workers])
+        assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
+    # the solvers keep their own check for library callers
+    instance = gen_planted_gnp(30, 0.3, 0.1, seed=1)
+    with pytest.raises(ModeError):
+        SOLVERS[algorithm](instance.graph, make_oracle(instance, OracleConfig(epsilon=0.25, mode=mode)))
 
 
 # -- run_trial ----------------------------------------------------------------------------
