@@ -214,18 +214,18 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _parse_vertex_set(text: str) -> set[int]:
-    """Ids from the file ``text``, one per line, or else from ``text`` as a comma-separated list."""
+def _parse_vertex_set(text: str) -> list[int]:
+    """Ids in the order given, from the file ``text``, one per line, or else from ``text`` as a comma-separated list."""
     try:
         with open(text) as fh:
             items = [(f"{text}:{lineno}", line) for lineno, line in enumerate(fh, start=1)]
     except OSError:
         items = [("--set", tok) for tok in text.split(",")]
-    ids = set()
+    ids = []
     for where, token in items:
         if token.strip():
             try:
-                ids.add(int(token))
+                ids.append(int(token))
             except ValueError:
                 raise ValueError(f"{where}: expected an integer vertex id, got {token.strip()!r}") from None
     return ids
@@ -233,11 +233,12 @@ def _parse_vertex_set(text: str) -> set[int]:
 
 def _cmd_verify(args) -> int:
     instance = read_instance(args.instance)
-    vertices = _parse_vertex_set(args.vertex_set)
-    bad = [v for v in vertices if not 0 <= v < instance.graph.n]
+    ids = _parse_vertex_set(args.vertex_set)
+    bad = [v for v in ids if not 0 <= v < instance.graph.n]
     if bad:
         print(f"vertex {bad[0]} out of range for n={instance.graph.n}", file=sys.stderr)
         return 1
+    vertices = set(ids)
     if not is_independent_set(instance.graph, vertices):
         print("not independent", file=sys.stderr)
         return 1

@@ -291,7 +291,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
         queries = oracle.total_queries
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if not is_independent_set(g, output):
-        raise RuntimeError(f"{_trial_name(seed, algorithm)}: output failed the independence check")
+        raise RuntimeError(f"trial seed={seed} algorithm={algorithm}: output failed the independence check")
     alpha = instance.params.get("alpha", len(planted) / g.n if g.n else 0.0)
     record = TrialRecord(
         algorithm=algorithm,
@@ -313,10 +313,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
     return record, detail
 
 
-def _trial_name(seed: int, algorithm: str) -> str:
-    return f"trial seed={seed} algorithm={algorithm}"
-
-
 def _run_trial_task(config: ExperimentConfig, seed: int, keep_detail: bool) -> tuple[TrialRecord, object]:
     # run_trial is looked up as a module global, so rebinding it takes effect here
     record, detail = run_trial(config, seed)
@@ -325,28 +321,20 @@ def _run_trial_task(config: ExperimentConfig, seed: int, keep_detail: bool) -> t
 
 def run_experiment(config: ExperimentConfig, collect_details: bool = False):
     """Run all trials; returns the record list, plus a seed-keyed detail map
-    when ``collect_details`` is set."""
+    when ``collect_details`` is set.  A failing trial raises its own
+    exception under any ``workers``."""
     seeds = trial_seeds(config)
+    task = functools.partial(_run_trial_task, config, keep_detail=collect_details)
     if config.workers > 1:
         # imported here: serial runs, the common case, skip the pool machinery's import cost
         from concurrent.futures import ProcessPoolExecutor
 
-        results = []
-        # the pool forks all its workers up front, so it gets no more than there are trials
+        # the pool forks all its workers up front, so it gets no more than there are trials;
+        # its map re-raises a worker's exception unchanged, as the serial map does
         with ProcessPoolExecutor(max_workers=min(config.workers, len(seeds))) as pool:
-            futures = [pool.submit(_run_trial_task, config, s, collect_details) for s in seeds]
-            for s, future in zip(seeds, futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    # a worker's traceback names no trial, so say which one failed
-                    pool.shutdown(cancel_futures=True)
-                    name = _trial_name(s, config.algorithm)
-                    if str(exc).startswith(name):
-                        raise
-                    raise RuntimeError(f"{name}: {type(exc).__name__}: {exc}") from exc
+            results = list(pool.map(task, seeds))
     else:
-        results = [_run_trial_task(config, s, collect_details) for s in seeds]
+        results = list(map(task, seeds))
     records = [record for record, _ in results]
     if config.output:
         with open(config.output, "w") as fh:

@@ -34,7 +34,10 @@ __all__ = [
 
 @dataclass(frozen=True, init=False, eq=False)
 class PlantedInstance:
-    """A graph and its hidden set; ``planted``, any iterable of ids, is kept as the ascending, read-only ``planted_ids``."""
+    """A graph and its hidden set; ``planted``, any iterable of ids, is kept as the ascending, read-only ``planted_ids``.
+
+    Raises ``ValueError`` for an id outside ``range(graph.n)`` or a set that is not independent in ``graph``.
+    """
 
     graph: Graph
     planted_ids: np.ndarray
@@ -42,6 +45,8 @@ class PlantedInstance:
 
     def __init__(self, graph: Graph, planted, params: dict):
         ids = _sorted_ids(planted, graph.n)
+        if not is_independent_set(graph, ids):
+            raise ValueError("set is not independent in the graph")
         ids.setflags(write=False)
         self.__dict__.update(graph=graph, planted_ids=ids, params=params)
 
@@ -235,9 +240,6 @@ def read_instance(path) -> PlantedInstance:
     if planted is None:
         raise ValueError(f"{path}: missing '# planted:' section")
     try:
-        instance = PlantedInstance(graph, planted, params)  # rejects ids outside range(n)
+        return PlantedInstance(graph, planted, params)  # rejects ids outside range(n) and a dependent set
     except ValueError as exc:
         raise ValueError(f"{path}:{planted_line}: planted {exc}") from None
-    if not is_independent_set(graph, instance.planted_ids):
-        raise ValueError(f"{path}:{planted_line}: planted set is not independent in the listed graph")
-    return instance

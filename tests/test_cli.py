@@ -426,6 +426,17 @@ def test_verify_paths(inst_path, tmp_path, capsys):
     assert f"size=0 planted_overlap=0/{len(inst.planted_ids)}" in capsys.readouterr().out
 
 
+def test_verify_names_the_first_out_of_range_id_as_given(tmp_path, capsys):
+    path = tmp_path / "six.txt"
+    path.write_text("6 1\n0 1\n# planted: 0 2\n")
+    for given, first in (("7,100", 7), ("100,7", 100), ("0,9,6", 9)):
+        assert main(["verify", "--instance", str(path), "--set", given]) == 1
+        assert capsys.readouterr() == ("", f"vertex {first} out of range for n=6\n")
+    # a repeated id counts once
+    assert main(["verify", "--instance", str(path), "--set", "2,3,2,0,0"]) == 0
+    assert capsys.readouterr().out == "independent: size=3 planted_overlap=2/2\n"
+
+
 @pytest.mark.parametrize("bad", ["file", "list", "float"])
 def test_verify_names_an_id_that_is_not_an_integer(inst_path, tmp_path, capsys, bad):
     listing = tmp_path / "set.txt"

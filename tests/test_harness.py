@@ -91,6 +91,8 @@ def test_config_validation():
         gnp_config(trials=0)
     with pytest.raises(ValueError, match="workers"):
         gnp_config(workers=0)
+    with pytest.raises(ValueError, match="not_a_knob"):
+        gnp_config(algorithm="persistent", oracle={"epsilon": 0.25}, params={"not_a_knob": 1}, workers=2)
     # an empty seed list would run no trial and leave nothing to record
     with pytest.raises(ValueError, match="seeds"):
         gnp_config(seeds=[])
@@ -566,18 +568,33 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     assert len(records) == 2
 
 
-def test_worker_errors_name_seed_and_algorithm(tmp_path):
-    with pytest.raises(ValueError, match="not_a_knob"):
-        gnp_config(
-            algorithm="persistent",
-            oracle={"epsilon": 0.25, "mode": "persistent-random"},
-            params={"not_a_knob": 1},
-            trials=2,
-            workers=2,
-        )
-    missing = gnp_config(instance={"path": str(tmp_path / "absent.txt")}, workers=2)
-    with pytest.raises(RuntimeError, match=rf"trial seed={trial_seeds(missing)[0]} algorithm=greedy: FileNotFoundError"):
-        run_experiment(missing)
+FAILING_INSTANCES = {
+    "alpha": ({"generator": "bounded-degree", "n": 100, "alpha": 1.5, "d": 3}, "alpha must lie in (0, 1), got 1.5"),
+    "dependent-planted": ({"path": "dependent.txt"}, ":3: planted set is not independent in the graph"),
+    "missing-file": ({"path": "absent.txt"}, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_INSTANCES)
+def test_a_failing_trial_fails_alike_under_any_workers(tmp_path, capsys, case):
+    """A trial's own exception reaches the caller as is, serially or pooled, and the CLI prints it as one line."""
+    (tmp_path / "dependent.txt").write_text("3 1\n0 1\n# planted: 0 1\n")
+    instance, message = FAILING_INSTANCES[case]
+    if "path" in instance:
+        instance = {"path": str(tmp_path / instance["path"])}
+    config = ExperimentConfig(algorithm="persistent", instance=instance, oracle={"epsilon": 0.25}, trials=2)
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(Exception) as err:
+            run_experiment(dataclasses.replace(config, workers=workers))
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1]
+    assert message in raised[0][1]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    for workers in ("1", "2"):
+        assert main(["run", "--config", str(path), "--workers", workers]) == 1
+        assert capsys.readouterr() == ("", f"error: {raised[0][1]}\n")
 
 
 def test_trials_read_only_the_id_arrays(monkeypatch):

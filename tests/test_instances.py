@@ -424,3 +424,10 @@ def test_instance_takes_planted_as_any_iterable_of_ids():
     assert PlantedInstance(g, (), {}).planted_ids.size == 0
     with pytest.raises(ValueError, match="range"):
         PlantedInstance(g, [5], {})
+
+
+def test_instance_rejects_a_dependent_planted_set():
+    g = build_graph(3, [(0, 1)])
+    with pytest.raises(ValueError, match="^set is not independent in the graph$"):
+        PlantedInstance(graph=g, planted=frozenset({0, 1}), params={})
+    assert PlantedInstance(graph=g, planted=frozenset({0, 2}), params={}).planted_ids.tolist() == [0, 2]

@@ -440,13 +440,6 @@ def test_ledger_one_query_per_distinct_vertex():
 # -- make_oracle -------------------------------------------------------------------
 
 
-def test_make_oracle_rejects_dependent_planted():
-    g = build_graph(3, [(0, 1)])
-    inst = PlantedInstance(graph=g, planted=frozenset({0, 1}), params={})
-    with pytest.raises(ValueError, match="independent"):
-        make_oracle(inst, OracleConfig(epsilon=0.25))
-
-
 def test_make_oracle_answers_for_planted():
     g = build_graph(4, [(0, 1), (2, 3)])
     inst = PlantedInstance(graph=g, planted=frozenset({0, 2}), params={})
