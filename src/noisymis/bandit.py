@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import Graph, _induce, _sorted_ids, induced_subgraph, vertex_cover_2approx
-from .oracle import Oracle, ModeError, BANDIT_GAUSSIAN, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError, _check_types
 
 __all__ = [
     "BanditParams",
@@ -113,11 +113,14 @@ def query_budget(n: int, params: BanditParams) -> float:
     """Total query allowance: ``budget_coeff * n / eps^2 * max(ln(1/delta), ln 2)``.
 
     The ``ln 2`` floor keeps the budget positive as delta approaches 1.  A
-    budget that is not finite raises ``ValueError``: no run would ever exhaust it.
+    budget that is not finite, or not below 2**63 as a schedule count must be,
+    raises ``ValueError``: no run would ever exhaust it.
     """
     budget = params.budget_coeff * n / _squared_epsilon(params) * max(log_inv_delta(params.delta), math.log(2.0))
     if not math.isfinite(budget):
         raise ValueError(f"query budget {budget} is not finite")
+    if budget >= 2**63:
+        raise ValueError(f"query budget {budget} is not below 2**63")
     return budget
 
 
@@ -134,7 +137,7 @@ def elimination_round(survivors, oracle: Oracle, q: int) -> np.ndarray:
 
 def _majority(verts: np.ndarray, oracle: Oracle, q: int) -> np.ndarray:
     """``elimination_round``'s vote on an ascending id array, as a keep mask over it."""
-    if oracle.config.mode == BANDIT_GAUSSIAN:
+    if "reward-sums" in ORACLE_MODES[oracle.config.mode].answers:
         return oracle.query_reward_sums(verts, q) >= q / 2.0
     return 2 * oracle.query_yes_counts(verts, q) >= q
 
@@ -181,7 +184,7 @@ def run_bandit(
     """
     if oracle.n != g.n:
         raise ValueError("oracle universe size does not match the graph")
-    if oracle.config.is_persistent:
+    if ORACLE_MODES[oracle.config.mode].persistent:
         raise ModeError("elimination needs a non-persistent oracle; repeated queries must be fresh")
     params = _with_epsilon(params or BanditParams(), oracle.config.epsilon)
 

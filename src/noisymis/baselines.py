@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _int_ids
-from .oracle import Oracle, ModeError, BANDIT_BERNOULLI, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError, _check_types
 
 __all__ = [
     "SamplerParams",
@@ -91,7 +91,7 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     Bernoulli oracle (the final sweep votes by repetition).
     """
     params = params or AmplifyParams()
-    if oracle.config.mode != BANDIT_BERNOULLI:
+    if "yes-counts" not in ORACLE_MODES[oracle.config.mode].answers:
         raise ModeError("the final sweep votes by repeated queries; it needs the non-persistent Bernoulli oracle")
     if oracle.n != n:
         raise ValueError("oracle universe size does not match n")

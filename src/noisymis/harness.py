@@ -16,16 +16,14 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 
 from .graph import exact_mis, greedy_mis, is_independent_set
 from .oracle import (
-    BANDIT_BERNOULLI,
-    BANDIT_GAUSSIAN,
-    PERSISTENT_KWISE,
-    PERSISTENT_RANDOM,
+    ORACLE_MODES,
     OracleConfig,
     _check_types,
     _fits,
@@ -54,10 +52,10 @@ __all__ = [
 # each algorithm's oracle modes, native mode first (the default), and its params class;
 # greedy and exact take no oracle and no params
 ALGORITHMS = {
-    "persistent": ((PERSISTENT_RANDOM, PERSISTENT_KWISE), PersistentParams),
-    "bandit": ((BANDIT_BERNOULLI, BANDIT_GAUSSIAN), BanditParams),
-    "sampler": ((BANDIT_BERNOULLI,), SamplerParams),
-    "amplify": ((BANDIT_BERNOULLI,), AmplifyParams),
+    "persistent": (("persistent-random", "persistent-kwise"), PersistentParams),
+    "bandit": (("bandit-bernoulli", "bandit-gaussian"), BanditParams),
+    "sampler": (("bandit-bernoulli",), SamplerParams),
+    "amplify": (("bandit-bernoulli",), AmplifyParams),
     "greedy": ((), None),
     "exact": ((), None),
 }
@@ -94,8 +92,8 @@ class ExperimentConfig:
     (``{"generator": "gnp" | "bounded-degree", ...}``).  ``seeds`` wins over
     ``(seed_base, trials)`` when given.  ``params`` holds algorithm-specific
     overrides.  Building the config checks every block for unknown keys and
-    values that do not fit their annotations, and the oracle mode against
-    the algorithm's ``ALGORITHMS`` entry, before any instance exists.
+    values that do not fit their annotations, and the oracle's mode and keys
+    against ``ALGORITHMS`` and ``ORACLE_MODES``, before any instance exists.
     Neither ``instance`` nor ``oracle`` may hold a ``seed``.  A built
     config's blocks are read-only dicts and its ``seeds`` a tuple.
     """
@@ -136,6 +134,8 @@ class ExperimentConfig:
             oracle = _checked(OracleConfig, {**self.oracle, "mode": self.oracle.get("mode", modes[0])}, "oracle")
             if oracle.mode not in modes:
                 raise ValueError(f"{self.algorithm} cannot run on a {oracle.mode} oracle; it takes {' or '.join(modes)}")
+            if ignored := sorted(self.oracle.keys() - {"epsilon", "mode", *ORACLE_MODES[oracle.mode].reads}):
+                raise ValueError(f"{oracle.mode} oracle takes no {' or '.join(ignored)}")
             object.__setattr__(self, "_oracle", oracle)
             object.__setattr__(self, "_params", _build_params(params_class, self.params))
 
@@ -171,6 +171,8 @@ class TrialRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
+# the columns that count something, which no run writes negative
+_COUNT_COLUMNS = ("n", "m", "max_degree", "planted_size", "output_size", "total_queries", "rounds")
 
 
 def _fmt(value) -> str:
@@ -396,7 +398,8 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 def _parse_cell(text: str):
     """A CSV cell as the JSON it holds (a number, true or false), else as text; empty is None.
 
-    The record checker then rejects any cell that does not fit its column.
+    The record checker then rejects any cell that does not fit its column, and
+    ``records_from_csv`` a float that is not finite or a count below 0.
     """
     if text == "":
         return None
@@ -417,5 +420,11 @@ def records_from_csv(path) -> list[TrialRecord]:
         if len(cells) != len(CSV_COLUMNS):
             raise ValueError(f"{path}:{lineno}: row has {len(cells)} cells, expected {len(CSV_COLUMNS)}")
         values = {name: _parse_cell(cell) for name, cell in zip(CSV_COLUMNS, cells)}
-        records.append(_checked(TrialRecord, values, f"{path}:{lineno}: column"))
+        where = f"{path}:{lineno}: column"
+        records.append(_checked(TrialRecord, values, where))
+        for name, value in values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{where} {name!r} must be finite, got {value!r}")
+            if name in _COUNT_COLUMNS and value is not None and value < 0:
+                raise ValueError(f"{where} {name!r} must be >= 0, got {value!r}")
     return records

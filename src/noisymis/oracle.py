@@ -43,11 +43,15 @@ __all__ = [
     "kwise_answer",
 ]
 
-PERSISTENT_RANDOM = "persistent-random"
-PERSISTENT_KWISE = "persistent-kwise"
-BANDIT_BERNOULLI = "bandit-bernoulli"
-BANDIT_GAUSSIAN = "bandit-gaussian"
-ORACLE_MODES = (PERSISTENT_RANDOM, PERSISTENT_KWISE, BANDIT_BERNOULLI, BANDIT_GAUSSIAN)
+# each mode, in order: the config fields it reads beyond epsilon and seed, answers fixed per vertex, query kinds
+_Mode = typing.NamedTuple("_Mode", [("reads", tuple), ("persistent", bool), ("answers", tuple)])
+ORACLE_MODES = {
+    "persistent-random": _Mode(("apply_cap",), True, ("yes/no",)),
+    "persistent-kwise": _Mode(("k", "apply_cap"), True, ("yes/no",)),
+    "bandit-bernoulli": _Mode((), False, ("yes/no", "yes-counts")),
+    "bandit-gaussian": _Mode((), False, ("reward-sums",)),
+}
+PERSISTENT_RANDOM, PERSISTENT_KWISE, BANDIT_BERNOULLI, BANDIT_GAUSSIAN = ORACLE_MODES
 
 # advantage above this value is degraded back to it when capping is on
 ADVANTAGE_CAP = 0.25
@@ -112,20 +116,16 @@ class OracleConfig:
         if not 0.0 < self.epsilon <= 0.5:
             raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
         if self.mode not in ORACLE_MODES:
-            raise ValueError(f"unknown oracle mode {self.mode!r}; expected one of {ORACLE_MODES}")
-        if self.mode == PERSISTENT_KWISE and self.k < 2:
+            raise ValueError(f"unknown oracle mode {self.mode!r}; expected one of {tuple(ORACLE_MODES)}")
+        if "k" in ORACLE_MODES[self.mode].reads and self.k < 2:
             raise ValueError(f"k-wise mode needs k >= 2, got {self.k}")
         if self.seed < 0:  # numpy seeds no generator from a negative integer
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
-    def is_persistent(self) -> bool:
-        return self.mode in (PERSISTENT_RANDOM, PERSISTENT_KWISE)
-
-    @property
     def effective_epsilon(self) -> float:
-        """Advantage after capping (capping applies to persistent modes only)."""
-        if self.is_persistent and self.apply_cap:
+        """Advantage after capping (capping applies to the modes that read ``apply_cap``)."""
+        if self.apply_cap and "apply_cap" in ORACLE_MODES[self.mode].reads:
             return min(self.epsilon, ADVANTAGE_CAP)
         return self.epsilon
 
@@ -238,31 +238,31 @@ class Oracle:
         self._members.setflags(write=False)
         self.n = int(len(self._members))
         self.config = config
-        self.effective_epsilon = config.effective_epsilon
         self.ledger = QueryLedger(self.n)
-        if config.mode == PERSISTENT_RANDOM:
+        self._mode = ORACLE_MODES[config.mode]
+        if not self._mode.persistent:
+            self._rng = np.random.default_rng(config.seed)
+        elif "k" in self._mode.reads:  # the k-wise family, a polynomial of degree k - 1
+            self._coeffs = kwise_coefficients(config.seed, config.k)
+        else:
             self._key_noise = _derive_key(config.seed, 1)
             self._key_flip = _derive_key(config.seed, 2)
             self._flip_p = cap_flip_probability(config.epsilon) if config.apply_cap else 0.0
-        elif config.mode == PERSISTENT_KWISE:
-            self._coeffs = kwise_coefficients(config.seed, config.k)
-        else:
-            self._rng = np.random.default_rng(config.seed)
 
     # -- fixed persistent answers (no ledger side effects) ------------------
 
     def _fixed_answers(self, verts: np.ndarray) -> np.ndarray:
         truth = self._members[verts]
-        if self.config.mode == PERSISTENT_RANDOM:
+        if "k" in self._mode.reads:
+            # the flip layer is folded into one hash threshold here: a second
+            # k-wise layer would halve the independence guarantee for nothing
+            wrong = kwise_answer(self._coeffs, verts, 0.5 - self.config.effective_epsilon)
+        else:
             wrong = _hash_uniform(self._key_noise, verts) < (0.5 - self.config.epsilon)
             if self._flip_p > 0.0:
                 # error union, not xor: a wrong answer stays wrong, so
                 # incorrectness is (1/2 - eps) + p (1/2 + eps) = 1/4 exactly
                 wrong = wrong | (_hash_uniform(self._key_flip, verts) < self._flip_p)
-        else:
-            # the flip layer is folded into one hash threshold here: a second
-            # k-wise layer would halve the independence guarantee for nothing
-            wrong = kwise_answer(self._coeffs, verts, 0.5 - self.effective_epsilon)
         return truth ^ wrong
 
     def _means(self, verts: np.ndarray) -> np.ndarray:
@@ -283,23 +283,24 @@ class Oracle:
 
     def query_bool(self, v: int) -> bool:
         """One yes/no membership answer for ``v``; counts one query."""
-        if self.config.mode != BANDIT_BERNOULLI:
-            return bool(self.query_bool_many([v])[0])
-        # the batch path on scalars: the ledger is updated, and an id checked, before the draw
-        return bool(self._mean(self.ledger.record_one(v)) > self._rng.random())
+        if "yes/no" not in self._mode.answers:
+            return bool(self.query_bool_many([v])[0])  # raises the mode error
+        # the batch path on scalars: the ledger is updated, and an id checked, before the answer
+        v = self.ledger.record_one(v)
+        return bool(self._fixed_answers(v) if self._mode.persistent else self._mean(v) > self._rng.random())
 
     def query_bool_many(self, verts) -> np.ndarray:
         """One answer per listed vertex; counts ``len(verts)`` queries."""
-        if self.config.mode == BANDIT_GAUSSIAN:
+        if "yes/no" not in self._mode.answers:
             raise ModeError("yes/no queries need a Bernoulli oracle; this one returns real rewards")
         arr = self.ledger.record(verts, 1)
-        if self.config.is_persistent:
+        if self._mode.persistent:
             return self._fixed_answers(arr)
         return self._rng.random(arr.size) < self._means(arr)
 
     def query_real(self, v: int) -> float:
         """One real reward: N(1/2 + eps, 1) for members, N(1/2 - eps, 1) otherwise."""
-        if self.config.mode != BANDIT_GAUSSIAN:
+        if "reward-sums" not in self._mode.answers:
             return float(self.query_reward_sums([v], 1)[0])  # raises the mode error
         # the batch path on scalars: the ledger is updated, and an id checked, before the draw
         return float(self._mean(self.ledger.record_one(v)) + self._rng.standard_normal())
@@ -311,7 +312,7 @@ class Oracle:
         only available on the non-persistent Bernoulli oracle, where repeated
         queries actually carry fresh noise.
         """
-        if self.config.mode != BANDIT_BERNOULLI:
+        if "yes-counts" not in self._mode.answers:
             raise ModeError("repeated querying needs the non-persistent Bernoulli oracle")
         arr = self.ledger.record(verts, q)
         low = 0.5 - self.config.epsilon
@@ -325,7 +326,7 @@ class Oracle:
 
     def query_reward_sums(self, verts, q: int) -> np.ndarray:
         """Sums of ``q`` fresh real rewards per vertex; counts ``len(verts) * q``."""
-        if self.config.mode != BANDIT_GAUSSIAN:
+        if "reward-sums" not in self._mode.answers:
             raise ModeError("real rewards are only available in bandit-gaussian mode")
         arr = self.ledger.record(verts, q)
         return q * self._means(arr) + math.sqrt(q) * self._rng.standard_normal(arr.size)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _block_slots, _row_blocks, greedy_mis, induced_subgraph
-from .oracle import Oracle, ModeError, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError, _check_types
 
 __all__ = [
     "PersistentParams",
@@ -84,7 +84,7 @@ def neighbor_yes_counts(g: Graph, oracle: Oracle) -> np.ndarray:
     the vertex or the edge count.  Requires a persistent Bernoulli oracle,
     whose answers do not change between reads.
     """
-    if not oracle.config.is_persistent:
+    if not ORACLE_MODES[oracle.config.mode].persistent:
         raise ModeError("neighbor votes need a persistent oracle; answers must not change between reads")
     counts = np.zeros(g.n, dtype=np.int64)
     for start in range(0, g.n, _QUERY_BLOCK):
@@ -128,7 +128,7 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
         raise ValueError("oracle universe size does not match the graph")
     t0 = time.perf_counter()
     n = g.n
-    eps = params.epsilon_effective if params.epsilon_effective is not None else oracle.effective_epsilon
+    eps = params.epsilon_effective if params.epsilon_effective is not None else oracle.config.effective_epsilon
     yes = neighbor_yes_counts(g, oracle)
     degs = g.degrees()
     # ln n is read at max(n, 1), so the empty graph takes this path too

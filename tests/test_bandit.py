@@ -95,7 +95,8 @@ def test_schedule_and_budget_reject_counts_no_run_can_use():
     ):
         with pytest.raises(ValueError):
             query_schedule(1, params)
-    for params in (BanditParams(epsilon=1e-200), BanditParams(epsilon=0.25, budget_coeff=math.inf)):
+    for params in (BanditParams(epsilon=1e-200), BanditParams(epsilon=0.25, budget_coeff=math.inf),
+                   BanditParams(epsilon=0.25, budget_coeff=1e300)):
         with pytest.raises(ValueError):
             query_budget(10, params)
     assert query_schedule(1, BanditParams(epsilon=1e-8)) > 10**17

@@ -209,6 +209,10 @@ def test_run_debug_dump_for_persistent(tmp_path, capsys):
         ({"algorithm": "greedy", "oracle": {"epsilon": 0.25, "mode": "nope"}},
          "greedy takes no oracle, got ['epsilon', 'mode']"),
         ({"algorithm": "exact", "oracle": {"k": 3}}, "exact takes no oracle, got ['k']"),
+        # a key the oracle's mode does not read, such as --k on any mode but persistent-kwise
+        ({"oracle": {"epsilon": 0.25, "k": 7}}, "bandit-bernoulli oracle takes no k"),
+        ({"oracle": {"epsilon": 0.25, "apply_cap": False}}, "bandit-bernoulli oracle takes no apply_cap"),
+        ({"algorithm": "persistent", "oracle": {"epsilon": 0.25, "k": 1}}, "persistent-random oracle takes no k"),
     ],
 )
 def test_bad_config_fails_before_any_instance_or_worker(tmp_path, capsys, monkeypatch, overrides, message):

@@ -22,7 +22,7 @@ from noisymis.baselines import AmplifyParams, SamplerParams, run_amplify, run_sa
 from noisymis.cli import main
 from noisymis.graph import build_graph, greedy_mis, read_edgelist, write_edgelist
 from noisymis.instances import PlantedInstance, gen_planted_gnp, read_instance, write_instance
-from noisymis.oracle import BANDIT_BERNOULLI, PERSISTENT_RANDOM, ModeError, OracleConfig, make_oracle
+from noisymis.oracle import BANDIT_BERNOULLI, ORACLE_MODES, PERSISTENT_RANDOM, ModeError, OracleConfig, make_oracle
 from noisymis.persistent import PersistentParams, run_persistent
 
 # derandomized and without an example database: the same examples every run
@@ -112,7 +112,7 @@ def test_a_one_line_mutation_reads_back_or_names_the_line(inst, at, pick):
 # them that the fuzz may replace; greedy and exact share the other fields
 BASE = {
     "instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1, "ensure_maximal": False},
-    "oracle": {"epsilon": 0.25, "k": 2, "apply_cap": True},
+    "oracle": {"epsilon": 0.25},  # a k or apply_cap that the mode does not read is an error
     "seeds": None,
     "seed_base": 0,
     "trials": 1,
@@ -131,8 +131,8 @@ FIELDS += [("instance", key) for key in ("generator", "n", "alpha", "p", "d", "e
 FIELDS += [("oracle", key) for key in ("epsilon", "mode", "k", "apply_cap")]
 FIELDS += [("params", key) for key in sorted({key for params in PARAMS.values() for key in params})]
 # small ints keep every run small (at most 3 trials, workers or vertices from the
-# fuzz), and so do floats within 1e3: a budget_coeff of 1e300 is a valid request
-# for a run that does not end
+# fuzz), and so do floats within 1e3: a budget_coeff of 1e300 is refused, as its
+# budget is not below 2**63, but 1e15 is a valid request for ~5e7 rounds
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-1e3, 1e3)
     | st.sampled_from([math.inf, -math.inf, math.nan]) | st.text(max_size=6),
@@ -178,7 +178,8 @@ def solve(built):
     """Run ``built`` through the solver that takes it, on a 30-vertex instance."""
     if isinstance(built, OracleConfig):
         oracle = make_oracle(SMALL, built)
-        return run_persistent(SMALL.graph, oracle) if built.is_persistent else run_bandit(SMALL.graph, oracle)
+        solver = run_persistent if ORACLE_MODES[built.mode].persistent else run_bandit
+        return solver(SMALL.graph, oracle)
     mode = PERSISTENT_RANDOM if isinstance(built, PersistentParams) else BANDIT_BERNOULLI
     oracle = make_oracle(SMALL, OracleConfig(epsilon=0.25, mode=mode, seed=1))
     if isinstance(built, PersistentParams):

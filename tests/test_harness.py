@@ -525,7 +525,7 @@ def test_aggregate_empty_rejected():
 
 
 def test_csv_round_trip_preserves_types(tmp_path):
-    rows = [rec(1 / 3, 11), rec(0.8, 12)]
+    rows = [rec(1 / 3, 11), rec(0.8, 12), rec(0.5, -1)]  # a config's "seeds" may hold a negative seed
     path = tmp_path / "r.csv"
     path.write_text(records_to_csv(rows))
     assert records_from_csv(path) == rows
@@ -543,7 +543,11 @@ def test_csv_header_and_cell_errors(tmp_path):
 
 @pytest.mark.parametrize(
     "column, cell",
-    [("ratio", ""), ("total_queries", ""), ("n", "x"), ("independent_set_valid", "yes"), ("rounds", "1.5")],
+    [("ratio", ""), ("total_queries", ""), ("n", "x"), ("independent_set_valid", "yes"), ("rounds", "1.5"),
+     # parsed, but out of range: a float that is not finite, a negative count
+     ("ratio", "NaN"), ("alpha", "Infinity"), ("epsilon", "-Infinity"), ("delta", "1e999"), ("wall_time_ms", "NaN"),
+     ("n", "-1"), ("m", "-1"), ("max_degree", "-2"), ("planted_size", "-1"), ("output_size", "-1"),
+     ("total_queries", "-3"), ("rounds", "-1")],
 )
 def test_csv_cells_that_do_not_parse_name_the_line_and_column(tmp_path, column, cell):
     rows = [rec(0.5, 1).to_row(), rec(0.5, 2).to_row()]

@@ -60,7 +60,7 @@ def test_config_rejects_fields_of_the_wrong_type(mode):
     # numpy integers are integers, and answer as the same Python ints do
     def answers(config):
         oracle, verts = Oracle(half_members(64), config), np.arange(64)
-        if config.is_persistent:
+        if ORACLE_MODES[config.mode].persistent:
             return oracle.query_bool_many(verts)
         if config.mode == BANDIT_GAUSSIAN:
             return oracle.query_reward_sums(verts, 3)
@@ -223,12 +223,34 @@ def test_mode_errors():
         persistent.query_yes_counts([0], 3)
 
 
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+def test_each_mode_answers_the_query_kinds_of_its_table_entry(mode):
+    # every query method answers, or raises ModeError and counts nothing, as the mode's entry says
+    o = Oracle(half_members(4), OracleConfig(epsilon=0.25, mode=mode, seed=3))
+    queries = {
+        "yes/no": (lambda: o.query_bool(1), lambda: o.query_bool_many([0, 1])),
+        "yes-counts": (lambda: o.query_yes_counts([0, 1], 3),),
+        "reward-sums": (lambda: o.query_real(1), lambda: o.query_reward_sums([0, 1], 3)),
+    }
+    assert set(ORACLE_MODES[mode].answers) <= set(queries)
+    for kind, calls in queries.items():
+        for call in calls:
+            before = o.total_queries
+            if kind in ORACLE_MODES[mode].answers:
+                call()
+                assert o.total_queries > before
+            else:
+                with pytest.raises(ModeError):
+                    call()
+                assert o.total_queries == before
+
+
 def parent_query_bool(o, v):
     # the scalar formula single yes/no queries had before they became size-1 batches
     o.ledger.per_vertex[v] += 1
     o.ledger.total += 1
     arr = np.asarray([v], dtype=np.int64)
-    if o.config.is_persistent:
+    if ORACLE_MODES[o.config.mode].persistent:
         return bool(o._fixed_answers(arr)[0])
     eps = o.config.epsilon
     return bool(o._rng.random() < np.where(o._members[arr], 0.5 + eps, 0.5 - eps)[0])
