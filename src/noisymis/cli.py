@@ -124,41 +124,34 @@ def _run_config_from_args(args) -> ExperimentConfig:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-    if args.algo:
-        base["algorithm"] = args.algo
     if args.instance:
         base["instance"] = {"path": args.instance}
-    gen_keys = {"n": args.n, "alpha": args.alpha, "p": args.p, "d": args.d, "ensure_maximal": args.maximal}
-    given = {k: v for k, v in gen_keys.items() if v is not None}
-    if given:
-        spec = _config_block(base, "instance")
-        if "path" in spec:
-            raise ValueError("generator flags conflict with a file-backed instance")
-        spec.update(given)
-        spec.setdefault("generator", "bounded-degree" if args.d is not None else "gnp")
-        _check_maximal(args.maximal, spec["generator"])
-        base["instance"] = spec
-    oracle_keys = {"epsilon": args.eps, "mode": args.mode, "k": args.k}
-    oracle = {k: v for k, v in oracle_keys.items() if v is not None}
-    if oracle:
-        base["oracle"] = {**_config_block(base, "oracle"), **oracle}
-    if args.delta is not None:
-        base["params"] = {**_config_block(base, "params"), "delta": args.delta}
-    top_keys = {"seed_base": args.seed, "trials": args.trials, "workers": args.workers, "output": args.out}
-    base.update({k: v for k, v in top_keys.items() if v is not None})
+    # each block's {config key: flag}, instance first so that its errors come first
+    blocks = {
+        "instance": {"n": args.n, "alpha": args.alpha, "p": args.p, "d": args.d, "ensure_maximal": args.maximal},
+        "oracle": {"epsilon": args.eps, "mode": args.mode, "k": args.k},
+        "params": {"delta": args.delta},
+    }
+    for key, flags in blocks.items():
+        given = {k: v for k, v in flags.items() if v is not None}
+        if not given:
+            continue
+        block = base.get(key, {})
+        if not isinstance(block, dict):
+            raise ValueError(f"config key {key!r} must be a JSON object")
+        if key == "instance":
+            if "path" in block:
+                raise ValueError("generator flags conflict with a file-backed instance")
+            given["generator"] = block.get("generator", "bounded-degree" if args.d is not None else "gnp")
+            _check_maximal(args.maximal, given["generator"])
+        base[key] = {**block, **given}
+    top = {"algorithm": args.algo, "seed_base": args.seed, "trials": args.trials, "workers": args.workers, "output": args.out}
+    base.update({k: v for k, v in top.items() if v is not None})
     if "algorithm" not in base:
         raise ValueError("no algorithm given; pass --algo or a --config file")
     if "instance" not in base:
         raise ValueError("no instance source given; pass --instance, generator flags, or a --config file")
     return ExperimentConfig.from_dict(base)
-
-
-def _config_block(base: dict, key: str) -> dict:
-    """A copy of the config's ``key`` object, for flags to update."""
-    block = base.get(key, {})
-    if not isinstance(block, dict):
-        raise ValueError(f"config key {key!r} must be a JSON object")
-    return dict(block)
 
 
 def _print_trace(detail, seed: int) -> None:

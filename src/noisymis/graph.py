@@ -427,15 +427,27 @@ def write_edgelist(g: Graph, path) -> None:
 def _write_edges(g: Graph, fh) -> None:
     """The edge-list body shared with instance files: header, then edges.
 
-    Rows are read in blocks, so no temporary grows with the edge count.
+    Rows are read in blocks, so no temporary grows with the edge count, and
+    each block's text is built in numpy, one fixed-width column per decimal
+    digit, so no edge becomes a Python int.
     """
     fh.write(f"{g.n} {g.m}\n")
+    width = len(str(max(g.n - 1, 0)))  # digits of the largest id
     for rows in _row_blocks(g, np.arange(g.n, dtype=np.int64)):
         src = np.repeat(rows, g.offsets[rows + 1] - g.offsets[rows])
         dst = g.indices[_block_slots(g, rows)]
         fwd = src < dst
-        pairs = np.column_stack((src[fwd], dst[fwd]))
-        fh.write("%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist()))
+        ends = np.empty(2 * np.count_nonzero(fwd), dtype=np.uint32)  # u, v, u, v, ...; n <= 2**31, so ids fit
+        ends[0::2], ends[1::2] = src[fwd], dst[fwd]
+        # one row per end: its zero-padded digits, then " " after a u or "\n" after a v
+        text = np.empty((ends.size, width + 1), dtype=np.uint8)
+        text[0::2, width], text[1::2, width] = ord(" "), ord("\n")
+        for col in range(width - 1, -1, -1):
+            text[:, col] = ends % 10 + ord("0")
+            ends //= 10
+        keep = np.logical_or.accumulate(text != ord("0"), axis=1)  # drops the leading zeros,
+        keep[:, width - 1] = True  # but not the one digit of a 0
+        fh.write(text[keep].tobytes().decode("ascii"))
 
 
 def read_edgelist(path) -> Graph:

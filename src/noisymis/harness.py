@@ -171,8 +171,13 @@ class TrialRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
-# the columns that count something, which no run writes negative
-_COUNT_COLUMNS = ("n", "m", "max_degree", "planted_size", "output_size", "total_queries", "rounds")
+# each bounded column's test and its text: the range a run writes there
+_COLUMN_RANGES = {
+    "alpha": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+    "epsilon": (lambda x: 0.0 < x <= 0.5, "in (0, 1/2]"),
+    "delta": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+    **dict.fromkeys(("n", "m", "max_degree", "planted_size", "output_size", "total_queries", "rounds"), (lambda x: x >= 0, ">= 0")),
+}
 
 
 def _fmt(value) -> str:
@@ -324,7 +329,7 @@ def _run_trial_task(config: ExperimentConfig, seed: int, keep_detail: bool) -> t
 def run_experiment(config: ExperimentConfig, collect_details: bool = False):
     """Run all trials; returns the record list, plus a seed-keyed detail map
     when ``collect_details`` is set.  A failing trial raises its own
-    exception under any ``workers``."""
+    exception under any ``workers``; a pool's other trials end with it."""
     seeds = trial_seeds(config)
     task = functools.partial(_run_trial_task, config, keep_detail=collect_details)
     if config.workers > 1:
@@ -332,9 +337,22 @@ def run_experiment(config: ExperimentConfig, collect_details: bool = False):
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool forks all its workers up front, so it gets no more than there are trials;
-        # its map re-raises a worker's exception unchanged, as the serial map does
+        # the results, read in seed order, re-raise a worker's exception unchanged, as the serial map does
         with ProcessPoolExecutor(max_workers=min(config.workers, len(seeds))) as pool:
-            results = list(pool.map(task, seeds))
+            # submit, not map: map cancels the rest as it raises, and the broken pool's cleanup
+            # then fails on the cancelled futures in Python 3.11
+            futures = [pool.submit(task, seed) for seed in seeds]
+            try:
+                results = [future.result() for future in futures]
+            except BaseException:
+                # end the workers at once, so the broken pool fails the queued trials instead of running
+                # them; holding the result queue's write lock meanwhile keeps any from dying halfway
+                # through a result that the pool's reader would wait on forever (Pool.terminate can)
+                with pool._result_queue._wlock:
+                    for worker in list(pool._processes.values()):
+                        worker.terminate()
+                        worker.join()
+                raise
     else:
         results = list(map(task, seeds))
     records = [record for record, _ in results]
@@ -399,7 +417,8 @@ def _parse_cell(text: str):
     """A CSV cell as the JSON it holds (a number, true or false), else as text; empty is None.
 
     The record checker then rejects any cell that does not fit its column, and
-    ``records_from_csv`` a float that is not finite or a count below 0.
+    ``records_from_csv`` a float that is not finite, a value outside its
+    column's range, or a ratio other than the one its sizes give.
     """
     if text == "":
         return None
@@ -421,10 +440,15 @@ def records_from_csv(path) -> list[TrialRecord]:
             raise ValueError(f"{path}:{lineno}: row has {len(cells)} cells, expected {len(CSV_COLUMNS)}")
         values = {name: _parse_cell(cell) for name, cell in zip(CSV_COLUMNS, cells)}
         where = f"{path}:{lineno}: column"
-        records.append(_checked(TrialRecord, values, where))
+        record = _checked(TrialRecord, values, where)
         for name, value in values.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{where} {name!r} must be finite, got {value!r}")
-            if name in _COUNT_COLUMNS and value is not None and value < 0:
-                raise ValueError(f"{where} {name!r} must be >= 0, got {value!r}")
+            if value is not None and name in _COLUMN_RANGES and not _COLUMN_RANGES[name][0](value):
+                raise ValueError(f"{where} {name!r} must be {_COLUMN_RANGES[name][1]}, got {value!r}")
+        # the ratio run_trial writes, to the bit
+        ratio = record.output_size / record.planted_size if record.planted_size else 0.0
+        if record.ratio != ratio:
+            raise ValueError(f"{where} 'ratio' must be output_size / planted_size = {ratio!r}, got {record.ratio!r}")
+        records.append(record)
     return records

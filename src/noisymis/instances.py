@@ -214,7 +214,8 @@ def read_instance(path) -> PlantedInstance:
     """Parse an instance file; errors name the offending line.
 
     The planted section is required and must be independent in the parsed
-    graph; the params section is optional (defaults to ``{}``).
+    graph; the params section is optional (defaults to ``{}``), and an
+    ``alpha`` in it must be a number in (0, 1), as every generator writes.
     """
     planted: list | None = None
     planted_line = 0
@@ -235,6 +236,9 @@ def read_instance(path) -> PlantedInstance:
                 params = None
             if not isinstance(params, dict):
                 raise ValueError(f"{path}:{lineno}: params must be a JSON object")
+            alpha = params.get("alpha", 0.5)  # none is fine: a run then records the planted share
+            if type(alpha) not in (int, float) or not 0.0 < alpha < 1.0:
+                raise ValueError(f"{path}:{lineno}: params 'alpha' must be a number in (0, 1), got {alpha!r}")
 
     graph = build_graph(*_read_edges(path, section))
     if planted is None:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import noisymis.bandit as bandit
 from noisymis.bandit import (
     BanditParams,
     BanditResult,
@@ -379,4 +380,27 @@ def test_runtime_tracks_edge_count():
         return best
 
     ratio = min_wall(120) / min_wall(60)
+    assert 1.2 <= ratio <= 4.0
+
+
+def test_edge_reads_track_edge_count(monkeypatch):
+    # the timing test above as counted work, which host speed cannot move: the same
+    # six runs, each summing the CSR slots of the graphs its induces read
+    induce = bandit._induce
+
+    def slots_read(d):
+        total = 0
+        for seed in range(3):
+            inst = gen_planted_bounded_degree(3000, 0.3, d, seed=seed)
+            o = make_oracle(inst, bern(0.25, seed=seed + 1))
+            reads = []
+            monkeypatch.setattr(bandit, "_induce", lambda g, ids: reads.append(g.indices.size) or induce(g, ids))
+            result = run_bandit(inst.graph, o, BanditParams(delta=0.1))
+            m = inst.graph.m
+            assert reads[0] == 2 * m  # the first induce reads the whole graph once
+            assert sum(reads) <= len(result.trace) * 2 * m  # and no round reads more
+            total += sum(reads)
+        return total
+
+    ratio = slots_read(120) / slots_read(60)
     assert 1.2 <= ratio <= 4.0

@@ -485,6 +485,22 @@ def test_stats_on_csv_input(tmp_path, capsys):
     assert 0.0 <= summary["pass_rate"] <= 1.0
 
 
+def test_a_run_on_an_instance_file_reads_back_in_stats(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("5 2\n0 1\n2 3\n# planted: 0 2\n")  # no params line: the alpha column is the planted share
+    out = tmp_path / "r.csv"
+    for algo in (["greedy"], ["persistent", "--eps", "0.25"]):
+        assert main(["run", "--algo", *algo, "--instance", str(inst), "--trials", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--input", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 2
+        assert {r.alpha for r in records_from_csv(out)} == {0.4}
+    # an alpha no record could hold fails where the file is read, not where the CSV is
+    inst.write_text('5 2\n0 1\n2 3\n# planted: 0 2\n# params: {"alpha": "x"}\n')
+    assert main(["run", "--algo", "greedy", "--instance", str(inst), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {inst}:5: params 'alpha' must be a number in (0, 1), got 'x'\n")
+
+
 def test_stats_monte_carlo(capsys):
     assert main(["stats", "--mc", "coin", "--prob", "0.5", "--trials", "2000", "--seed", "1"]) == 0
     out = json.loads(capsys.readouterr().out)

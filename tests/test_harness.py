@@ -7,7 +7,9 @@ import json
 import math
 import pickle
 import re
+import time
 from copy import deepcopy
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -487,9 +489,11 @@ def test_details_come_back_from_worker_processes(monkeypatch, algorithm, oracle)
 
 
 def rec(ratio, seed=0):
+    # the sizes that give the ratio, as a run writes them; a CSV row must agree with them
+    output, planted = Fraction(ratio).limit_denominator(10).as_integer_ratio()
     return TrialRecord(
         algorithm="greedy", n=10, m=5, max_degree=2, alpha=0.5, epsilon=None,
-        delta=None, seed=seed, planted_size=5, output_size=4, ratio=ratio,
+        delta=None, seed=seed, planted_size=planted, output_size=output, ratio=ratio,
         total_queries=0, rounds=None, wall_time_ms=1.5, independent_set_valid=True,
     )
 
@@ -526,6 +530,7 @@ def test_aggregate_empty_rejected():
 
 def test_csv_round_trip_preserves_types(tmp_path):
     rows = [rec(1 / 3, 11), rec(0.8, 12), rec(0.5, -1)]  # a config's "seeds" may hold a negative seed
+    rows.append(dataclasses.replace(rec(0.0, 13), planted_size=0, output_size=3))  # no planted set: ratio 0.0
     path = tmp_path / "r.csv"
     path.write_text(records_to_csv(rows))
     assert records_from_csv(path) == rows
@@ -547,7 +552,12 @@ def test_csv_header_and_cell_errors(tmp_path):
      # parsed, but out of range: a float that is not finite, a negative count
      ("ratio", "NaN"), ("alpha", "Infinity"), ("epsilon", "-Infinity"), ("delta", "1e999"), ("wall_time_ms", "NaN"),
      ("n", "-1"), ("m", "-1"), ("max_degree", "-2"), ("planted_size", "-1"), ("output_size", "-1"),
-     ("total_queries", "-3"), ("rounds", "-1")],
+     ("total_queries", "-3"), ("rounds", "-1"),
+     # a value no run writes: alpha outside [0, 1], epsilon outside (0, 1/2], delta outside (0, 1],
+     # a ratio other than output_size / planted_size (1 / 2 in these rows)
+     ("alpha", "7.0"), ("alpha", "-0.1"), ("alpha", "1.0000001"), ("epsilon", "3.0"), ("epsilon", "0.0"),
+     ("epsilon", "0.51"), ("delta", "-1.0"), ("delta", "0"), ("delta", "1.5"), ("ratio", "-0.5"),
+     ("ratio", "0.8"), ("ratio", "0.5000000000000001"), ("ratio", "1")],
 )
 def test_csv_cells_that_do_not_parse_name_the_line_and_column(tmp_path, column, cell):
     rows = [rec(0.5, 1).to_row(), rec(0.5, 2).to_row()]
@@ -570,6 +580,22 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     records = run_experiment(gnp_config(trials=2, workers=4))
     assert built == [2]
     assert len(records) == 2
+
+
+def test_a_failing_pooled_trial_ends_the_trials_still_running(tmp_path, monkeypatch):
+    def trial(config, seed):
+        if seed == 0:
+            raise RuntimeError("trial 0 fails")
+        time.sleep(0.3)
+        (tmp_path / str(seed)).touch()
+        return None, None
+
+    monkeypatch.setattr(harness, "run_trial", trial)
+    config = gnp_config(seeds=list(range(8)), workers=2)
+    with pytest.raises(RuntimeError, match="^trial 0 fails$"):
+        run_experiment(config)
+    time.sleep(0.4)  # long enough for any trial left running to finish
+    assert list(tmp_path.iterdir()) == []
 
 
 FAILING_INSTANCES = {

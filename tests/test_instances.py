@@ -392,6 +392,10 @@ def test_read_instance_errors_name_the_line(tmp_path):
         ("3 1\n0 1\n# planted: 99999999999999999999\n", 3),
         ("3 1\n0 1\n# planted: 0 1\n# params: {}\n", 3),  # not independent
         ("3 1\n0 1\n# planted: 0\n# params: [1, 2]\n", 4),  # JSON, but not an object
+        # an alpha that is not a number in (0, 1), which no generator writes
+        ('3 1\n0 1\n# planted: 0\n# params: {"alpha": "x"}\n', 4),
+        ('3 1\n0 1\n# params: {"alpha": 7.0}\n# planted: 0\n', 3),
+        ('3 1\n0 1\n# planted: 0\n# params: {"alpha": true}\n', 4),
     ):
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
