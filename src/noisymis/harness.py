@@ -19,6 +19,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 from .graph import exact_mis, greedy_mis, is_independent_set
@@ -49,16 +50,43 @@ __all__ = [
     "records_from_csv",
 ]
 
-# each algorithm's oracle modes, native mode first (the default), and its params class;
-# greedy and exact take no oracle and no params
+
+def _run_persistent(g, oracle, params, seed):
+    report = run_persistent(g, oracle, params)
+    return report.independent_ids, None, None, report
+
+
+def _run_bandit(g, oracle, params, seed):
+    result = run_bandit(g, oracle, params)
+    return result.independent_ids, result.best_round, params.delta, result
+
+
+def _run_sampler(g, oracle, params, seed):
+    return run_sampler(g.n, oracle, params, seed=derive_seed(seed, "sampler")), None, None, None
+
+
+def _run_amplify(g, oracle, params, seed):
+    amplify_params, bandit_params = params
+
+    def base(residual):
+        return run_bandit(g, oracle, bandit_params, initial=residual).independent_ids
+
+    return run_amplify(base, oracle, g.n, amplify_params), None, bandit_params.delta, None
+
+
+_Algorithm = typing.NamedTuple("_Algorithm", [("modes", tuple), ("params", type), ("run", typing.Callable)])
+# each algorithm's oracle modes, native mode first (the default), its params class, and its run: from a trial's
+# graph, oracle, params and seed, the output ids and the record's rounds, delta and detail object; greedy and exact
+# take no oracle and no params, and every run looks its solver up as a module global per call
 ALGORITHMS = {
-    "persistent": (("persistent-random", "persistent-kwise"), PersistentParams),
-    "bandit": (("bandit-bernoulli", "bandit-gaussian"), BanditParams),
-    "sampler": (("bandit-bernoulli",), SamplerParams),
-    "amplify": (("bandit-bernoulli",), AmplifyParams),
-    "greedy": ((), None),
-    "exact": ((), None),
+    "persistent": _Algorithm(("persistent-random", "persistent-kwise"), PersistentParams, _run_persistent),
+    "bandit": _Algorithm(("bandit-bernoulli", "bandit-gaussian"), BanditParams, _run_bandit),
+    "sampler": _Algorithm(("bandit-bernoulli",), SamplerParams, _run_sampler),
+    "amplify": _Algorithm(("bandit-bernoulli",), AmplifyParams, _run_amplify),
+    "greedy": _Algorithm((), None, lambda g, oracle, params, seed: (greedy_mis(g), None, None, None)),
+    "exact": _Algorithm((), None, lambda g, oracle, params, seed: (exact_mis(g), None, None, None)),
 }
+
 
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed from the given parts.
@@ -120,7 +148,7 @@ class ExperimentConfig:
         if self.seeds is not None and not (self.seeds and all(_fits(s, (int,)) for s in self.seeds)):
             raise ValueError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
         object.__setattr__(self, "seeds", self.seeds and tuple(int(s) for s in self.seeds))  # None stays None
-        modes, params_class = ALGORITHMS[self.algorithm]
+        modes, params_class, _ = ALGORITHMS[self.algorithm]
         for what in ("oracle", "params"):
             if not modes and getattr(self, what):
                 raise ValueError(f"{self.algorithm} takes no {what}, got {sorted(getattr(self, what))}")
@@ -177,6 +205,12 @@ _COLUMN_RANGES = {
     "epsilon": (lambda x: 0.0 < x <= 0.5, "in (0, 1/2]"),
     "delta": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
     **dict.fromkeys(("n", "m", "max_degree", "planted_size", "output_size", "total_queries", "rounds"), (lambda x: x >= 0, ">= 0")),
+}
+# each size column's largest value on an n-vertex graph and its text
+_SIZE_BOUNDS = {
+    "m": (lambda n: n * (n - 1) // 2, "n * (n - 1) / 2"),
+    "max_degree": (lambda n: max(n - 1, 0), "max(n - 1, 0)"),
+    **dict.fromkeys(("planted_size", "output_size"), (lambda n: n, "n")),
 }
 
 
@@ -259,60 +293,30 @@ def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]
     instance = build(**kwargs)
     g = instance.graph
     planted = instance.planted_ids
-    algorithm = config.algorithm
-    detail = None
-    epsilon = None
-    delta = None
-    rounds = None
-    queries = 0
+    modes, _, run = ALGORITHMS[config.algorithm]
+    oracle = params = None
     t0 = time.perf_counter()
-    if algorithm == "greedy":
-        output = greedy_mis(g)
-    elif algorithm == "exact":
-        output = exact_mis(g)
-    else:
-        ocfg = dataclasses.replace(config._oracle, seed=derive_seed(seed, "oracle"))
-        oracle = make_oracle(instance, ocfg)
-        epsilon = ocfg.epsilon
+    if modes:
+        oracle = make_oracle(instance, dataclasses.replace(config._oracle, seed=derive_seed(seed, "oracle")))
         params = config._params
-        if algorithm == "persistent":
-            report = run_persistent(g, oracle, params)
-            output = report.independent_ids
-            detail = report
-        elif algorithm == "bandit":
-            result = run_bandit(g, oracle, params)
-            output = result.independent_ids
-            rounds = result.best_round
-            delta = params.delta
-            detail = result
-        elif algorithm == "sampler":
-            output = run_sampler(g.n, oracle, params, seed=derive_seed(seed, "sampler"))
-        elif algorithm == "amplify":
-            amplify_params, bandit_params = params
-            delta = bandit_params.delta
-
-            def base(residual):
-                return run_bandit(g, oracle, bandit_params, initial=residual).independent_ids
-
-            output = run_amplify(base, oracle, g.n, amplify_params)
-        queries = oracle.total_queries
+    output, rounds, delta, detail = run(g, oracle, params, seed)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if not is_independent_set(g, output):
-        raise RuntimeError(f"trial seed={seed} algorithm={algorithm}: output failed the independence check")
+        raise RuntimeError(f"trial seed={seed} algorithm={config.algorithm}: output failed the independence check")
     alpha = instance.params.get("alpha", len(planted) / g.n if g.n else 0.0)
     record = TrialRecord(
-        algorithm=algorithm,
+        algorithm=config.algorithm,
         n=g.n,
         m=g.m,
         max_degree=g.max_degree,
         alpha=alpha,
-        epsilon=epsilon,
+        epsilon=oracle.config.epsilon if oracle else None,
         delta=delta,
         seed=seed,
         planted_size=len(planted),
         output_size=len(output),
         ratio=len(output) / len(planted) if len(planted) else 0.0,
-        total_queries=queries,
+        total_queries=oracle.total_queries if oracle else 0,
         rounds=rounds,
         wall_time_ms=wall_ms,
         independent_set_valid=True,
@@ -418,7 +422,8 @@ def _parse_cell(text: str):
 
     The record checker then rejects any cell that does not fit its column, and
     ``records_from_csv`` a float that is not finite, a value outside its
-    column's range, or a ratio other than the one its sizes give.
+    column's range, a size larger than ``n`` allows, or a ratio other than
+    the one its sizes give.
     """
     if text == "":
         return None
@@ -446,6 +451,9 @@ def records_from_csv(path) -> list[TrialRecord]:
                 raise ValueError(f"{where} {name!r} must be finite, got {value!r}")
             if value is not None and name in _COLUMN_RANGES and not _COLUMN_RANGES[name][0](value):
                 raise ValueError(f"{where} {name!r} must be {_COLUMN_RANGES[name][1]}, got {value!r}")
+        for name, (bound, text) in _SIZE_BOUNDS.items():
+            if getattr(record, name) > bound(record.n):
+                raise ValueError(f"{where} {name!r} must be <= {text} = {bound(record.n)}, got {getattr(record, name)!r}")
         # the ratio run_trial writes, to the bit
         ratio = record.output_size / record.planted_size if record.planted_size else 0.0
         if record.ratio != ratio:

@@ -329,7 +329,7 @@ def test_algo_choices_follow_the_algorithm_table():
     assert tuple(re.findall(r"`([a-z]+)`", line)) == tuple(ALGORITHMS)
     rows = re.findall(r"^\| `([a-z]+)` \| (.*) \|$", readme, re.M)
     listed = {name: tuple(re.findall(r"`([a-z-]+)`", modes)) for name, modes in rows}
-    assert listed == {name: modes for name, (modes, _) in ALGORITHMS.items()}
+    assert listed == {name: entry.modes for name, entry in ALGORITHMS.items()}
     assert tuple(listed) == tuple(ALGORITHMS)
 
 

@@ -210,7 +210,7 @@ def test_to_dict_round_trips_and_is_the_edit_path(algorithm):
     assert edited.instance["n"] == 20 and edited.seeds == (3, 4, 5) and edited.params == {**params, **edit}
     assert config == gnp_config(algorithm=algorithm, oracle=oracle, params=params, seeds=[3, 4])
     if oracle:
-        params_class = harness.ALGORITHMS[algorithm][1]
+        params_class = harness.ALGORITHMS[algorithm].params
         assert edited._params == harness._build_params(params_class, {**params, **edit}) != config._params
     d["instance"]["bogus"] = 1
     with pytest.raises(ValueError, match=r"unknown instance keys: \['bogus'\]"):
@@ -229,7 +229,7 @@ SOLVERS = {
 @pytest.mark.parametrize("mode", ORACLE_MODES)
 @pytest.mark.parametrize("algorithm", SOLVERS)
 def test_algorithm_table_holds_the_modes_each_solver_runs_on(algorithm, mode, capsys, monkeypatch):
-    modes, _ = harness.ALGORITHMS[algorithm]
+    modes = harness.ALGORITHMS[algorithm].modes
     fields = dict(algorithm=algorithm, instance={"generator": "gnp", "n": 30, "alpha": 0.3, "p": 0.1},
                   oracle={"epsilon": 0.25, "mode": mode})
     if mode in modes:
@@ -531,6 +531,8 @@ def test_aggregate_empty_rejected():
 def test_csv_round_trip_preserves_types(tmp_path):
     rows = [rec(1 / 3, 11), rec(0.8, 12), rec(0.5, -1)]  # a config's "seeds" may hold a negative seed
     rows.append(dataclasses.replace(rec(0.0, 13), planted_size=0, output_size=3))  # no planted set: ratio 0.0
+    rows.append(dataclasses.replace(rec(1.0, 14), m=45, max_degree=9, planted_size=10, output_size=10))  # the complete graph's sizes
+    rows.append(dataclasses.replace(rec(0.0, 15), n=0, m=0, max_degree=0, planted_size=0, output_size=0))  # the empty graph's
     path = tmp_path / "r.csv"
     path.write_text(records_to_csv(rows))
     assert records_from_csv(path) == rows
@@ -557,11 +559,16 @@ def test_csv_header_and_cell_errors(tmp_path):
      # a ratio other than output_size / planted_size (1 / 2 in these rows)
      ("alpha", "7.0"), ("alpha", "-0.1"), ("alpha", "1.0000001"), ("epsilon", "3.0"), ("epsilon", "0.0"),
      ("epsilon", "0.51"), ("delta", "-1.0"), ("delta", "0"), ("delta", "1.5"), ("ratio", "-0.5"),
-     ("ratio", "0.8"), ("ratio", "0.5000000000000001"), ("ratio", "1")],
+     ("ratio", "0.8"), ("ratio", "0.5000000000000001"), ("ratio", "1"),
+     # a size that no graph on n = 10 vertices has, alone or in a row of them (then a dict of its cells)
+     ("m", "46"), ("max_degree", "10"), ("planted_size", "11"), ("output_size", "11"),
+     ("m", {"m": "500", "max_degree": "90", "planted_size": "50", "output_size": "40", "ratio": "0.8"}),
+     ("max_degree", {"n": "1", "m": "0", "max_degree": "1"}), ("m", {"n": "0", "m": "1", "max_degree": "0"})],
 )
 def test_csv_cells_that_do_not_parse_name_the_line_and_column(tmp_path, column, cell):
     rows = [rec(0.5, 1).to_row(), rec(0.5, 2).to_row()]
-    rows[1][CSV_COLUMNS.index(column)] = cell
+    for name, text in (cell if isinstance(cell, dict) else {column: cell}).items():
+        rows[1][CSV_COLUMNS.index(name)] = text
     path = tmp_path / "r.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(",".join(row) + "\n" for row in rows))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: column '{column}' must be "):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from noisymis.graph import _UNIQUE_CHUNK, build_graph, greedy_mis, induced_subgraph, is_independent_set
+from noisymis.harness import ExperimentConfig, run_experiment
 from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp
 from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, make_oracle
 from noisymis.persistent import (
@@ -353,3 +354,20 @@ def test_size_mismatch_rejected():
     o = perfect_oracle(inst)
     with pytest.raises(ValueError, match="size"):
         run_persistent(build_graph(29, []), o)
+
+
+def test_threshold_branch_decides_on_a_dense_gnp_and_the_a1_bound_holds():
+    # at p = 0.3 every degree is far above the 36 ln n cutoff, so no vertex is exempt and the
+    # threshold alone decides who survives; A1's instances exempt every vertex, so only greedy runs there
+    config = ExperimentConfig(
+        algorithm="persistent",
+        instance={"generator": "gnp", "n": 2000, "alpha": 0.3, "p": 0.3},
+        oracle={"epsilon": 0.25, "mode": "persistent-random"},
+        trials=4,
+        seed_base=303,
+    )
+    records, reports = run_experiment(config, collect_details=True)
+    for record in records:
+        stats = reports[record.seed].stats
+        assert stats["num_low_degree"] == 0 and stats["num_surviving"] < record.n
+        assert record.ratio >= (0.25 / 12.0) / math.sqrt(record.max_degree * math.log(record.n))

@@ -74,10 +74,14 @@ print(json.dumps(counts))
 
 
 def test_tracer_counts_the_greedy_and_cover_calls():
-    """The library calls ``greedy_mis`` and ``vertex_cover_2approx`` through the bindings the tracer wraps.
+    """The library calls its solvers, ``greedy_mis`` and ``vertex_cover_2approx`` through the bindings the tracer wraps.
 
-    A tiny persistent trial must count ``graph.greedy`` calls and a tiny
-    amplify trial ``graph.cover`` calls, at the bench's ``--tiny`` shapes.
+    A tiny persistent trial must count calls on ``harness.trial``,
+    ``oracle.setup``, ``persistent.run``, ``graph.indep`` and
+    ``graph.greedy``, and a tiny amplify trial on ``baselines.amplify``,
+    ``bandit.run`` and ``graph.cover``, at the bench's ``--tiny`` shapes;
+    ``graph.indep`` also counts the generator's own check, so it must count
+    one call per trial beyond those.
     Other spans still read 0: ``graph.induce``, ``bandit.elim`` and
     ``bandit.cover_complement`` on both, and ``graph.build`` on gen-filter,
     whose generator builds its graph without ``build_graph``.  The library
@@ -90,5 +94,9 @@ def test_tracer_counts_the_greedy_and_cover_calls():
     )
     assert proc.returncode == 0, proc.stderr
     persistent, after_amplify = json.loads(proc.stdout)
-    assert persistent["graph.greedy"] >= 1
-    assert after_amplify["graph.cover"] - persistent["graph.cover"] >= 1
+    for span in ("harness.trial", "oracle.setup", "persistent.run", "graph.indep", "graph.greedy"):
+        assert persistent[span] >= 1, span
+    # each generated instance checks its planted set, and each trial its output through the harness
+    assert persistent["graph.indep"] >= persistent["instances.gen"] + persistent["harness.trial"]
+    for span in ("baselines.amplify", "bandit.run", "graph.cover"):
+        assert after_amplify[span] - persistent[span] >= 1, span
