@@ -12,11 +12,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
 from .graph import Graph, _induce, _sorted_ids, induced_subgraph, vertex_cover_2approx
-from .oracle import ORACLE_MODES, Oracle, ModeError, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError, _POSITIVE, _UP_TO_HALF, _UP_TO_ONE, _check_types
 
 __all__ = [
     "BanditParams",
@@ -42,19 +43,13 @@ class BanditParams:
     ``ValueError`` when built; so does a schedule or budget that leaves the floats, when computed.
     """
 
-    epsilon: float | None = None
-    delta: float = 0.1
-    schedule_coeff: float = 4.0
+    epsilon: Annotated[float | None, _UP_TO_HALF] = None
+    delta: Annotated[float, _UP_TO_ONE] = 0.1
+    schedule_coeff: Annotated[float, _POSITIVE] = 4.0  # rounds of no queries would never end
     budget_coeff: float = 30.0
 
     def __post_init__(self):
         _check_types(BanditParams, vars(self), "params")
-        if self.epsilon is not None and not 0.0 < self.epsilon <= 0.5:
-            raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.schedule_coeff <= 0.0:  # rounds of no queries would never end
-            raise ValueError(f"schedule_coeff must be positive, got {self.schedule_coeff}")
 
 
 @dataclass

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .graph import _int_ids
-from .oracle import ORACLE_MODES, Oracle, ModeError, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError, _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_ONE, _check_types
 
 __all__ = [
     "SamplerParams",
@@ -29,15 +30,11 @@ __all__ = [
 class SamplerParams:
     """Defaults: sample probability ``1/ln n``, ``ceil(ln n / eps^2)`` queries each."""
 
-    sample_prob: float | None = None
-    queries_per_vertex: int | None = None
+    sample_prob: Annotated[float | None, _UP_TO_ONE] = None
+    queries_per_vertex: Annotated[int | None, _AT_LEAST_ONE] = None
 
     def __post_init__(self):
         _check_types(SamplerParams, vars(self), "params")
-        if self.sample_prob is not None and not 0.0 < self.sample_prob <= 1.0:
-            raise ValueError(f"sample_prob must lie in (0, 1], got {self.sample_prob}")
-        if self.queries_per_vertex is not None and self.queries_per_vertex < 1:
-            raise ValueError(f"queries_per_vertex must be >= 1, got {self.queries_per_vertex}")
 
 
 @dataclass(frozen=True)
@@ -45,15 +42,12 @@ class AmplifyParams:
     """Defaults: ``ceil(log_1.5 ln n)`` rounds of ``ceil(100 ln ln n)`` reruns,
     then ``ceil(2 ln n / eps^2)`` direct queries per leftover vertex."""
 
-    rounds: int | None = None
-    reps_per_round: int | None = None
-    final_queries: int | None = None
+    rounds: Annotated[int | None, _NONNEGATIVE] = None
+    reps_per_round: Annotated[int | None, _AT_LEAST_ONE] = None
+    final_queries: Annotated[int | None, _AT_LEAST_ONE] = None
 
     def __post_init__(self):
         _check_types(AmplifyParams, vars(self), "params")
-        for (name, value), low in zip(vars(self).items(), (0, 1, 1)):
-            if value is not None and value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, seed: int = 0) -> np.ndarray:

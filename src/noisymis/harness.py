@@ -16,20 +16,15 @@ import hashlib
 import inspect
 import io
 import json
-import math
 import os
 import time
 import typing
 from dataclasses import dataclass, field
+from typing import Annotated
 
-from .graph import exact_mis, greedy_mis, is_independent_set
-from .oracle import (
-    ORACLE_MODES,
-    OracleConfig,
-    _check_types,
-    _fits,
-    make_oracle,
-)
+from .graph import EXACT_MIS_MAX_N, exact_mis, greedy_mis, is_independent_set
+from .oracle import ORACLE_MODES, OracleConfig, _check_types, _fits, make_oracle
+from .oracle import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_HALF, _UP_TO_ONE, _ZERO_TO_ONE  # field ranges
 from .persistent import PersistentParams, run_persistent
 from .bandit import BanditParams, run_bandit
 from .baselines import AmplifyParams, SamplerParams, run_amplify, run_sampler
@@ -132,8 +127,8 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     seeds: list | tuple | None = None
     seed_base: int = 0
-    trials: int = 1
-    workers: int = 1
+    trials: Annotated[int, _AT_LEAST_ONE] = 1
+    workers: Annotated[int, _AT_LEAST_ONE] = 1
     output: str | None = None
 
     def __post_init__(self):
@@ -152,11 +147,9 @@ class ExperimentConfig:
         for what in ("oracle", "params"):
             if not modes and getattr(self, what):
                 raise ValueError(f"{self.algorithm} takes no {what}, got {sorted(getattr(self, what))}")
-        if self.seeds is None and self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         _check_args(*_instance_source(self.instance, 0), "instance")  # trial seed 0 stands in; nothing is read
+        if self.algorithm == "exact" and self.instance.get("n", 0) > EXACT_MIS_MAX_N:  # a file's n is read per trial
+            raise ValueError(f"exact search is capped at {EXACT_MIS_MAX_N} vertices, got {self.instance['n']}")
         if modes:
             # built once, outside the fields, so a trial only swaps in its oracle seed
             oracle = _checked(OracleConfig, {**self.oracle, "mode": self.oracle.get("mode", modes[0])}, "oracle")
@@ -179,18 +172,18 @@ class ExperimentConfig:
 @dataclass
 class TrialRecord:
     algorithm: str
-    n: int
-    m: int
-    max_degree: int
-    alpha: float
-    epsilon: float | None
-    delta: float | None
-    seed: int
-    planted_size: int
-    output_size: int
+    n: Annotated[int, _NONNEGATIVE]
+    m: Annotated[int, _NONNEGATIVE]
+    max_degree: Annotated[int, _NONNEGATIVE]
+    alpha: Annotated[float, _ZERO_TO_ONE]
+    epsilon: Annotated[float | None, _UP_TO_HALF]
+    delta: Annotated[float | None, _UP_TO_ONE]
+    seed: int  # any integer: a config's seeds may be negative
+    planted_size: Annotated[int, _NONNEGATIVE]
+    output_size: Annotated[int, _NONNEGATIVE]
     ratio: float
-    total_queries: int
-    rounds: int | None
+    total_queries: Annotated[int, _NONNEGATIVE]
+    rounds: Annotated[int | None, _NONNEGATIVE]
     wall_time_ms: float
     independent_set_valid: bool = True
 
@@ -199,13 +192,6 @@ class TrialRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
-# each bounded column's test and its text: the range a run writes there
-_COLUMN_RANGES = {
-    "alpha": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-    "epsilon": (lambda x: 0.0 < x <= 0.5, "in (0, 1/2]"),
-    "delta": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
-    **dict.fromkeys(("n", "m", "max_degree", "planted_size", "output_size", "total_queries", "rounds"), (lambda x: x >= 0, ">= 0")),
-}
 # each size column's largest value on an n-vertex graph and its text
 _SIZE_BOUNDS = {
     "m": (lambda n: n * (n - 1) // 2, "n * (n - 1) / 2"),
@@ -420,10 +406,10 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 def _parse_cell(text: str):
     """A CSV cell as the JSON it holds (a number, true or false), else as text; empty is None.
 
-    The record checker then rejects any cell that does not fit its column, and
-    ``records_from_csv`` a float that is not finite, a value outside its
-    column's range, a size larger than ``n`` allows, or a ratio other than
-    the one its sizes give.
+    The record checker then rejects any cell that does not fit its column's
+    type, a float that is not finite and a value outside its column's range,
+    and ``records_from_csv`` a size larger than ``n`` allows, or a ratio other
+    than the one its sizes give.
     """
     if text == "":
         return None
@@ -446,11 +432,6 @@ def records_from_csv(path) -> list[TrialRecord]:
         values = {name: _parse_cell(cell) for name, cell in zip(CSV_COLUMNS, cells)}
         where = f"{path}:{lineno}: column"
         record = _checked(TrialRecord, values, where)
-        for name, value in values.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{where} {name!r} must be finite, got {value!r}")
-            if value is not None and name in _COLUMN_RANGES and not _COLUMN_RANGES[name][0](value):
-                raise ValueError(f"{where} {name!r} must be {_COLUMN_RANGES[name][1]}, got {value!r}")
         for name, (bound, text) in _SIZE_BOUNDS.items():
             if getattr(record, name) > bound(record.n):
                 raise ValueError(f"{where} {name!r} must be <= {text} = {bound(record.n)}, got {getattr(record, name)!r}")

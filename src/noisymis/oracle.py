@@ -77,17 +77,40 @@ def cap_flip_probability(epsilon: float) -> float:
     return (epsilon - ADVANTAGE_CAP) / (0.5 + epsilon)
 
 
-# a class's annotations, evaluated once: every params object checks its fields when built
-_type_hints = functools.cache(typing.get_type_hints)
+# a field's range, as the metadata of its hint Annotated[T, _Range(test, text)]; each range is written once here
+_Range = typing.NamedTuple("_Range", [("test", typing.Callable), ("text", str)])
+_FINITE = _Range(math.isfinite, "finite")  # the range of every float value, whatever its hint
+_UP_TO_HALF = _Range(lambda x: 0.0 < x <= 0.5, "in (0, 1/2]")
+_UP_TO_ONE = _Range(lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_ZERO_TO_ONE = _Range(lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_POSITIVE = _Range(lambda x: x > 0, "> 0")
+_NONNEGATIVE = _Range(lambda x: x >= 0, ">= 0")
+_AT_LEAST_ONE = _Range(lambda x: x >= 1, ">= 1")
+
+
+@functools.cache
+def _schema(target) -> dict:
+    """Each of ``target``'s annotated names, evaluated once: the types its value may take, and its ranges."""
+    schema = {}
+    for key, hint in typing.get_type_hints(target, include_extras=True).items():
+        hint, *ranges = typing.get_args(hint) if typing.get_origin(hint) is typing.Annotated else (hint,)
+        schema[key] = typing.get_args(hint) or (hint,), ranges
+    return schema
 
 
 def _check_types(target, values: dict, what: str) -> None:
-    types = _type_hints(target)
+    """Raise unless each value fits its key's hint on ``target``: its type, then, unless it is None, a
+    finite float and the hint's ranges; errors name the block ``what`` and the key."""
     for key, value in values.items():
-        kinds = typing.get_args(types[key]) or (types[key],)
+        kinds, ranges = _schema(target)[key]
         if not _fits(value, kinds):
             names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
             raise ValueError(f"{what} {key!r} must be {names}, got {value!r}")
+        if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):  # an int beyond the floats is finite
+            ranges = (_FINITE, *ranges)
+        for test, text in ranges:
+            if value is not None and not test(value):
+                raise ValueError(f"{what} {key!r} must be {text}, got {value!r}")
 
 
 def _fits(value, kinds: tuple) -> bool:
@@ -105,22 +128,18 @@ def _fits(value, kinds: tuple) -> bool:
 class OracleConfig:
     """Oracle description used by the harness JSON configs; an invalid one raises ``ValueError`` when built."""
 
-    epsilon: float
+    epsilon: typing.Annotated[float, _UP_TO_HALF]
     mode: str = BANDIT_BERNOULLI
     k: int = 2
-    seed: int = 0
+    seed: typing.Annotated[int, _NONNEGATIVE] = 0  # numpy seeds no generator from a negative integer
     apply_cap: bool = True
 
     def __post_init__(self):
         _check_types(OracleConfig, vars(self), "oracle")
-        if not 0.0 < self.epsilon <= 0.5:
-            raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
         if self.mode not in ORACLE_MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}; expected one of {tuple(ORACLE_MODES)}")
         if "k" in ORACLE_MODES[self.mode].reads and self.k < 2:
             raise ValueError(f"k-wise mode needs k >= 2, got {self.k}")
-        if self.seed < 0:  # numpy seeds no generator from a negative integer
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def effective_epsilon(self) -> float:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from .graph import Graph, _block_slots, _row_blocks, greedy_mis, induced_subgraph
-from .oracle import ORACLE_MODES, Oracle, ModeError, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError, _NONNEGATIVE, _UP_TO_HALF, _check_types
 
 __all__ = [
     "PersistentParams",
@@ -41,20 +42,16 @@ class PersistentParams:
     force the cutoff.  An invalid field raises ``ValueError`` when built.
     """
 
-    epsilon_effective: float | None = None
+    epsilon_effective: Annotated[float | None, _UP_TO_HALF] = None
     low_degree_cutoff_coeff: float = 36.0
     threshold_coeff: float = 6.0
     greedy_order: str = "id"  # "id" | "degree" | "random"
-    order_seed: int = 0
+    order_seed: Annotated[int, _NONNEGATIVE] = 0  # numpy seeds no generator from a negative integer
 
     def __post_init__(self):
         _check_types(PersistentParams, vars(self), "params")
-        if self.epsilon_effective is not None and not 0.0 < self.epsilon_effective <= 0.5:
-            raise ValueError(f"epsilon_effective must lie in (0, 1/2], got {self.epsilon_effective}")
         if self.greedy_order not in ("id", "degree", "random"):
             raise ValueError(f"unknown greedy order policy {self.greedy_order!r}")
-        if self.order_seed < 0:  # numpy seeds no generator from a negative integer
-            raise ValueError(f"order_seed must be >= 0, got {self.order_seed}")
 
 
 @dataclass

@@ -75,7 +75,7 @@ def test_schedule_validation():
 def test_params_check_themselves_when_built():
     bad = [("epsilon", 0.7), ("epsilon", 0.0), ("epsilon", math.nan), ("epsilon", "0.25"), ("delta", 0.0),
            ("delta", 1.5), ("delta", math.nan), ("delta", None), ("schedule_coeff", 0), ("schedule_coeff", -1.0),
-           ("budget_coeff", True)]
+           ("schedule_coeff", math.nan), ("budget_coeff", True), ("budget_coeff", math.inf)]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             BanditParams(**{field: value})
@@ -85,19 +85,17 @@ def test_params_check_themselves_when_built():
 
 
 def test_schedule_and_budget_reject_counts_no_run_can_use():
-    # each value passes its range check, yet the arithmetic would leave floats:
-    # a zero eps^2, an infinite or NaN count, a count beyond int64
+    # each value is finite and passes its range check, yet the arithmetic would
+    # leave floats: a zero eps^2, an infinite count, a count beyond int64
     for params in (
         BanditParams(epsilon=1e-200),
         BanditParams(epsilon=0.25, delta=5e-324),
         BanditParams(epsilon=0.25, schedule_coeff=1e308),
-        BanditParams(epsilon=0.25, schedule_coeff=math.nan),
         BanditParams(epsilon=1e-8, delta=1e-300),
     ):
         with pytest.raises(ValueError):
             query_schedule(1, params)
-    for params in (BanditParams(epsilon=1e-200), BanditParams(epsilon=0.25, budget_coeff=math.inf),
-                   BanditParams(epsilon=0.25, budget_coeff=1e300)):
+    for params in (BanditParams(epsilon=1e-200), BanditParams(epsilon=0.25, budget_coeff=1e300)):
         with pytest.raises(ValueError):
             query_budget(10, params)
     assert query_schedule(1, BanditParams(epsilon=1e-8)) > 10**17

@@ -4,6 +4,7 @@ import concurrent.futures
 import functools
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -213,6 +214,12 @@ def test_run_debug_dump_for_persistent(tmp_path, capsys):
         ({"oracle": {"epsilon": 0.25, "k": 7}}, "bandit-bernoulli oracle takes no k"),
         ({"oracle": {"epsilon": 0.25, "apply_cap": False}}, "bandit-bernoulli oracle takes no apply_cap"),
         ({"algorithm": "persistent", "oracle": {"epsilon": 0.25, "k": 1}}, "persistent-random oracle takes no k"),
+        # a coefficient that is not finite, which the filter's threshold cannot use
+        ({"algorithm": "persistent", "oracle": {"epsilon": 0.25}, "params": {"threshold_coeff": math.nan}},
+         "params 'threshold_coeff' must be finite, got nan"),
+        # exact's cap, on a generator's n
+        ({"algorithm": "exact", "oracle": {}, "instance": {"generator": "bounded-degree", "n": 10**6, "alpha": 0.3, "d": 20}},
+         "exact search is capped at 30 vertices, got 1000000"),
     ],
 )
 def test_bad_config_fails_before_any_instance_or_worker(tmp_path, capsys, monkeypatch, overrides, message):

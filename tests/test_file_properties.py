@@ -168,10 +168,12 @@ SMALL = gen_planted_gnp(30, 0.4, 0.1, seed=0)
 
 
 def fits(value, hint) -> bool:
-    """Whether ``value`` is of a type ``hint`` names; an int stands in for a float, a bool only for a bool."""
+    """Whether ``value`` is of a type ``hint`` names; an int stands in for a float, a bool only for a bool,
+    and a float is finite."""
     kinds = typing.get_args(hint) or (hint,)
     kinds += (int,) if float in kinds else ()
-    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)) and finite
 
 
 def solve(built):

@@ -89,8 +89,9 @@ def test_explicit_seed_list_wins():
 def test_config_validation():
     with pytest.raises(ValueError, match="algorithm"):
         gnp_config(algorithm="simulated-annealing")
-    with pytest.raises(ValueError, match="trials"):
-        gnp_config(trials=0)
+    for seeds in (None, [1, 2]):  # a trials below 1 is refused even where seeds set the trials
+        with pytest.raises(ValueError, match="'trials' must be >= 1, got 0"):
+            gnp_config(trials=0, seeds=seeds)
     with pytest.raises(ValueError, match="workers"):
         gnp_config(workers=0)
     with pytest.raises(ValueError, match="not_a_knob"):
@@ -198,7 +199,8 @@ ROUND_TRIP_CONFIGS = {
 @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
 def test_to_dict_round_trips_and_is_the_edit_path(algorithm):
     oracle, params, edit = ROUND_TRIP_CONFIGS[algorithm]
-    config = gnp_config(algorithm=algorithm, oracle=oracle, params=params, seeds=list(np.arange(3, 5)))
+    instance = {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1}  # within exact's cap, checked when built
+    config = gnp_config(algorithm=algorithm, instance=instance, oracle=oracle, params=params, seeds=list(np.arange(3, 5)))
     d = config.to_dict()
     assert [type(s) for s in config.seeds] == [int, int] and json.loads(json.dumps(d)) == d
     assert ExperimentConfig.from_dict(d) == config
@@ -208,7 +210,7 @@ def test_to_dict_round_trips_and_is_the_edit_path(algorithm):
     d["params"].update(edit)
     edited = ExperimentConfig.from_dict(d)
     assert edited.instance["n"] == 20 and edited.seeds == (3, 4, 5) and edited.params == {**params, **edit}
-    assert config == gnp_config(algorithm=algorithm, oracle=oracle, params=params, seeds=[3, 4])
+    assert config == gnp_config(algorithm=algorithm, instance=instance, oracle=oracle, params=params, seeds=[3, 4])
     if oracle:
         params_class = harness.ALGORITHMS[algorithm].params
         assert edited._params == harness._build_params(params_class, {**params, **edit}) != config._params

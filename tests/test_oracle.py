@@ -45,7 +45,7 @@ def test_config_validation():
         OracleConfig(epsilon=0.25, mode="nope")
     with pytest.raises(ValueError, match="k >= 2"):
         OracleConfig(epsilon=0.25, mode=PERSISTENT_KWISE, k=1)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="'seed' must be >= 0"):
         OracleConfig(epsilon=0.25, seed=-2)
 
 

@@ -308,7 +308,8 @@ def test_params_check_themselves_when_built():
     # outside (0, 1/2] the thresholds mean nothing: above 1/2, NaN or inf would leave no survivor
     bad = [("epsilon_effective", 0.7), ("epsilon_effective", math.nan), ("epsilon_effective", math.inf),
            ("epsilon_effective", -0.3), ("threshold_coeff", "x"), ("low_degree_cutoff_coeff", None),
-           ("greedy_order", 1), ("order_seed", 1.5), ("order_seed", -1)]
+           ("greedy_order", 1), ("order_seed", 1.5), ("order_seed", -1), ("threshold_coeff", math.nan),
+           ("low_degree_cutoff_coeff", -math.inf)]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             PersistentParams(**{field: value})
