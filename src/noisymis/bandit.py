@@ -16,7 +16,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .graph import Graph, _induce, _sorted_ids, induced_subgraph, vertex_cover_2approx
+from .graph import Graph, _sorted_ids, induced_subgraph, vertex_cover_2approx
 from .oracle import ORACLE_MODES, Oracle, ModeError, _POSITIVE, _UP_TO_HALF, _UP_TO_ONE, _check_types
 
 __all__ = [
@@ -46,7 +46,7 @@ class BanditParams:
     epsilon: Annotated[float | None, _UP_TO_HALF] = None
     delta: Annotated[float, _UP_TO_ONE] = 0.1
     schedule_coeff: Annotated[float, _POSITIVE] = 4.0  # rounds of no queries would never end
-    budget_coeff: float = 30.0
+    budget_coeff: Annotated[float, _POSITIVE] = 30.0
 
     def __post_init__(self):
         _check_types(BanditParams, vars(self), "params")
@@ -127,14 +127,9 @@ def elimination_round(survivors, oracle: Oracle, q: int) -> np.ndarray:
     non-persistent oracle, since repeated queries must carry fresh noise.
     """
     verts = _sorted_ids(survivors, oracle.n)
-    return verts[_majority(verts, oracle, q)]
-
-
-def _majority(verts: np.ndarray, oracle: Oracle, q: int) -> np.ndarray:
-    """``elimination_round``'s vote on an ascending id array, as a keep mask over it."""
     if "reward-sums" in ORACLE_MODES[oracle.config.mode].answers:
-        return oracle.query_reward_sums(verts, q) >= q / 2.0
-    return 2 * oracle.query_yes_counts(verts, q) >= q
+        return verts[oracle.query_reward_sums(verts, q) >= q / 2.0]
+    return verts[2 * oracle.query_yes_counts(verts, q) >= q]
 
 
 def cover_complement(g: Graph, vertices) -> np.ndarray:
@@ -145,11 +140,6 @@ def cover_complement(g: Graph, vertices) -> np.ndarray:
     matched edge spends at most one member per outsider).
     """
     sub, ids = induced_subgraph(g, vertices)
-    return _drop_cover(ids, sub)
-
-
-def _drop_cover(ids: np.ndarray, sub: Graph) -> np.ndarray:
-    """``ids`` without the positions of a 2-approximate cover of ``sub``, the graph they induce."""
     cover = vertex_cover_2approx(sub)
     if not cover.size:
         return ids
@@ -202,15 +192,12 @@ def run_bandit(
         r += 1
         q = query_schedule(r, params)
         before = survivors.size
-        keep = _majority(survivors, oracle, q)
-        survivors = survivors[keep]
+        survivors = elimination_round(survivors, oracle, q)
         spent += before * q
-        # survivors only shrink and ``sub`` is always G[survivors]: later rounds
-        # induce from it by position, and a round that drops nobody keeps the
-        # previous candidate, which depends on the survivors alone
+        # survivors only shrink, so a round that drops nobody keeps the previous
+        # candidate, which depends on the survivors alone
         if candidate is None or survivors.size != before:
-            sub = _induce(g, survivors) if candidate is None else _induce(sub, np.flatnonzero(keep))
-            candidate = _drop_cover(survivors, sub)
+            candidate = cover_complement(g, survivors)
         if candidate.size > best.size:
             best = candidate
             result.best_round = r

@@ -66,7 +66,7 @@ class Graph:
     def owner(self) -> np.ndarray:
         """Source vertex of every CSR slot, so edge ``j`` is ``(owner()[j], indices[j])``.
 
-        Built on first use and cached (read-only).  ``_induce`` is its only
+        Built on first use and cached (read-only).  ``induced_subgraph`` is its only
         user: it reuses the array across the many induces of one graph.
         """
         if self._owner is None:
@@ -264,18 +264,13 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     the rank of each kept id inside the ascending ``ids`` array.
     """
     ids = _sorted_ids(vertices, g.n)
-    return _induce(g, ids), ids
-
-
-def _induce(g: Graph, ids: np.ndarray) -> Graph:
-    """Induced subgraph on the ascending distinct ids ``ids``, renumbered by rank."""
     mask = np.zeros(g.n, dtype=bool)
     mask[ids] = True
     # no ids read no edge, and no kept id with a neighbor builds no owner
     slot = mask[g.indices] if ids.size else mask[:0]
     offsets = np.zeros(ids.size + 1, dtype=np.int64)
     if not slot.any():
-        return Graph(ids.size, offsets, np.zeros(0, dtype=np.int64))
+        return Graph(ids.size, offsets, np.zeros(0, dtype=np.int64)), ids
     owner = g.owner()
     slot &= mask[owner]
     # row lengths come from the old ids, so no renumbered copy of the kept
@@ -283,7 +278,7 @@ def _induce(g: Graph, ids: np.ndarray) -> Graph:
     np.cumsum(np.bincount(owner[slot], minlength=g.n)[ids], out=offsets[1:])
     new_id = np.cumsum(mask, dtype=np.int64) - 1
     sub_indices = new_id[g.indices[slot]]
-    return Graph(ids.size, offsets, sub_indices)
+    return Graph(ids.size, offsets, sub_indices), ids
 
 
 def greedy_mis(g: Graph, order=None) -> np.ndarray:

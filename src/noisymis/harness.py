@@ -157,6 +157,9 @@ class ExperimentConfig:
                 raise ValueError(f"{self.algorithm} cannot run on a {oracle.mode} oracle; it takes {' or '.join(modes)}")
             if ignored := sorted(self.oracle.keys() - {"epsilon", "mode", *ORACLE_MODES[oracle.mode].reads}):
                 raise ValueError(f"{oracle.mode} oracle takes no {' or '.join(ignored)}")
+            # a k-wise family over n ids is fully independent at k = n; a file's n is read per trial
+            if "k" in ORACLE_MODES[oracle.mode].reads and oracle.k > self.instance.get("n", oracle.k):
+                raise ValueError(f"oracle 'k' must be <= n = {self.instance['n']}, got {oracle.k}")
             object.__setattr__(self, "_oracle", oracle)
             object.__setattr__(self, "_params", _build_params(params_class, self.params))
 

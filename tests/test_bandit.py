@@ -75,7 +75,8 @@ def test_schedule_validation():
 def test_params_check_themselves_when_built():
     bad = [("epsilon", 0.7), ("epsilon", 0.0), ("epsilon", math.nan), ("epsilon", "0.25"), ("delta", 0.0),
            ("delta", 1.5), ("delta", math.nan), ("delta", None), ("schedule_coeff", 0), ("schedule_coeff", -1.0),
-           ("schedule_coeff", math.nan), ("budget_coeff", True), ("budget_coeff", math.inf)]
+           ("schedule_coeff", math.nan), ("budget_coeff", True), ("budget_coeff", math.inf), ("budget_coeff", 0.0),
+           ("budget_coeff", -5.0)]
     for field, value in bad:
         with pytest.raises(ValueError, match=field):
             BanditParams(**{field: value})
@@ -384,7 +385,7 @@ def test_runtime_tracks_edge_count():
 def test_edge_reads_track_edge_count(monkeypatch):
     # the timing test above as counted work, which host speed cannot move: the same
     # six runs, each summing the CSR slots of the graphs its induces read
-    induce = bandit._induce
+    induce = bandit.induced_subgraph
 
     def slots_read(d):
         total = 0
@@ -392,7 +393,9 @@ def test_edge_reads_track_edge_count(monkeypatch):
             inst = gen_planted_bounded_degree(3000, 0.3, d, seed=seed)
             o = make_oracle(inst, bern(0.25, seed=seed + 1))
             reads = []
-            monkeypatch.setattr(bandit, "_induce", lambda g, ids: reads.append(g.indices.size) or induce(g, ids))
+            monkeypatch.setattr(
+                bandit, "induced_subgraph", lambda g, vertices: reads.append(g.indices.size) or induce(g, vertices)
+            )
             result = run_bandit(inst.graph, o, BanditParams(delta=0.1))
             m = inst.graph.m
             assert reads[0] == 2 * m  # the first induce reads the whole graph once

@@ -220,6 +220,12 @@ def test_run_debug_dump_for_persistent(tmp_path, capsys):
         # exact's cap, on a generator's n
         ({"algorithm": "exact", "oracle": {}, "instance": {"generator": "bounded-degree", "n": 10**6, "alpha": 0.3, "d": 20}},
          "exact search is capped at 30 vertices, got 1000000"),
+        # a budget at or below 0, which the first round always overspends
+        ({"instance": {"generator": "gnp", "n": 300, "alpha": 0.3, "p": 0.1}, "oracle": {"epsilon": 0.25},
+          "params": {"budget_coeff": -5.0}}, "params 'budget_coeff' must be > 0, got -5.0"),
+        # a k-wise family over n ids is fully independent at k = n
+        ({"algorithm": "persistent", "oracle": {"epsilon": 0.25, "mode": "persistent-kwise", "k": 301}},
+         "oracle 'k' must be <= n = 300, got 301"),
     ],
 )
 def test_bad_config_fails_before_any_instance_or_worker(tmp_path, capsys, monkeypatch, overrides, message):

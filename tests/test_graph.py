@@ -12,7 +12,6 @@ from noisymis.bandit import run_bandit
 from noisymis.graph import (
     EXACT_MIS_MAX_N,
     Graph,
-    _induce,
     _sorted_ids,
     _sorted_unique,
     build_graph,
@@ -341,7 +340,7 @@ def test_induced_subgraph_small():
 def test_induce_on_no_ids_reads_no_edge():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     g.indices = np.array([g.n])  # an out-of-range slot: any edge pass would fail on it
-    sub = _induce(g, np.zeros(0, dtype=np.int64))
+    sub, _ = induced_subgraph(g, np.zeros(0, dtype=np.int64))
     assert sub == build_graph(0, []) and sub.indices.dtype == np.int64
     assert g._owner is None
 

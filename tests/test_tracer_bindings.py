@@ -79,14 +79,15 @@ def test_tracer_counts_the_greedy_and_cover_calls():
     A tiny persistent trial must count calls on ``harness.trial``,
     ``oracle.setup``, ``persistent.run``, ``graph.indep`` and
     ``graph.greedy``, and a tiny amplify trial on ``baselines.amplify``,
-    ``bandit.run`` and ``graph.cover``, at the bench's ``--tiny`` shapes;
+    ``bandit.run``, ``bandit.elim``, ``bandit.cover_complement``,
+    ``graph.induce`` and ``graph.cover``, at the bench's ``--tiny`` shapes;
     ``graph.indep`` also counts the generator's own check, so it must count
     one call per trial beyond those.
-    Other spans still read 0: ``graph.induce``, ``bandit.elim`` and
-    ``bandit.cover_complement`` on both, and ``graph.build`` on gen-filter,
-    whose generator builds its graph without ``build_graph``.  The library
-    calls private helpers there that the tracer does not wrap; an event
-    stream from inside the library (ROADMAP.md) is the planned fix.
+    Two spans still read 0 on gen-filter: ``graph.induce``, as every vertex
+    there is exempt from the filter and nothing is induced, and
+    ``graph.build``, as its generator builds its graph without
+    ``build_graph``.  An event stream from inside the library (ROADMAP.md)
+    is the planned fix for the latter.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(noisymis.__file__).resolve().parents[1])}
     proc = subprocess.run(
@@ -98,5 +99,6 @@ def test_tracer_counts_the_greedy_and_cover_calls():
         assert persistent[span] >= 1, span
     # each generated instance checks its planted set, and each trial its output through the harness
     assert persistent["graph.indep"] >= persistent["instances.gen"] + persistent["harness.trial"]
-    for span in ("baselines.amplify", "bandit.run", "graph.cover"):
+    for span in ("baselines.amplify", "bandit.run", "bandit.elim", "bandit.cover_complement", "graph.induce",
+                 "graph.cover"):
         assert after_amplify[span] - persistent[span] >= 1, span
