@@ -37,9 +37,11 @@ class Graph:
     """Undirected simple graph in compressed sparse row layout.
 
     ``indices[offsets[v]:offsets[v + 1]]`` is the ascending neighbor list of
-    ``v``.  Instances are immutable after construction and safe to share
-    across concurrent trials.  Equality goes by content, and the lazily
-    built owner array is a cache, not content.  Graphs are not hashable.
+    ``v``.  The graphs the library builds hold int32 ``indices``, as
+    ``n <= 2**31`` lets every id fit, and int64 ``offsets``.  Instances are
+    immutable after construction and safe to share across concurrent
+    trials.  Equality goes by content, and the lazily built owner array is
+    a cache, not content.  Graphs are not hashable.
     """
 
     __slots__ = ("n", "m", "offsets", "indices", "_owner")
@@ -152,24 +154,39 @@ def _csr_from_codes(n: int, codes: np.ndarray) -> Graph:
 
     Sorts and deduplicates ``codes`` in place, so the sorted codes list every
     row in turn with ascending neighbors, then trims the buffer to its
-    distinct codes and decodes it into the graph's ``indices``.  The trim
-    frees the duplicate tail but leaves any view of ``codes`` dangling, so
-    ``codes`` must own its data and nothing else may refer to it: this
-    function owns the buffer ``_edge_codes`` returns, whether fresh or the
-    caller's ``out``, and no view of it outlives the call.
+    distinct codes and decodes them, chunk by chunk, into int32 neighbor ids
+    packed at its front, and trims it again to the half they fill: that half
+    is the graph's ``indices``.  ``n <= 2**31``, so every id fits.  Each trim
+    leaves any view of ``codes`` dangling, so ``codes`` must own its data and
+    nothing else may refer to it: this function owns the buffer
+    ``_edge_codes`` returns, whether fresh or the caller's ``out``, and no
+    view of it outlives the call.
     """
     shift = _code_shift(n)
     k = _sorted_unique(codes)
     if k < codes.size:
         codes.resize(k, refcheck=False)
-    offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) << shift)
-    indices = np.bitwise_and(codes, (1 << shift) - 1, out=codes)
-    return Graph(n, offsets, indices)
+    # row v starts at the first code at or above v << shift; filled in chunks,
+    # so no temporary grows with n
+    offsets = np.arange(n + 1, dtype=np.int64)
+    for start in range(0, n + 1, _UNIQUE_CHUNK):
+        block = offsets[start : start + _UNIQUE_CHUNK]
+        block[:] = np.searchsorted(codes, block << shift)
+    # id j goes to bytes [4j, 4j + 4), never past code j's bytes [8j, 8j + 8),
+    # so a chunk's writes reach no later chunk's codes
+    narrow = codes.view(np.int32)
+    for start in range(0, k, _UNIQUE_CHUNK):
+        stop = min(start + _UNIQUE_CHUNK, k)
+        np.bitwise_and(codes[start:stop], (1 << shift) - 1, out=narrow[start:stop])
+    codes.resize((k + 1) // 2, refcheck=False)
+    return Graph(n, offsets, codes.view(np.int32)[:k])
 
 
 # values per step of _sorted_unique's compaction and CSR slots per row block of
 # the edge-wise passes; it bounds the temporaries of both
 _UNIQUE_CHUNK = 1 << 16
+# rows per window of greedy_mis's scan and CSR slots per block it widens to int64
+_GREEDY_BLOCK = 1 << 12
 
 
 def _sorted_unique(a: np.ndarray) -> int:
@@ -197,18 +214,19 @@ def _sorted_unique(a: np.ndarray) -> int:
     return k
 
 
-def _row_blocks(g: Graph, rows: np.ndarray) -> list[np.ndarray]:
-    """Split the row list ``rows`` into consecutive blocks of about ``_UNIQUE_CHUNK`` CSR slots.
+def _row_blocks(g: Graph, rows: np.ndarray, size: int | None = None) -> list[np.ndarray]:
+    """Split the row list ``rows`` into consecutive blocks of about ``size`` CSR slots.
 
-    Laid end to end, the rows' slots fall into windows of ``_UNIQUE_CHUNK``;
-    each block holds the rows that start in one window, so it has fewer
-    slots than that plus the length of its last row.  Returns the non-empty
-    blocks as views of ``rows``.
+    ``size`` defaults to ``_UNIQUE_CHUNK``.  Laid end to end, the rows'
+    slots fall into windows of ``size``; each block holds the rows that
+    start in one window, so it has fewer slots than that plus the length of
+    its last row.  Returns the non-empty blocks as views of ``rows``.
     """
+    size = _UNIQUE_CHUNK if size is None else size
     lengths = g.offsets[rows + 1] - g.offsets[rows]
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
-    cuts = np.searchsorted(ends - lengths, np.arange(_UNIQUE_CHUNK, total, _UNIQUE_CHUNK)).tolist()
+    cuts = np.searchsorted(ends - lengths, np.arange(size, total, size)).tolist()
     return [rows[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, rows.size]) if hi > lo]
 
 
@@ -257,6 +275,18 @@ def _sorted_ids(vertices, n: int) -> np.ndarray:
     return ids
 
 
+def _take(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``table[ids]``, gathered ``_UNIQUE_CHUNK`` ids at a time.
+
+    numpy indexes through int32 ids several times slower than through intp
+    ones; ``np.take`` casts each chunk instead, into a chunk-sized temporary.
+    """
+    out = np.empty(ids.shape, dtype=table.dtype)
+    for start in range(0, ids.size, _UNIQUE_CHUNK):
+        np.take(table, ids[start : start + _UNIQUE_CHUNK], out=out[start : start + _UNIQUE_CHUNK])
+    return out
+
+
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on ``vertices`` with compacted ids.
 
@@ -267,17 +297,18 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     mask = np.zeros(g.n, dtype=bool)
     mask[ids] = True
     # no ids read no edge, and no kept id with a neighbor builds no owner
-    slot = mask[g.indices] if ids.size else mask[:0]
+    slot = _take(mask, g.indices) if ids.size else mask[:0]
     offsets = np.zeros(ids.size + 1, dtype=np.int64)
     if not slot.any():
-        return Graph(ids.size, offsets, np.zeros(0, dtype=np.int64)), ids
+        return Graph(ids.size, offsets, np.zeros(0, dtype=np.int32)), ids
     owner = g.owner()
     slot &= mask[owner]
     # row lengths come from the old ids, so no renumbered copy of the kept
     # slots' owners is ever alive next to the renumbered neighbor ids
     np.cumsum(np.bincount(owner[slot], minlength=g.n)[ids], out=offsets[1:])
-    new_id = np.cumsum(mask, dtype=np.int64) - 1
-    sub_indices = new_id[g.indices[slot]]
+    new_id = np.cumsum(mask, dtype=np.int32)
+    new_id -= 1
+    sub_indices = _take(new_id, g.indices[slot])
     return Graph(ids.size, offsets, sub_indices), ids
 
 
@@ -289,18 +320,26 @@ def greedy_mis(g: Graph, order=None) -> np.ndarray:
     exists, so the result is always maximal.
     """
     n = g.n
-    if order is None:
-        scan = range(n)
-    else:
-        arr = _int_ids(order, n)
-        if arr.shape != (n,) or not np.array_equal(np.sort(arr), np.arange(n)):
+    if order is not None:
+        order = _int_ids(order, n)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("order must be a permutation of range(n)")
-        scan = arr.tolist()
     blocked = np.zeros(n, dtype=bool)
-    offsets, indices = g.offsets, g.indices
-    for v in scan:
-        if not blocked[v]:
-            blocked[indices[offsets[v] : offsets[v + 1]]] = True
+    for start in range(0, n, _GREEDY_BLOCK):
+        stop = min(start + _GREEDY_BLOCK, n)
+        window = np.arange(start, stop) if order is None else order[start:stop]
+        # a vertex blocked before its window or its block is reached is never
+        # taken, so its row is never read
+        for rows in _row_blocks(g, window[~blocked[window]], _GREEDY_BLOCK):
+            rows = rows[~blocked[rows]]
+            if not rows.size:
+                continue
+            # the block's neighbor ids, widened to int64 once, so no row's gather casts its ids
+            neighbors = g.indices[_block_slots(g, rows)].astype(np.int64)
+            ends = np.cumsum(g.offsets[rows + 1] - g.offsets[rows]).tolist()
+            for v, lo, hi in zip(rows.tolist(), [0, *ends], ends):
+                if not blocked[v]:
+                    blocked[neighbors[lo:hi]] = True
     # a taken vertex is never blocked later, as its later neighbors are
     # blocked by it and so never taken: the taken vertices are the unblocked
     return np.flatnonzero(~blocked)

@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 # ids per query in neighbor_yes_counts: the oracle's hash keeps about eight
-# int64 values per id alive, so a block's temporaries stay near 256 KiB
+# int64 values per id alive, so a block's temporaries stay near 256 KiB; also
+# the degrees per block of survival_threshold's root term
 _QUERY_BLOCK = 4096
 
 
@@ -97,11 +98,18 @@ def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):
     ``(1/2 - eps) * deg + coeff * sqrt(ln n) * (1/2 - eps) * sqrt(deg)``;
     accepts scalars or arrays for ``deg``.
     """
-    # each term rounds as in the formula above, and adding them the other way round gives the same bits
-    out = np.sqrt(deg, dtype=np.float64)
-    out *= coeff * math.sqrt(math.log(n)) * (0.5 - epsilon)
-    out += (0.5 - epsilon) * np.asarray(deg)
-    return float(out) if np.ndim(out) == 0 else out
+    deg = np.asarray(deg)
+    out = np.empty(deg.shape, dtype=np.float64)
+    np.multiply(deg, 0.5 - epsilon, out=out)
+    # the root term is added in blocks, so no other vertex-sized array is made;
+    # each term rounds as in the formula above
+    slack = coeff * math.sqrt(math.log(n)) * (0.5 - epsilon)
+    flat_deg, flat_out = deg.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_out.size, _QUERY_BLOCK):
+        term = np.sqrt(flat_deg[start : start + _QUERY_BLOCK], dtype=np.float64)
+        term *= slack
+        flat_out[start : start + _QUERY_BLOCK] += term
+    return float(out) if out.ndim == 0 else out
 
 
 def _greedy_order(sub: Graph, policy: str, seed: int) -> np.ndarray | None:

@@ -11,6 +11,8 @@ import pytest
 from noisymis.bandit import run_bandit
 from noisymis.graph import (
     EXACT_MIS_MAX_N,
+    _GREEDY_BLOCK,
+    _UNIQUE_CHUNK,
     Graph,
     _sorted_ids,
     _sorted_unique,
@@ -24,6 +26,7 @@ from noisymis.graph import (
     vertex_cover_2approx,
     write_edgelist,
 )
+from noisymis.instances import gen_planted_bounded_degree, gen_planted_gnp, read_instance, write_instance
 from noisymis.oracle import Oracle, OracleConfig
 
 
@@ -89,7 +92,7 @@ def reference_csr(n, edges):
     counts = np.bincount(src, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return offsets, indices.astype(np.int64, copy=False)
+    return offsets, indices.astype(np.int32)
 
 
 def reference_sorted_ids(vertices):
@@ -277,8 +280,34 @@ def test_build_graph_keeps_no_duplicate_tail(tmp_path):
         finally:
             tracemalloc.stop()
         assert g == expected
-        assert g.indices.base is None and g.indices.flags.owndata  # a buffer of exactly indices.nbytes
+        assert buffer_bytes(g.indices) <= g.indices.nbytes + 4  # no larger buffer behind indices
         assert held < g.offsets.nbytes + g.indices.nbytes + 64 * 1024
+
+
+def buffer_bytes(arr):
+    """Size of the buffer that holds ``arr``'s data: its own, or its base's."""
+    base = arr if arr.base is None else arr.base
+    assert base.base is None and base.flags.owndata
+    return base.nbytes
+
+
+def test_every_built_graph_holds_int32_indices_in_a_buffer_of_their_size(tmp_path):
+    # the sorted int64 codes are narrowed in place, so at most one odd int32 slot of padding remains
+    rng = np.random.default_rng(31)
+    n = 300
+    edges = rng.integers(0, n, size=(2000, 2))
+    write_edgelist(build_graph(n, edges), tmp_path / "edges.txt")
+    bounded = gen_planted_bounded_degree(n, 0.3, 7, seed=2)
+    write_instance(bounded, tmp_path / "inst.txt")
+    graphs = [build_graph(0, []), build_graph(5, []), build_graph(n, edges), build_graph(3, [(0, 1), (1, 2)])]
+    graphs += [bounded.graph, gen_planted_gnp(n, 0.3, 0.05, seed=2).graph, gen_planted_gnp(n, 0.3, 0.05, seed=2, ensure_maximal=True).graph]
+    graphs += [read_edgelist(tmp_path / "edges.txt"), read_instance(tmp_path / "inst.txt").graph]
+    for g in list(graphs):
+        for ids in ([], [0], np.arange(0, g.n, 3), np.arange(g.n)):
+            graphs.append(induced_subgraph(g, [v for v in ids if v < g.n])[0])
+    for g in graphs:
+        assert g.indices.dtype == np.int32 and g.offsets.dtype == np.int64
+        assert buffer_bytes(g.indices) <= g.indices.nbytes + 4
 
 
 def test_graph_is_immutable():
@@ -341,13 +370,15 @@ def test_induce_on_no_ids_reads_no_edge():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     g.indices = np.array([g.n])  # an out-of-range slot: any edge pass would fail on it
     sub, _ = induced_subgraph(g, np.zeros(0, dtype=np.int64))
-    assert sub == build_graph(0, []) and sub.indices.dtype == np.int64
+    assert sub == build_graph(0, []) and sub.indices.dtype == np.int32
     assert g._owner is None
 
 
-def test_induced_subgraph_preserves_adjacency():
+def test_induced_subgraph_preserves_adjacency(monkeypatch):
     rng = np.random.default_rng(77)
-    for _ in range(20):
+    for i in range(20):
+        # a chunk of 3 splits every gather of the induce many ways
+        monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", (3, _UNIQUE_CHUNK)[i % 2])
         n = int(rng.integers(2, 15))
         g = random_graph(rng, n, 0.35)
         k = int(rng.integers(1, n + 1))
@@ -458,6 +489,23 @@ def test_greedy_matches_two_mask_reference():
         for _ in range(3):
             order = rng.permutation(g.n)
             assert np.array_equal(greedy_mis(g, order), two_mask_greedy(g, order.tolist()))
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, _GREEDY_BLOCK])
+def test_greedy_matches_the_int64_graph_in_every_order(monkeypatch, block):
+    # small blocks split the scan's windows and the widened rows many ways, and rows outgrow a block
+    monkeypatch.setattr("noisymis.graph._GREEDY_BLOCK", block)
+    rng = np.random.default_rng(29)
+    graphs = [build_graph(0, []), build_graph(6, []), build_graph(200, [(0, v) for v in range(2, 200, 2)])]
+    graphs += [random_graph(rng, int(rng.integers(1, 60)), float(rng.uniform(0.02, 0.5))) for _ in range(12)]
+    graphs.append(gen_planted_bounded_degree(3000, 0.3, 8, seed=4).graph)
+    for g in graphs:
+        wide = Graph(g.n, g.offsets.copy(), g.indices.astype(np.int64))
+        orders = [None, np.argsort(g.degrees(), kind="stable"), rng.permutation(g.n)]
+        for order in orders:
+            got = greedy_mis(g, order)
+            assert np.array_equal(got, greedy_mis(wide, order))
+            assert np.array_equal(got, two_mask_greedy(wide, None if order is None else order.tolist()))
 
 
 # -- vertex cover -------------------------------------------------------------

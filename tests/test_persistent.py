@@ -149,23 +149,39 @@ def reference_threshold(deg, epsilon, n, coeff=6.0):
     return out
 
 
-def test_threshold_matches_the_one_expression_reference_bit_for_bit():
+def test_threshold_matches_the_one_expression_reference_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(8)
     degs = np.concatenate([np.arange(300), rng.integers(0, 10**7, size=3000), [2**31, 2**40 + 1]])
     for eps in (0.001, 0.1, 0.2, 0.25, 1 / 3, 0.4999, 0.5):
         for n in (1, 2, 3, 1000, 100_000, 10**6, 2**31):
             for coeff in (0.0, 1.0, 6.0, 7.3):
                 want = reference_threshold(degs, eps, n, coeff)
-                # the two degrees past 2**31 are left out of the int32 copy
-                for deg in (degs, degs[:-2].astype(np.int32), degs.astype(np.float64), degs[:50].tolist()):
-                    got = survival_threshold(deg, eps, n, coeff)
-                    assert type(got) is np.ndarray and got.dtype == np.float64
-                    assert got.tobytes() == want[: len(deg)].tobytes()
+                # the root term is added block by block; a block of 7 splits every array many ways
+                for block in (7, _QUERY_BLOCK):
+                    monkeypatch.setattr("noisymis.persistent._QUERY_BLOCK", block)
+                    # the two degrees past 2**31 are left out of the int32 copy
+                    for deg in (degs, degs[:-2].astype(np.int32), degs.astype(np.float64), degs[:50].tolist()):
+                        got = survival_threshold(deg, eps, n, coeff)
+                        assert type(got) is np.ndarray and got.dtype == np.float64
+                        assert got.tobytes() == want[: len(deg)].tobytes()
                 for d in (0, 1, 7, 414, 10**6 + 3):
                     want_one = reference_threshold(d, eps, n, coeff)
                     for deg in (d, np.int64(d), float(d), np.asarray(d)):
                         got = survival_threshold(deg, eps, n, coeff)
                         assert type(got) is float and got.hex() == want_one.hex()
+
+
+def test_threshold_peak_memory_stays_near_its_output():
+    # the linear term is written into the result, and the root term is added in blocks
+    degs = gen_planted_bounded_degree(100000, 0.3, 20, seed=0).graph.degrees()
+    survival_threshold(degs[:10], 0.25, degs.size)
+    tracemalloc.start()
+    try:
+        out = survival_threshold(degs, 0.25, degs.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 8 * _QUERY_BLOCK
 
 
 # -- run_persistent -------------------------------------------------------------
@@ -185,7 +201,7 @@ def test_run_peak_memory_stays_far_below_the_indices():
         finally:
             tracemalloc.stop()
         assert report.low_degree_mask.all()  # the unfiltered path
-        assert peak <= 0.25 * g.indices.nbytes
+        assert peak <= 0.25 * (2 * g.indices.nbytes)  # a quarter of an int64 copy of the indices
 
 
 def test_edgeless_returns_everything():
