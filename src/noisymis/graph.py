@@ -424,10 +424,6 @@ def exact_mis(g: Graph) -> np.ndarray:
 
     def solve(cand: int, cur_mask: int, cur_size: int):
         nonlocal best_size, best_mask
-        if cand == 0:
-            if cur_size > best_size:
-                best_size, best_mask = cur_size, cur_mask
-            return
         if cur_size + cand.bit_count() <= best_size:
             return
         # pick the highest-degree vertex inside the candidate subgraph
@@ -439,8 +435,8 @@ def exact_mis(g: Graph) -> np.ndarray:
             d = (adj[v] & cand).bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
-        if pick_deg == 0:
-            # candidates are pairwise nonadjacent: take them all
+        if pick_deg <= 0:
+            # candidates are pairwise nonadjacent (or none are left; pick_deg is then -1): take them all
             best_size = cur_size + cand.bit_count()
             best_mask = cur_mask | cand
             return

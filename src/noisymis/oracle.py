@@ -171,14 +171,6 @@ class QueryLedger:
         self.total += int(len(arr)) * int(times)
         return arr
 
-    def record_one(self, v) -> int:
-        """``record([v], 1)`` for a single id, returned as an int."""
-        if type(v) is not int or not 0 <= v < len(self.per_vertex):
-            return int(self.record([v], 1)[0])  # any other id gets the batch path's checks
-        self.per_vertex[v] += 1
-        self.total += 1
-        return v
-
 
 # ---------------------------------------------------------------------------
 # counter-mode randomness for persistent answers: a splitmix64-style mixer
@@ -293,23 +285,12 @@ class Oracle:
         eps = self.config.epsilon
         return np.where(self._members[verts], 0.5 + eps, 0.5 - eps)
 
-    def _mean(self, v: int) -> float:
-        """``_means`` of the single id ``v``, as a float."""
-        eps = self.config.epsilon
-        return 0.5 + eps if self._members[v] else 0.5 - eps
+    # -- query surface: a single query is a batch of one.  Public methods call
+    # the private bodies, never each other, so a wrapper around every public
+    # method (bench/traced.py) sees each query once.
 
-    # -- query surface -------------------------------------------------------
-
-    def query_bool(self, v: int) -> bool:
-        """One yes/no membership answer for ``v``; counts one query."""
-        if "yes/no" not in self._mode.answers:
-            return bool(self.query_bool_many([v])[0])  # raises the mode error
-        # the batch path on scalars: the ledger is updated, and an id checked, before the answer
-        v = self.ledger.record_one(v)
-        return bool(self._fixed_answers(v) if self._mode.persistent else self._mean(v) > self._rng.random())
-
-    def query_bool_many(self, verts) -> np.ndarray:
-        """One answer per listed vertex; counts ``len(verts)`` queries."""
+    def _yes_no(self, verts) -> np.ndarray:
+        """One yes/no answer per listed id; the mode is checked and the ids checked and counted first."""
         if "yes/no" not in self._mode.answers:
             raise ModeError("yes/no queries need a Bernoulli oracle; this one returns real rewards")
         arr = self.ledger.record(verts, 1)
@@ -317,12 +298,24 @@ class Oracle:
             return self._fixed_answers(arr)
         return self._rng.random(arr.size) < self._means(arr)
 
+    def _reward_sums(self, verts, q: int) -> np.ndarray:
+        """Sums of ``q`` fresh real rewards per listed id; the mode is checked and the ids checked and counted first."""
+        if "reward-sums" not in self._mode.answers:
+            raise ModeError("real rewards are only available in bandit-gaussian mode")
+        arr = self.ledger.record(verts, q)
+        return q * self._means(arr) + math.sqrt(q) * self._rng.standard_normal(arr.size)
+
+    def query_bool(self, v: int) -> bool:
+        """One yes/no membership answer for ``v``; counts one query."""
+        return bool(self._yes_no([v])[0])
+
+    def query_bool_many(self, verts) -> np.ndarray:
+        """One answer per listed vertex; counts ``len(verts)`` queries."""
+        return self._yes_no(verts)
+
     def query_real(self, v: int) -> float:
         """One real reward: N(1/2 + eps, 1) for members, N(1/2 - eps, 1) otherwise."""
-        if "reward-sums" not in self._mode.answers:
-            return float(self.query_reward_sums([v], 1)[0])  # raises the mode error
-        # the batch path on scalars: the ledger is updated, and an id checked, before the draw
-        return float(self._mean(self.ledger.record_one(v)) + self._rng.standard_normal())
+        return float(self._reward_sums([v], 1)[0])
 
     def query_yes_counts(self, verts, q: int) -> np.ndarray:
         """Yes-counts of ``q`` fresh queries per vertex; counts ``len(verts) * q``.
@@ -345,10 +338,7 @@ class Oracle:
 
     def query_reward_sums(self, verts, q: int) -> np.ndarray:
         """Sums of ``q`` fresh real rewards per vertex; counts ``len(verts) * q``."""
-        if "reward-sums" not in self._mode.answers:
-            raise ModeError("real rewards are only available in bandit-gaussian mode")
-        arr = self.ledger.record(verts, q)
-        return q * self._means(arr) + math.sqrt(q) * self._rng.standard_normal(arr.size)
+        return self._reward_sums(verts, q)
 
     @property
     def total_queries(self) -> int:

@@ -645,9 +645,14 @@ def test_greedy_mis_is_independent_and_dominating_per_networkx():
             assert nx.is_dominating_set(ref, chosen)
 
 
+# the search reaches a branch with no candidate left that beats its incumbent here
+EMPTY_BRANCH_IMPROVES = (8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 4), (1, 6), (2, 3),
+                             (2, 4), (3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (5, 7), (6, 7)])
+
+
 def test_exact_mis_is_the_largest_clique_of_the_complement():
     nx = pytest.importorskip("networkx")
-    for n, edges in random_edge_lists(np.random.default_rng(44), 60, 14):
+    for n, edges in [EMPTY_BRANCH_IMPROVES, *random_edge_lists(np.random.default_rng(44), 60, 14)]:
         g, ref = build_graph(n, edges), networkx_graph(nx, n, edges)
         assert len(exact_mis(g)) == max(len(c) for c in nx.find_cliques(nx.complement(ref)))
 

@@ -255,6 +255,25 @@ def test_gnp_universe_edge_counts_are_binomial():
     assert binomial_gof_pvalue(np.array(cross), cross_pairs, p) > 1e-3
 
 
+class OneStepGenerator:
+    """A stand-in generator whose geometric gaps are all 1, so every rank is kept."""
+
+    def __init__(self):
+        self.batches = 0
+
+    def geometric(self, p, size):
+        self.batches += 1
+        return np.ones(size, dtype=np.int64)
+
+
+def test_skip_sample_joins_its_batches_with_no_gap_and_no_repeat():
+    # the first batch is sized for the expected count, so a kept-every-rank
+    # stream runs past it and the batches that end short of total must join
+    rng = OneStepGenerator()
+    assert np.array_equal(instances._skip_sample(1000, 0.5, rng), np.arange(1000))
+    assert rng.batches > 1
+
+
 def test_unrank_pairs_inverts_colex_rank():
     # exhaustive at small ranks, then both sides of triangular numbers up to
     # ~2**61, where the float square root alone lands one off
@@ -340,13 +359,18 @@ def test_params_json_preserved(tmp_path):
 
 def test_hand_authored_fixture(tmp_path):
     path = tmp_path / "five.txt"
-    path.write_text("5 3\n0 3\n1 3\n# a comment\n2 4\n# planted: 0 1 2\n# params: {}\n")
-    inst = read_instance(path)
-    assert inst.graph.n == 5 and inst.graph.m == 3
-    assert sorted(inst.graph.neighbors(3).tolist()) == [0, 1]
-    assert sorted(inst.graph.neighbors(4).tolist()) == [2]
-    assert inst.planted_ids.tolist() == [0, 1, 2]
-    assert inst.params == {}
+    for text in (
+        "5 3\n0 3\n1 3\n# a comment\n2 4\n# planted: 0 1 2\n# params: {}\n",
+        # blank lines after the header, between edges and before the trailer are skipped
+        "5 3\n\n0 3\n\n1 3\n# a comment\n  \n2 4\n\n\n# planted: 0 1 2\n# params: {}\n",
+    ):
+        path.write_text(text)
+        inst = read_instance(path)
+        assert inst.graph.n == 5 and inst.graph.m == 3
+        assert sorted(inst.graph.neighbors(3).tolist()) == [0, 1]
+        assert sorted(inst.graph.neighbors(4).tolist()) == [2]
+        assert inst.planted_ids.tolist() == [0, 1, 2]
+        assert inst.params == {}
 
 
 def test_read_missing_planted_section(tmp_path):

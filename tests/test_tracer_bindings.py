@@ -102,3 +102,39 @@ def test_tracer_counts_the_greedy_and_cover_calls():
     for span in ("baselines.amplify", "bandit.run", "bandit.elim", "bandit.cover_complement", "graph.induce",
                  "graph.cover"):
         assert after_amplify[span] - persistent[span] >= 1, span
+
+
+# one single query of each answer kind under the tracer: what it adds to the
+# span's calls and queries, and to its oracle's ledger total
+_SINGLE_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import traced
+from noisymis.oracle import Oracle, OracleConfig
+
+tracer = traced.Tracer()
+traced.install(tracer)
+stat = tracer.stats["oracle.query"]
+added = []
+for mode, ask in (("persistent-random", Oracle.query_bool), ("bandit-gaussian", Oracle.query_real)):
+    o = Oracle(np.arange(6) % 2 == 0, OracleConfig(epsilon=0.25, mode=mode, seed=7))
+    calls, queries = stat["calls"], stat.get("queries", 0)
+    ask(o, 2)
+    added.append([stat["calls"] - calls, stat["queries"] - queries, o.total_queries])
+print(json.dumps(added))
+"""
+
+
+def test_single_query_counts_once_under_the_tracer():
+    """A single query enters the ``oracle.query`` span once and counts one query there and in the ledger.
+
+    A single query that answered through a public batch method would enter
+    the span a second time and count its query twice.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(noisymis.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SINGLE_CHILD, str(ROOT / "bench")], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[1, 1, 1], [1, 1, 1]]
