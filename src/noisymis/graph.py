@@ -313,20 +313,29 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
 
 
 def greedy_mis(g: Graph, order=None) -> np.ndarray:
-    """First-fit maximal independent set scanned along ``order``, as ascending ids.
+    """First-fit maximal independent set of the subgraph induced on ``order``, as ascending ids.
 
-    ``order`` must be a permutation of ``range(g.n)``; the default is
-    ascending vertex id.  A vertex is taken iff no earlier-taken neighbor
-    exists, so the result is always maximal.
+    ``order`` lists distinct ids of ``range(g.n)`` in scan order; the default
+    is every id, ascending.  A listed vertex is taken iff no earlier-taken
+    neighbor exists.  An id left out starts out blocked, so it is never taken
+    and never blocks anyone: the result equals ``ids[greedy_mis(sub, ranks)]``
+    for ``sub, ids = induced_subgraph(g, order)``, where ``ranks`` are the
+    listed ids' ranks in ``ids``.  A repeated id, or one that is not an
+    integer in ``range(g.n)``, raises ``ValueError``.
     """
     n = g.n
-    if order is not None:
+    if order is None:
+        blocked, size = np.zeros(n, dtype=bool), n
+    else:
         order = _int_ids(order, n)
-        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError("order must be a permutation of range(n)")
-    blocked = np.zeros(n, dtype=bool)
-    for start in range(0, n, _GREEDY_BLOCK):
-        stop = min(start + _GREEDY_BLOCK, n)
+        if order.ndim != 1 or order.size and (order.min() < 0 or order.max() >= n):
+            raise ValueError(f"order must list distinct ids of range(0, {n})")
+        blocked, size = np.ones(n, dtype=bool), order.size
+        blocked[order] = False
+        if n - np.count_nonzero(blocked) != size:
+            raise ValueError(f"order must list distinct ids of range(0, {n})")
+    for start in range(0, size, _GREEDY_BLOCK):
+        stop = min(start + _GREEDY_BLOCK, size)
         window = np.arange(start, stop) if order is None else order[start:stop]
         # a vertex blocked before its window or its block is reached is never
         # taken, so its row is never read

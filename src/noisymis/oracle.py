@@ -349,5 +349,13 @@ class Oracle:
 
 
 def make_oracle(instance, config: OracleConfig) -> Oracle:
-    """Oracle for a planted instance; ``PlantedInstance`` has already checked that its planted set is independent."""
+    """Oracle for a planted instance; ``PlantedInstance`` has already checked that its planted set is independent.
+
+    A k-wise family over ``n`` ids is fully independent at ``k = n``, so a
+    larger ``k`` raises ``ValueError``: it would only cost coefficients and
+    hash steps.  The least ``k``, 2, stays allowed on fewer than 2 vertices.
+    """
+    n = instance.graph.n
+    if "k" in ORACLE_MODES[config.mode].reads and config.k > max(n, 2):
+        raise ValueError(f"oracle 'k' must be <= n = {n}, got {config.k}")
     return Oracle(_member_mask(instance.graph, instance.planted_ids), config)

@@ -3,7 +3,8 @@
 Each vertex is queried exactly once.  A vertex survives if few enough of its
 neighbors are claimed to belong to the hidden set; low-degree vertices are
 exempt from filtering because their votes are too noisy to read.  A greedy
-pass over the surviving subgraph returns the final independent set.
+pass over the kept vertices of the graph itself, the dropped ones blocked from
+the start, returns the final independent set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .graph import Graph, _block_slots, _row_blocks, greedy_mis, induced_subgraph
+from .graph import Graph, _block_slots, _row_blocks, greedy_mis
+from .graph import induced_subgraph  # noqa: F401  (bench/traced.py wraps this binding)
 from .oracle import ORACLE_MODES, Oracle, ModeError, _NONNEGATIVE, _UP_TO_HALF, _check_types
 
 __all__ = [
@@ -87,9 +89,19 @@ def neighbor_yes_counts(g: Graph, oracle: Oracle) -> np.ndarray:
     counts = np.zeros(g.n, dtype=np.int64)
     for start in range(0, g.n, _QUERY_BLOCK):
         block = np.arange(start, min(start + _QUERY_BLOCK, g.n), dtype=np.int64)
-        for rows in _row_blocks(g, block[oracle.query_bool_many(block)]):
-            np.add.at(counts, g.indices[_block_slots(g, rows)], 1)
+        _add_neighbor_counts(g, block[oracle.query_bool_many(block)], counts)
     return counts
+
+
+def _add_neighbor_counts(g: Graph, members: np.ndarray, counts: np.ndarray) -> None:
+    """Add to ``counts[v]`` the number of neighbors of ``v`` in the id array ``members``.
+
+    By symmetry ``v`` has one such neighbor for every member whose row lists
+    ``v``, so counting the ids in the members' rows gives every count.  The
+    rows are read in blocks, so no temporary grows with the edge count.
+    """
+    for rows in _row_blocks(g, members):
+        np.add.at(counts, g.indices[_block_slots(g, rows)], 1)
 
 
 def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):
@@ -112,12 +124,23 @@ def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):
     return float(out) if out.ndim == 0 else out
 
 
-def _greedy_order(sub: Graph, policy: str, seed: int) -> np.ndarray | None:
+def _greedy_order(g: Graph, kept: np.ndarray, policy: str, seed: int) -> np.ndarray:
+    """The ids of the vertex mask ``kept`` in the order the greedy pass scans them.
+
+    ``id`` keeps them ascending; ``random`` permutes them with a generator
+    seeded by ``seed``; ``degree`` sorts them stably by their degree in the
+    subgraph induced on ``kept``.  That degree is a vertex's degree in ``g``
+    less its count of dropped neighbors, which reads only the dropped rows.
+    """
+    kept_ids = np.flatnonzero(kept)
     if policy == "degree":
-        return np.argsort(sub.degrees(), kind="stable")
+        dropped_neighbors = np.zeros(g.n, dtype=np.int64)
+        _add_neighbor_counts(g, np.flatnonzero(~kept), dropped_neighbors)
+        kept_degrees = g.degrees()[kept_ids] - dropped_neighbors[kept_ids]
+        return kept_ids[np.argsort(kept_degrees, kind="stable")]
     if policy == "random":
-        return np.random.default_rng(seed).permutation(sub.n)
-    return None
+        return kept_ids[np.random.default_rng(seed).permutation(kept_ids.size)]
+    return kept_ids
 
 
 def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = None) -> PersistentReport:
@@ -142,10 +165,7 @@ def run_persistent(g: Graph, oracle: Oracle, params: PersistentParams | None = N
     thresholds = survival_threshold(degs, eps, max(n, 1), params.threshold_coeff)
     surviving_mask = ~low_mask & (yes <= thresholds)
     kept = low_mask | surviving_mask
-    # when nothing was filtered out the induced subgraph is g itself
-    sub, ids = (g, None) if kept.all() else induced_subgraph(g, np.flatnonzero(kept))
-    chosen = greedy_mis(sub, _greedy_order(sub, params.greedy_order, params.order_seed))
-    independent = chosen if ids is None else ids[chosen]
+    independent = greedy_mis(g, _greedy_order(g, kept, params.greedy_order, params.order_seed))
     return PersistentReport(
         yes_counts=yes,
         degrees=degs,

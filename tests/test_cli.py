@@ -514,6 +514,19 @@ def test_a_run_on_an_instance_file_reads_back_in_stats(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {inst}:5: params 'alpha' must be a number in (0, 1), got 'x'\n")
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_kwise_k_above_a_files_n_is_an_error_line(tmp_path, capsys, workers):
+    # a file's n is read per trial, so the oracle refuses the k that the config could not check
+    inst = tmp_path / "inst.txt"
+    write_instance(gen_planted_gnp(30, 0.3, 0.1, seed=1), inst)
+    run = ["run", "--algo", "persistent", "--instance", str(inst), "--eps", "0.25", "--mode", "persistent-kwise",
+           "--trials", "2", "--workers", workers]
+    assert main([*run, "--k", "31"]) == 1
+    assert capsys.readouterr() == ("", "error: oracle 'k' must be <= n = 30, got 31\n")
+    assert main([*run, "--k", "30"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
 def test_stats_monte_carlo(capsys):
     assert main(["stats", "--mc", "coin", "--prob", "0.5", "--trials", "2000", "--seed", "1"]) == 0
     out = json.loads(capsys.readouterr().out)

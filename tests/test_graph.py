@@ -449,12 +449,16 @@ def test_greedy_respects_order():
     assert greedy_mis(g, order=[1, 2, 0]).tolist() == [1, 2]
 
 
-def test_greedy_order_must_be_permutation():
+def test_greedy_order_must_list_distinct_ids():
+    # an order may leave ids out: they are never taken and never block anyone
     g = build_graph(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        greedy_mis(g, order=[0, 1])
-    with pytest.raises(ValueError):
-        greedy_mis(g, order=[0, 0, 1])
+    assert greedy_mis(g, order=[0, 1]).tolist() == [0]
+    assert greedy_mis(g, order=[2]).tolist() == [2]
+    for order in ([0, 0, 1], [0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="distinct ids"):
+            greedy_mis(g, order=order)
+    with pytest.raises(ValueError, match="integers"):
+        greedy_mis(g, order=[0, 1.0])
 
 
 def test_greedy_output_always_maximal():
@@ -506,6 +510,16 @@ def test_greedy_matches_the_int64_graph_in_every_order(monkeypatch, block):
             got = greedy_mis(g, order)
             assert np.array_equal(got, greedy_mis(wide, order))
             assert np.array_equal(got, two_mask_greedy(wide, None if order is None else order.tolist()))
+        # an order that lists some of the ids scans the subgraph they induce: no id,
+        # one id, random subsets in random order, and every id
+        sizes = [0, min(1, g.n), *rng.integers(0, g.n + 1, size=3).tolist(), g.n]
+        for order in [rng.permutation(g.n)[:size] for size in sizes]:
+            got = greedy_mis(g, order)
+            sub, ids = induced_subgraph(g, order)
+            ranks = np.searchsorted(ids, order)
+            assert np.array_equal(got, ids[greedy_mis(sub, ranks)])
+            assert np.array_equal(got, ids[two_mask_greedy(sub, ranks.tolist())])
+            assert np.array_equal(got, greedy_mis(wide, order))
 
 
 # -- vertex cover -------------------------------------------------------------

@@ -13,7 +13,6 @@ from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, m
 from noisymis.persistent import (
     _QUERY_BLOCK,
     PersistentParams,
-    _greedy_order,
     neighbor_yes_counts,
     run_persistent,
     survival_threshold,
@@ -226,25 +225,42 @@ def test_empty_graph():
         assert o.total_queries == 0
 
 
-def test_unfiltered_run_uses_the_graph_itself():
-    # every degree is at most the default cutoff 36 ln n, so every vertex is
-    # kept: the run must not build the owner array or an induced copy, and
-    # must report what the run through induced_subgraph(g, range(n)) gives
-    inst = gen_planted_bounded_degree(3000, 0.3, 8, seed=5)
-    g = inst.graph
-    assert g.max_degree <= 36 * math.log(g.n)
+def induced_greedy(g, kept, policy, seed):
+    # the filter's greedy set as it was once taken: induce G[kept], order the
+    # subgraph by the policy, scan it, then map its ids back to g's
+    sub, ids = induced_subgraph(g, np.flatnonzero(kept))
+    order = {"id": None, "degree": np.argsort(sub.degrees(), kind="stable"),
+             "random": np.random.default_rng(seed).permutation(sub.n)}[policy]
+    return ids[greedy_mis(sub, order)]
+
+
+def test_every_run_takes_its_greedy_set_on_the_graph_itself():
+    # on the bounded-degree instance every degree is at most the default cutoff
+    # 36 ln n, so every vertex is kept; on the gnp one a cutoff of 0.5 ln n
+    # exempts nobody, and a threshold coefficient of 1 keeps 224 of its 512
+    # vertices.  No run builds the owner array or an induced copy, and each
+    # returns the greedy set of the subgraph induced on its kept vertices
+    unfiltered = gen_planted_bounded_degree(3000, 0.3, 8, seed=5)
+    assert unfiltered.graph.max_degree <= 36 * math.log(unfiltered.graph.n)
+    filtered = gen_planted_gnp(512, 0.2, 0.08, seed=20)
     cfg = OracleConfig(epsilon=0.25, mode="persistent-random", seed=6)
-    policies = ("id", "degree", "random")
-    reports = [run_persistent(g, make_oracle(inst, cfg), PersistentParams(greedy_order=p, order_seed=2)) for p in policies]
-    assert g._owner is None
-    sub, ids = induced_subgraph(g, range(g.n))
-    yes = neighbor_yes_counts(g, make_oracle(inst, cfg))
-    for policy, report in zip(policies, reports):
-        chosen = greedy_mis(sub, _greedy_order(sub, policy, 2))
-        assert np.array_equal(report.yes_counts, yes)
-        assert report.low_degree_mask.all() and not report.surviving_mask.any()
-        assert np.array_equal(report.independent_ids, ids[chosen])
-        assert report.stats["num_selected"] == len(chosen)
+    for inst, cutoff_coeff, threshold_coeff in ((unfiltered, 36.0, 6.0), (filtered, 0.5, 1.0)):
+        g = inst.graph
+        reports = {}
+        for policy in ("id", "degree", "random"):
+            params = PersistentParams(low_degree_cutoff_coeff=cutoff_coeff, threshold_coeff=threshold_coeff,
+                                      greedy_order=policy, order_seed=2)
+            reports[policy] = run_persistent(g, make_oracle(inst, cfg), params)
+            assert g._owner is None
+        yes = neighbor_yes_counts(g, make_oracle(inst, cfg))
+        for policy, report in reports.items():
+            kept = report.low_degree_mask | report.surviving_mask
+            assert kept.all() == (inst is unfiltered)
+            assert np.array_equal(report.yes_counts, yes)
+            expected = induced_greedy(g, kept, policy, 2)
+            assert report.independent_ids.dtype == expected.dtype
+            assert np.array_equal(report.independent_ids, expected)
+            assert report.stats["num_selected"] == len(expected)
 
 
 def test_two_level_instance_recovers_planted_exactly():

@@ -83,11 +83,11 @@ def test_tracer_counts_the_greedy_and_cover_calls():
     ``graph.induce`` and ``graph.cover``, at the bench's ``--tiny`` shapes;
     ``graph.indep`` also counts the generator's own check, so it must count
     one call per trial beyond those.
-    Two spans still read 0 on gen-filter: ``graph.induce``, as every vertex
-    there is exempt from the filter and nothing is induced, and
-    ``graph.build``, as its generator builds its graph without
-    ``build_graph``.  An event stream from inside the library (ROADMAP.md)
-    is the planned fix for the latter.
+    Two spans still read 0 on gen-filter: ``graph.induce``, which reads 0
+    on every persistent run, as the filter takes its greedy set on the graph
+    itself and never induces, and ``graph.build``, as its generator builds
+    its graph without ``build_graph``.  An event stream from inside the
+    library (ROADMAP.md) is the planned fix for the latter.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(noisymis.__file__).resolve().parents[1])}
     proc = subprocess.run(
