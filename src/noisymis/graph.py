@@ -25,8 +25,6 @@ __all__ = [
     "is_maximal_independent_set",
     "exact_mis",
     "EXACT_MIS_MAX_N",
-    "read_edgelist",
-    "write_edgelist",
 ]
 
 # exact_mis is a branch-and-bound search; above this size we refuse to try.
@@ -455,83 +453,3 @@ def exact_mis(g: Graph) -> np.ndarray:
 
     solve((1 << n) - 1, 0, 0)
     return np.flatnonzero([best_mask >> v & 1 for v in range(n)])
-
-
-def write_edgelist(g: Graph, path) -> None:
-    """Write ``n m`` then one ``u v`` line per edge (u < v, ascending)."""
-    with open(path, "w") as fh:
-        _write_edges(g, fh)
-
-
-def _write_edges(g: Graph, fh) -> None:
-    """The edge-list body shared with instance files: header, then edges.
-
-    Rows are read in blocks, so no temporary grows with the edge count, and
-    each block's text is built in numpy, one fixed-width column per decimal
-    digit, so no edge becomes a Python int.
-    """
-    fh.write(f"{g.n} {g.m}\n")
-    width = len(str(max(g.n - 1, 0)))  # digits of the largest id
-    for rows in _row_blocks(g, np.arange(g.n, dtype=np.int64)):
-        src = np.repeat(rows, g.offsets[rows + 1] - g.offsets[rows])
-        dst = g.indices[_block_slots(g, rows)]
-        fwd = src < dst
-        ends = np.empty(2 * np.count_nonzero(fwd), dtype=np.uint32)  # u, v, u, v, ...; n <= 2**31, so ids fit
-        ends[0::2], ends[1::2] = src[fwd], dst[fwd]
-        # one row per end: its zero-padded digits, then " " after a u or "\n" after a v
-        text = np.empty((ends.size, width + 1), dtype=np.uint8)
-        text[0::2, width], text[1::2, width] = ord(" "), ord("\n")
-        for col in range(width - 1, -1, -1):
-            text[:, col] = ends % 10 + ord("0")
-            ends //= 10
-        keep = np.logical_or.accumulate(text != ord("0"), axis=1)  # drops the leading zeros,
-        keep[:, width - 1] = True  # but not the one digit of a 0
-        fh.write(text[keep].tobytes().decode("ascii"))
-
-
-def read_edgelist(path) -> Graph:
-    """Read the ``write_edgelist`` format; ``#`` comment lines are ignored.
-
-    Duplicate or self-loop lines are tolerated per ``build_graph`` rules;
-    malformed lines and endpoints outside ``range(n)`` raise ``ValueError``
-    naming the line number.
-    """
-    return build_graph(*_read_edges(path))
-
-
-def _read_edges(path, on_comment=None) -> tuple[int, np.ndarray]:
-    """Vertex count and ``(m, 2)`` int64 endpoint array of an edge-list file.
-
-    Each ``#`` line's text after the ``#`` goes to ``on_comment(lineno, body)``
-    as it is read, so an error always names the first bad line in the file.
-    The endpoints are collected in one flat ``array("q")``, 16 bytes an edge.
-    """
-    n = None
-    ends = array("q")
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                if on_comment is not None:
-                    on_comment(lineno, line[1:].strip())
-                continue
-            if not line:
-                continue
-            try:
-                u, v = map(int, line.split())
-            except ValueError:
-                what = "header 'n m'" if n is None else "edge 'u v'"
-                raise ValueError(f"{path}:{lineno}: expected {what}") from None
-            if n is None:
-                # build_graph's limits, checked here so that the error names the line
-                if not 0 <= u <= 2**31:
-                    raise ValueError(f"{path}:{lineno}: vertex count {u} lies outside 0 <= n <= 2**31")
-                n = u
-            elif 0 <= u < n > v >= 0:
-                ends.append(u)
-                ends.append(v)
-            else:
-                raise ValueError(f"{path}:{lineno}: edge ({u}, {v}) has an endpoint outside range(0, {n})")
-    if n is None:
-        raise ValueError(f"{path}:1: missing header 'n m'")
-    return n, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 from .graph import EXACT_MIS_MAX_N, exact_mis, greedy_mis, is_independent_set
-from .oracle import ORACLE_MODES, OracleConfig, _check_types, _fits, make_oracle
+from .oracle import ORACLE_MODES, OracleConfig, _check_k, _check_types, _fits, make_oracle
 from .oracle import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_HALF, _UP_TO_ONE, _ZERO_TO_ONE  # field ranges
 from .persistent import PersistentParams, run_persistent
 from .bandit import BanditParams, run_bandit
@@ -158,8 +158,8 @@ class ExperimentConfig:
             if ignored := sorted(self.oracle.keys() - {"epsilon", "mode", *ORACLE_MODES[oracle.mode].reads}):
                 raise ValueError(f"{oracle.mode} oracle takes no {' or '.join(ignored)}")
             # make_oracle's k <= n rule, checked here too before any instance is generated; a file's n is read per trial
-            if "k" in ORACLE_MODES[oracle.mode].reads and oracle.k > self.instance.get("n", oracle.k):
-                raise ValueError(f"oracle 'k' must be <= n = {self.instance['n']}, got {oracle.k}")
+            if "n" in self.instance:
+                _check_k(oracle, self.instance["n"])
             object.__setattr__(self, "_oracle", oracle)
             object.__setattr__(self, "_params", _build_params(params_class, self.params))
 

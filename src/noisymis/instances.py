@@ -8,19 +8,20 @@ the README caveat.
 
 Instance files are edge lists (``n m`` header, one ``u v`` line per edge)
 with two special trailing comment lines: ``# planted: <ids>`` and
-``# params: <json>``.  A bare edge-list reader can consume them unchanged.
+``# params: <json>``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _read_edges, _sorted_ids, _write_edges, build_graph
-from .graph import _code_shift, _csr_from_codes, _edge_codes
+from .graph import Graph, _sorted_ids, build_graph
+from .graph import _block_slots, _code_shift, _csr_from_codes, _edge_codes, _row_blocks
 from .graph import is_independent_set
 
 __all__ = [
@@ -203,44 +204,93 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
 
 
 def write_instance(instance: PlantedInstance, path) -> None:
-    """Edge-list file plus ``# planted:`` and ``# params:`` comment lines."""
+    """Write ``n m``, one ``u v`` line per edge (u < v, ascending), then the ``# planted:`` and ``# params:`` lines.
+
+    Rows are read in blocks, so no temporary grows with the edge count, and
+    each block's text is built in numpy, one fixed-width column per decimal
+    digit, so no edge becomes a Python int.
+    """
+    g = instance.graph
     with open(path, "w") as fh:
-        _write_edges(instance.graph, fh)
+        fh.write(f"{g.n} {g.m}\n")
+        width = len(str(max(g.n - 1, 0)))  # digits of the largest id
+        for rows in _row_blocks(g, np.arange(g.n, dtype=np.int64)):
+            src = np.repeat(rows, g.offsets[rows + 1] - g.offsets[rows])
+            dst = g.indices[_block_slots(g, rows)]
+            fwd = src < dst
+            ends = np.empty(2 * np.count_nonzero(fwd), dtype=np.uint32)  # u, v, u, v, ...; n <= 2**31, so ids fit
+            ends[0::2], ends[1::2] = src[fwd], dst[fwd]
+            # one row per end: its zero-padded digits, then " " after a u or "\n" after a v
+            text = np.empty((ends.size, width + 1), dtype=np.uint8)
+            text[0::2, width], text[1::2, width] = ord(" "), ord("\n")
+            for col in range(width - 1, -1, -1):
+                text[:, col] = ends % 10 + ord("0")
+                ends //= 10
+            keep = np.logical_or.accumulate(text != ord("0"), axis=1)  # drops the leading zeros,
+            keep[:, width - 1] = True  # but not the one digit of a 0
+            fh.write(text[keep].tobytes().decode("ascii"))
         fh.write("# planted: " + " ".join(map(str, instance.planted_ids.tolist())) + "\n")
         fh.write("# params: " + json.dumps(instance.params, sort_keys=True) + "\n")
 
 
 def read_instance(path) -> PlantedInstance:
-    """Parse an instance file; errors name the offending line.
+    """Parse an instance file; errors name the first offending line.
 
-    The planted section is required and must be independent in the parsed
-    graph; the params section is optional (defaults to ``{}``), and an
-    ``alpha`` in it must be a number in (0, 1), as every generator writes.
+    ``#`` lines other than the two sections and blank lines are skipped.
+    Edges follow ``build_graph`` rules, so duplicate and self-loop lines are
+    tolerated; an endpoint outside ``range(n)`` is an error.  The endpoints
+    are collected in one flat ``array("q")``, 16 bytes an edge.  The planted
+    section is required and must be independent in the parsed graph; the
+    params section is optional (defaults to ``{}``), and an ``alpha`` in it
+    must be a number in (0, 1), as every generator writes.
     """
+    n = None
+    ends = array("q")
     planted: list | None = None
     planted_line = 0
     params: dict = {}
-
-    def section(lineno: int, body: str) -> None:
-        nonlocal planted, planted_line, params
-        if body.startswith("planted:"):
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("planted:"):
+                    try:
+                        planted = [int(v) for v in body[len("planted:") :].split()]
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: planted ids must be integers") from None
+                    planted_line = lineno
+                elif body.startswith("params:"):
+                    try:
+                        params = json.loads(body[len("params:") :])
+                    except (ValueError, RecursionError):  # a JSONDecodeError, or nesting too deep to parse
+                        params = None
+                    if not isinstance(params, dict):
+                        raise ValueError(f"{path}:{lineno}: params must be a JSON object")
+                    alpha = params.get("alpha", 0.5)  # none is fine: a run then records the planted share
+                    if type(alpha) not in (int, float) or not 0.0 < alpha < 1.0:
+                        raise ValueError(f"{path}:{lineno}: params 'alpha' must be a number in (0, 1), got {alpha!r}")
+                continue
+            if not line:
+                continue
             try:
-                planted = [int(v) for v in body[len("planted:") :].split()]
+                u, v = map(int, line.split())
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: planted ids must be integers") from None
-            planted_line = lineno
-        elif body.startswith("params:"):
-            try:
-                params = json.loads(body[len("params:") :])
-            except (ValueError, RecursionError):  # a JSONDecodeError, or nesting too deep to parse
-                params = None
-            if not isinstance(params, dict):
-                raise ValueError(f"{path}:{lineno}: params must be a JSON object")
-            alpha = params.get("alpha", 0.5)  # none is fine: a run then records the planted share
-            if type(alpha) not in (int, float) or not 0.0 < alpha < 1.0:
-                raise ValueError(f"{path}:{lineno}: params 'alpha' must be a number in (0, 1), got {alpha!r}")
-
-    graph = build_graph(*_read_edges(path, section))
+                what = "header 'n m'" if n is None else "edge 'u v'"
+                raise ValueError(f"{path}:{lineno}: expected {what}") from None
+            if n is None:
+                # build_graph's limits, checked here so that the error names the line
+                if not 0 <= u <= 2**31:
+                    raise ValueError(f"{path}:{lineno}: vertex count {u} lies outside 0 <= n <= 2**31")
+                n = u
+            elif 0 <= u < n > v >= 0:
+                ends.append(u)
+                ends.append(v)
+            else:
+                raise ValueError(f"{path}:{lineno}: edge ({u}, {v}) has an endpoint outside range(0, {n})")
+    if n is None:
+        raise ValueError(f"{path}:1: missing header 'n m'")
+    graph = build_graph(n, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2))
     if planted is None:
         raise ValueError(f"{path}: missing '# planted:' section")
     try:

@@ -348,14 +348,22 @@ class Oracle:
         return int(self.ledger.per_vertex[v])
 
 
+def _check_k(config: OracleConfig, n: int) -> None:
+    """Raise ``ValueError`` for a ``k`` above ``n`` on a mode that reads ``k``.
+
+    A k-wise family over ``n`` ids is fully independent at ``k = n``, so a
+    larger ``k`` would only cost coefficients and hash steps.  The least
+    ``k``, 2, stays allowed on fewer than 2 vertices.
+    """
+    if "k" in ORACLE_MODES[config.mode].reads and config.k > max(n, 2):
+        raise ValueError(f"oracle 'k' must be <= n = {n}, got {config.k}")
+
+
 def make_oracle(instance, config: OracleConfig) -> Oracle:
     """Oracle for a planted instance; ``PlantedInstance`` has already checked that its planted set is independent.
 
-    A k-wise family over ``n`` ids is fully independent at ``k = n``, so a
-    larger ``k`` raises ``ValueError``: it would only cost coefficients and
-    hash steps.  The least ``k``, 2, stays allowed on fewer than 2 vertices.
+    A persistent-kwise ``k`` above the instance's ``n`` raises ``ValueError``
+    (see ``_check_k``).
     """
-    n = instance.graph.n
-    if "k" in ORACLE_MODES[config.mode].reads and config.k > max(n, 2):
-        raise ValueError(f"oracle 'k' must be <= n = {n}, got {config.k}")
+    _check_k(config, instance.graph.n)
     return Oracle(_member_mask(instance.graph, instance.planted_ids), config)

@@ -1,5 +1,5 @@
-"""Property tests over input files: edge-list and instance files round-trip
-through the writer, a one-line edit to an instance file reads back or names
+"""Property tests over input files: instance files, with a planted set or an
+empty one, round-trip through the writer, a one-line edit to an instance file reads back or names
 its line, any JSON in a config field is a result or one error line, and any
 such value in a field of a params class is rejected when the class is built
 or runs through its solver."""
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from noisymis.bandit import BanditParams, run_bandit
 from noisymis.baselines import AmplifyParams, SamplerParams, run_amplify, run_sampler
 from noisymis.cli import main
-from noisymis.graph import build_graph, greedy_mis, read_edgelist, write_edgelist
+from noisymis.graph import build_graph, greedy_mis
 from noisymis.instances import PlantedInstance, gen_planted_gnp, read_instance, write_instance
 from noisymis.oracle import BANDIT_BERNOULLI, ORACLE_MODES, PERSISTENT_RANDOM, ModeError, OracleConfig, make_oracle
 from noisymis.persistent import PersistentParams, run_persistent
@@ -53,10 +53,10 @@ def expected_edge_list(g):
 def test_edge_list_and_instance_files_round_trip(inst):
     with tempfile.TemporaryDirectory() as tmp:
         edges_path, inst_path = Path(tmp, "edges.txt"), Path(tmp, "inst.txt")
-        write_edgelist(inst.graph, edges_path)
+        write_instance(PlantedInstance(inst.graph, [], {}), edges_path)
         write_instance(inst, inst_path)
-        assert edges_path.read_text() == expected_edge_list(inst.graph)
-        assert read_edgelist(edges_path) == inst.graph
+        assert edges_path.read_text() == expected_edge_list(inst.graph) + "# planted: \n# params: {}\n"
+        assert read_instance(edges_path).graph == inst.graph
         back = read_instance(inst_path)
     assert back.graph == inst.graph
     assert back.planted_ids.tolist() == inst.planted_ids.tolist()

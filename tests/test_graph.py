@@ -22,11 +22,9 @@ from noisymis.graph import (
     induced_subgraph,
     is_independent_set,
     is_maximal_independent_set,
-    read_edgelist,
     vertex_cover_2approx,
-    write_edgelist,
 )
-from noisymis.instances import gen_planted_bounded_degree, gen_planted_gnp, read_instance, write_instance
+from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp, read_instance, write_instance
 from noisymis.oracle import Oracle, OracleConfig
 
 
@@ -269,9 +267,9 @@ def test_build_graph_keeps_no_duplicate_tail(tmp_path):
     triples = one_way[rng.integers(0, len(one_way), size=300)]
     edges = np.concatenate([one_way, one_way[:, ::-1], triples, triples[:, ::-1]])
     path = tmp_path / "edges.txt"
-    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges.tolist()))
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges.tolist()) + "# planted:\n")
     expected = build_graph(n, one_way)
-    for build in (lambda: build_graph(n, edges), lambda: read_edgelist(path)):
+    for build in (lambda: build_graph(n, edges), lambda: read_instance(path).graph):
         tracemalloc.start()
         try:
             g = build()
@@ -296,12 +294,12 @@ def test_every_built_graph_holds_int32_indices_in_a_buffer_of_their_size(tmp_pat
     rng = np.random.default_rng(31)
     n = 300
     edges = rng.integers(0, n, size=(2000, 2))
-    write_edgelist(build_graph(n, edges), tmp_path / "edges.txt")
+    write_instance(PlantedInstance(build_graph(n, edges), [], {}), tmp_path / "edges.txt")
     bounded = gen_planted_bounded_degree(n, 0.3, 7, seed=2)
     write_instance(bounded, tmp_path / "inst.txt")
     graphs = [build_graph(0, []), build_graph(5, []), build_graph(n, edges), build_graph(3, [(0, 1), (1, 2)])]
     graphs += [bounded.graph, gen_planted_gnp(n, 0.3, 0.05, seed=2).graph, gen_planted_gnp(n, 0.3, 0.05, seed=2, ensure_maximal=True).graph]
-    graphs += [read_edgelist(tmp_path / "edges.txt"), read_instance(tmp_path / "inst.txt").graph]
+    graphs += [read_instance(tmp_path / "edges.txt").graph, read_instance(tmp_path / "inst.txt").graph]
     for g in list(graphs):
         for ids in ([], [0], np.arange(0, g.n, 3), np.arange(g.n)):
             graphs.append(induced_subgraph(g, [v for v in ids if v < g.n])[0])
@@ -782,37 +780,42 @@ def test_exact_refuses_large_graphs():
 
 
 def test_edgelist_round_trip(tmp_path):
+    # a graph with no planted set round-trips as an instance whose planted set is empty
     rng = np.random.default_rng(31)
     g = random_graph(rng, 20, 0.2)
     path = tmp_path / "g.txt"
-    write_edgelist(g, path)
-    assert read_edgelist(path) == g
+    write_instance(PlantedInstance(g, [], {}), path)
+    assert read_instance(path).graph == g
 
 
 def test_edgelist_parse_errors(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("3\n0 1\n")
+    path.write_text("3\n0 1\n# planted:\n")
     with pytest.raises(ValueError, match=":1"):
-        read_edgelist(path)
-    path.write_text("3 2\n0 1\n0 x\n")
+        read_instance(path)
+    path.write_text("3 2\n0 1\n0 x\n# planted:\n")
     with pytest.raises(ValueError, match=":3"):
-        read_edgelist(path)
-    path.write_text("# only a comment\n")
+        read_instance(path)
+    path.write_text("# only a comment\n# planted:\n")
     with pytest.raises(ValueError, match="missing header"):
-        read_edgelist(path)
+        read_instance(path)
 
 
 def test_edgelist_endpoint_errors_name_the_line(tmp_path):
     path = tmp_path / "bad.txt"
     # an endpoint beyond int64, one beyond n, and a vertex count beyond the 2**31 limit
-    for text, line in (("3 1\n99999999999999999999 1\n", 2), ("3 2\n0 1\n# c\n1 3\n", 4), ("2147483649 0\n", 1)):
+    for text, line in (
+        ("3 1\n99999999999999999999 1\n# planted:\n", 2),
+        ("3 2\n0 1\n# c\n1 3\n# planted:\n", 4),
+        ("2147483649 0\n# planted:\n", 1),
+    ):
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
-            read_edgelist(path)
+            read_instance(path)
 
 
 def test_edgelist_ignores_comments(tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text("# header comment\n3 1\n# mid comment\n0 2\n")
-    g = read_edgelist(path)
+    path.write_text("# header comment\n3 1\n# mid comment\n0 2\n# planted:\n")
+    g = read_instance(path).graph
     assert g.m == 1 and g.neighbors(0).tolist() == [2]

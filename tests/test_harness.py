@@ -31,7 +31,8 @@ from noisymis.harness import (
     run_trial,
     trial_seeds,
 )
-from noisymis.instances import gen_planted_bounded_degree, gen_planted_gnp, write_instance
+from noisymis.graph import build_graph
+from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp, write_instance
 from noisymis.oracle import ORACLE_MODES, ModeError, OracleConfig, make_oracle
 from noisymis.persistent import run_persistent
 
@@ -109,6 +110,17 @@ def test_config_validation():
             gnp_config(algorithm=algorithm, oracle={"epsilon": 0.25, "mode": "nope"})
     # an explicit seed list sidesteps the trials knob entirely
     assert trial_seeds(gnp_config(seeds=[1, 2], trials=3)) == [1, 2]
+
+
+def test_a_kwise_k_on_a_generators_n_follows_make_oracles_rule():
+    # the least k, 2, stays allowed on fewer than 2 vertices, in the config as on a file's instance
+    kwise = {"epsilon": 0.25, "mode": "persistent-kwise"}
+    one = {"generator": "bounded-degree", "n": 1, "alpha": 0.5, "d": 0}
+    assert gnp_config(algorithm="persistent", instance=one, oracle={**kwise, "k": 2})._oracle.k == 2
+    make_oracle(PlantedInstance(build_graph(1, []), [0], {}), OracleConfig(**kwise, k=2))
+    two = {"generator": "gnp", "n": 2, "alpha": 0.5, "p": 0.0}
+    with pytest.raises(ValueError, match=re.escape("oracle 'k' must be <= n = 2, got 3")):
+        gnp_config(algorithm="persistent", instance=two, oracle={**kwise, "k": 3})
 
 
 def test_config_round_trip_and_unknown_keys():

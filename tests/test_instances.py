@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 import noisymis.instances as instances
-from noisymis.graph import _member_mask, build_graph, exact_mis, is_independent_set, is_maximal_independent_set, write_edgelist
+from noisymis.graph import _member_mask, build_graph, exact_mis, is_independent_set, is_maximal_independent_set
 from noisymis.instances import (
     PlantedInstance,
     gen_planted_bounded_degree,
@@ -343,10 +343,11 @@ def test_round_trip(tmp_path):
 def test_instance_file_is_the_edge_list_plus_two_comment_lines(tmp_path):
     inst = gen_planted_gnp(40, 0.4, 0.2, seed=6)
     write_instance(inst, tmp_path / "inst.txt")
-    write_edgelist(inst.graph, tmp_path / "edges.txt")
+    pairs = [(u, v) for u in range(inst.graph.n) for v in inst.graph.neighbors(u).tolist() if u < v]
+    edges = f"{inst.graph.n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
     tail = "# planted: " + " ".join(map(str, inst.planted_ids.tolist())) + "\n"
     tail += '# params: {"alpha": 0.4, "ensure_maximal": false, "generator": "gnp", "n": 40, "p": 0.2, "seed": 6}\n'
-    assert (tmp_path / "inst.txt").read_bytes() == (tmp_path / "edges.txt").read_bytes() + tail.encode()
+    assert (tmp_path / "inst.txt").read_bytes() == (edges + tail).encode()
 
 
 def test_params_json_preserved(tmp_path):
@@ -402,6 +403,9 @@ def test_read_malformed_lines_name_line_numbers(tmp_path):
     # with two bad lines the first one in the file is named
     path.write_text("3 2\n# planted: 0 x\n0 1\n1 q\n")
     with pytest.raises(ValueError, match="bad.txt:2:"):
+        read_instance(path)
+    path.write_text("3 2\n0 1\n1 q\n# planted: 0\n# params: [1]\n")
+    with pytest.raises(ValueError, match="bad.txt:3:"):
         read_instance(path)
     path.write_text("zz\n")
     with pytest.raises(ValueError, match=":1"):
