@@ -127,21 +127,15 @@ def _code_shift(n: int) -> int:
     return max(1, (int(n) - 1).bit_length())
 
 
-def _edge_codes(n: int, src, dst, out: np.ndarray | None = None) -> np.ndarray:
-    """Codes ``src << _code_shift(n) | dst`` of both orientations of the pairs ``(src, dst)``.
+def _edge_codes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Codes ``src << _code_shift(n) | dst`` of the pairs ``(src, dst)``, then of the same pairs flipped.
 
-    ``src`` and ``dst`` broadcast together; the flat result holds the pairs
-    as given, then the same pairs flipped.  It is a fresh buffer, or ``out``
-    when given: a flat int64 array of exactly that size, which the caller
-    hands over to be filled.  The pairs as given are written first, so
-    ``dst`` may be a view of ``out``'s second half; ``src`` may not alias it.
+    ``src`` and ``dst`` are id arrays of one length; the codes fill one
+    fresh int64 buffer, twice that length.
     """
     shift = _code_shift(n)
-    shape = np.broadcast_shapes(np.shape(src), np.shape(dst))
-    size = int(np.prod(shape))
-    codes = np.empty(2 * size, dtype=np.int64) if out is None else out
-    for half, high, low in ((codes[:size], src, dst), (codes[size:], dst, src)):
-        half = half.reshape(shape)
+    codes = np.empty(2 * src.size, dtype=np.int64)
+    for half, high, low in ((codes[: src.size], src, dst), (codes[src.size :], dst, src)):
         np.left_shift(high, shift, out=half)
         half |= low
     return codes
@@ -152,36 +146,135 @@ def _csr_from_codes(n: int, codes: np.ndarray) -> Graph:
 
     Sorts and deduplicates ``codes`` in place, so the sorted codes list every
     row in turn with ascending neighbors, then trims the buffer to its
-    distinct codes and decodes them, chunk by chunk, into int32 neighbor ids
-    packed at its front, and trims it again to the half they fill: that half
-    is the graph's ``indices``.  ``n <= 2**31``, so every id fits.  Each trim
-    leaves any view of ``codes`` dangling, so ``codes`` must own its data and
-    nothing else may refer to it: this function owns the buffer
-    ``_edge_codes`` returns, whether fresh or the caller's ``out``, and no
-    view of it outlives the call.
+    distinct codes and narrows them in place into the graph's int32
+    ``indices``.  ``codes`` must own its data and nothing else may refer to
+    it: this function owns the buffer ``_edge_codes`` returns, and no view
+    of it outlives the call.
     """
-    shift = _code_shift(n)
     k = _sorted_unique(codes)
     if k < codes.size:
         codes.resize(k, refcheck=False)
-    # row v starts at the first code at or above v << shift; filled in chunks,
-    # so no temporary grows with n
+    offsets = _row_offsets(n, codes)
+    return Graph(n, offsets, _narrow_ids(n, codes))
+
+
+def _row_offsets(n: int, codes: np.ndarray) -> np.ndarray:
+    """Where each row of a graph on ``n`` vertices starts in its ascending edge codes ``codes``.
+
+    Row ``v`` starts at the first code at or above ``v << _code_shift(n)``,
+    and entry ``n`` is ``codes.size``.  Filled in chunks, so no temporary
+    grows with ``n``.
+    """
+    shift = _code_shift(n)
     offsets = np.arange(n + 1, dtype=np.int64)
     for start in range(0, n + 1, _UNIQUE_CHUNK):
         block = offsets[start : start + _UNIQUE_CHUNK]
         block[:] = np.searchsorted(codes, block << shift)
+    return offsets
+
+
+def _narrow_ids(n: int, codes: np.ndarray) -> np.ndarray:
+    """The low ids of the edge codes ``codes``, as int32 written over ``codes``' own buffer.
+
+    The ids are packed at the front of the buffer, chunk by chunk, which is
+    then trimmed to the half they fill; the result is an int32 view of it.
+    ``n <= 2**31``, so every id fits.  ``codes`` must be a C-contiguous
+    int64 array that owns its data; the trim leaves any other view of it
+    dangling.
+    """
+    mask = (1 << _code_shift(n)) - 1
+    flat = codes.reshape(-1)
+    narrow = flat.view(np.int32)
     # id j goes to bytes [4j, 4j + 4), never past code j's bytes [8j, 8j + 8),
     # so a chunk's writes reach no later chunk's codes
-    narrow = codes.view(np.int32)
-    for start in range(0, k, _UNIQUE_CHUNK):
-        stop = min(start + _UNIQUE_CHUNK, k)
-        np.bitwise_and(codes[start:stop], (1 << shift) - 1, out=narrow[start:stop])
-    codes.resize((k + 1) // 2, refcheck=False)
-    return Graph(n, offsets, codes.view(np.int32)[:k])
+    for start in range(0, flat.size, _UNIQUE_CHUNK):
+        stop = min(start + _UNIQUE_CHUNK, flat.size)
+        np.bitwise_and(flat[start:stop], mask, out=narrow[start:stop])
+    codes.resize((flat.size + 1) // 2, refcheck=False)
+    return codes.view(np.int32)[: flat.size]
+
+
+def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
+    """Graph on ``n`` vertices that joins each vertex ``rows[i]`` to every id in ``picks[i]``.
+
+    ``rows`` lists distinct ids in ascending order.  ``picks`` is a
+    C-contiguous int64 matrix that owns its data, with one ascending row of
+    ids per entry of ``rows``, none equal to that row's own id; a pair
+    picked from both ends is one edge.  The result equals ``build_graph`` on
+    the same pairs.  ``picks`` is consumed: the call reuses its buffer and
+    leaves it trimmed.
+
+    The picks are copied as int32, and the matrix turns in place into the
+    flipped codes ``v << shift | u``.  Only these are sorted, as each row's
+    picks already are, and they are narrowed in place into int32 in-lists.
+    The int32 ``indices`` are then filled from the top, one block of about
+    ``_UNIQUE_CHUNK`` slots at a time: the block's picks and in-lists become
+    two ascending runs of codes, which are merged and deduplicated (mutual
+    picks are the only repeats), and both sources are trimmed past the block
+    before its rows are written, so the sources shrink as the output fills.
+    A chunked move then closes the slots that mutual picks left free at the
+    bottom.
+    """
+    shift = _code_shift(n)
+    d = picks.shape[1]
+    m = picks.size
+    forward = picks.ravel().astype(np.int32)  # each picking row's ids, row after row
+    flipped = picks  # its buffer holds the flipped codes, then the int32 in-lists
+    flipped <<= shift
+    flipped |= rows[:, None]
+    flipped.reshape(-1).sort()
+    # the in-lists' row starts; each block overwrites its own with the graph's
+    offsets = _row_offsets(n, flipped.reshape(-1))
+    _narrow_ids(n, flipped)
+    # allocated only now: tracemalloc counts its untouched pages, which RSS does not
+    indices = np.empty(2 * m, dtype=np.int32)
+    top = 2 * m  # indices[top:] is filled
+    # a block starts at every half-chunk of picks and of in-list slots
+    half = max(_UNIQUE_CHUNK // 2, 1)
+    by_picks = rows[:: max(half // max(d, 1), 1)]
+    by_slots = np.searchsorted(offsets, np.arange(half, m, half), "right") - 1
+    cuts = np.concatenate(([0, n], by_picks, by_slots))
+    cuts = cuts[: _sorted_unique(cuts)]
+    firsts = np.searchsorted(rows, cuts).tolist()  # index in rows of each cut's first picking row
+    starts = offsets[cuts].tolist()  # slot of each cut's first in-list id
+    offsets[n] = top
+    cuts = cuts.tolist()
+    for j in range(len(cuts) - 2, -1, -1):
+        # vertices [lo, hi) hold the picks of rows[a:b] and the in-list slots [p, q)
+        lo, hi, a, b, p, q = cuts[j], cuts[j + 1], firsts[j], firsts[j + 1], starts[j], starts[j + 1]
+        block = np.empty((b - a) * d + q - p, dtype=np.int64)
+        head = block[: (b - a) * d].reshape(b - a, d)
+        np.bitwise_or((rows[a:b] << shift)[:, None], forward[a * d : b * d].reshape(b - a, d), out=head)
+        lengths = np.diff(offsets[lo:hi], append=q)
+        high = np.arange(lo, hi, dtype=np.int64) << shift
+        np.bitwise_or(np.repeat(high, lengths), flipped.view(np.int32)[p:q], out=block[(b - a) * d :])
+        forward.resize(a * d, refcheck=False)
+        flipped.resize((p + 1) // 2, refcheck=False)
+        block.sort(kind="stable")  # timsort: a merge of the two ascending runs
+        lengths[rows[a:b] - lo] += d  # each row's in-list and picks, less its mutual picks below
+        keep = np.empty(block.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        if not keep.all():
+            np.subtract.at(lengths, (block[~keep] >> shift) - lo, 1)
+            block = block[keep]
+        top -= block.size
+        np.bitwise_and(block, (1 << shift) - 1, out=indices[top : top + block.size])
+        offsets[lo] = top
+        np.cumsum(lengths[:-1], out=offsets[lo + 1 : hi])
+        offsets[lo + 1 : hi] += top
+    if top:
+        # the graph's ids lie in indices[top:]: move them down, chunk by chunk
+        for start in range(top, 2 * m, _UNIQUE_CHUNK):
+            stop = min(start + _UNIQUE_CHUNK, 2 * m)
+            indices[start - top : stop - top] = indices[start:stop]
+        indices.resize(2 * m - top, refcheck=False)
+        offsets -= top
+    return Graph(n, offsets, indices)
 
 
 # values per step of _sorted_unique's compaction and CSR slots per row block of
-# the edge-wise passes; it bounds the temporaries of both
+# the edge-wise passes and of _csr_from_rows' merge; it bounds their temporaries
 _UNIQUE_CHUNK = 1 << 16
 # rows per window of greedy_mis's scan and CSR slots per block it widens to int64
 _GREEDY_BLOCK = 1 << 12

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _sorted_ids, build_graph
-from .graph import _block_slots, _code_shift, _csr_from_codes, _edge_codes, _row_blocks
+from .graph import _block_slots, _code_shift, _csr_from_rows, _row_blocks
 from .graph import is_independent_set
 
 __all__ = [
@@ -63,8 +63,9 @@ def _split_planted(n: int, alpha: float, rng: np.random.Generator) -> tuple[np.n
     if k < 1:
         raise ValueError(f"floor(alpha * n) must be at least 1, got {k}")
     _code_shift(n)  # rejects an n too large to encode before anything is allocated
-    perm = rng.permutation(n)
-    return np.sort(perm[:k]), np.sort(perm[k:])
+    planted = np.zeros(n, dtype=bool)
+    planted[rng.permutation(n)[:k]] = True
+    return np.flatnonzero(planted), np.flatnonzero(~planted)
 
 
 def _skip_sample(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -159,7 +160,7 @@ def _distinct_picks(rng: np.random.Generator, rows: int, d: int, high: int) -> n
     alike, so the law of a finished row is invariant under relabeling values
     and is therefore uniform over ``d``-subsets; unlike redrawing whole rows,
     this also finishes quickly when ``d`` is close to ``high``.  The matrix
-    owns its data, so the caller may grow it in place.
+    owns its data, so the caller may reuse and trim it in place.
     """
     picks = rng.integers(0, high, size=(rows, d))
     picks.sort(axis=1)
@@ -191,16 +192,12 @@ def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> Plant
         raise ValueError(f"infeasible parameters: d * (1 - alpha) = {d * (1 - alpha)} exceeds alpha * n = {alpha * n}")
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
-    codes = _distinct_picks(rng, outside.size, d, n - 1)
-    codes += codes >= outside[:, None]  # skip u itself; picks stay uniform over the rest
-    # the pick matrix grows in place into the code buffer and the codes overwrite
-    # it, so neither an (m, 2) edge array nor a second int64 copy of the picks exists
-    size = codes.size
-    codes.resize(2 * size, refcheck=False)
-    codes[size:] = codes[:size]
-    _edge_codes(n, outside[:, None], codes[size:].reshape(outside.size, d), out=codes)
+    picks = _distinct_picks(rng, outside.size, d, n - 1)
+    picks += picks >= outside[:, None]  # skip u itself; picks stay uniform over the rest
+    # the builder turns the pick matrix into the flipped codes in place and trims
+    # it as the CSR fills, so neither an (m, 2) edge array nor a 2m code buffer exists
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
-    return PlantedInstance(_csr_from_codes(n, codes), planted, params)
+    return PlantedInstance(_csr_from_rows(n, outside, picks), planted, params)
 
 
 def write_instance(instance: PlantedInstance, path) -> None:

@@ -14,6 +14,7 @@ from noisymis.graph import (
     _GREEDY_BLOCK,
     _UNIQUE_CHUNK,
     Graph,
+    _csr_from_rows,
     _sorted_ids,
     _sorted_unique,
     build_graph,
@@ -255,6 +256,32 @@ def test_sorted_unique_matches_np_unique(monkeypatch, chunk):
             assert np.all(outer[:3] == -1) and np.all(outer[3 + step * a.size :] == -1)
         k = _sorted_unique(a)
         assert k == expected.size and np.array_equal(a[:k], expected)
+
+
+def random_picks(rng, n, count, d):
+    """``count`` ascending picking rows of ``range(n)``, each with ``d`` ascending distinct picks other than itself."""
+    rows = np.sort(rng.choice(n, size=count, replace=False)).astype(np.int64)
+    picks = np.zeros((count, d), dtype=np.int64)  # a matrix that owns its data, as the builder requires
+    for i, u in enumerate(rows.tolist()):
+        picks[i] = np.sort(rng.choice(np.delete(np.arange(n), u), size=d, replace=False))
+    return rows, picks
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+def test_csr_from_rows_matches_build_graph(monkeypatch, chunk):
+    # small chunks cut blocks between and inside pick rows and in-lists; the cases
+    # hold mutual picks (a row picks a row that picks it back), no picks at all,
+    # and, with few picking rows, rows that hold only an in-list
+    monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
+    rng = np.random.default_rng(37)
+    cases = [(12, 6, 6), (12, 12, 6), (40, 20, 39), (40, 40, 39), (30, 15, 0), (1, 1, 0), (200, 8, 5), (300, 290, 2)]
+    for n, count, d in cases:
+        rows, picks = random_picks(rng, n, count, d)
+        expected = build_graph(n, np.column_stack((np.repeat(rows, d), picks.ravel())))
+        g = _csr_from_rows(n, rows, picks)
+        for got, want in ((g.offsets, expected.offsets), (g.indices, expected.indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert buffer_bytes(g.indices) <= g.indices.nbytes + 4  # the trim left no larger buffer behind
 
 
 def test_build_graph_keeps_no_duplicate_tail(tmp_path):

@@ -158,8 +158,10 @@ def test_bounded_degree_codes_match_the_edge_array_reference(n, alpha, d, seeds)
 
 
 def test_bounded_degree_peak_memory_stays_near_the_csr():
-    # the pick matrix grows in place into the code buffer, no (m, 2) edge array
-    # ever exists, and the codes are deduplicated in place, not into a second buffer
+    # the picks are copied as int32 and the pick matrix turns in place into the
+    # flipped codes, which are narrowed to int32 in-lists; the int32 indices are
+    # allocated only then and filled as both sources are trimmed, so no (m, 2)
+    # edge array and no 2m int64 code buffer ever exists
     gen_planted_bounded_degree(100, 0.3, 5, seed=0)  # first-call allocations are not the generator's
     for seed in (0, 1):
         tracemalloc.start()
@@ -168,7 +170,7 @@ def test_bounded_degree_peak_memory_stays_near_the_csr():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2 * indices.nbytes is the int64 code buffer that the build narrows into indices
+        # 2 * indices.nbytes is the size of the int64 code buffer of both orientations
         assert peak <= 1.4 * (g.offsets.nbytes + 2 * g.indices.nbytes)
 
 
@@ -301,20 +303,18 @@ def test_bounded_degree_picks_are_distinct_and_uniform(monkeypatch):
     n, alpha, d = 7, 0.5, 2
     captured = []
 
-    def capture(count, codes):
-        # _csr_from_codes sorts its buffer in place, so keep the generator's order
-        captured.append(codes.copy())
-        return csr_from_codes(count, codes)
+    def capture(count, rows, picks):
+        # _csr_from_rows reuses and trims the pick matrix's buffer, so keep the generator's picks
+        captured.append((rows.copy(), picks.copy()))
+        return csr_from_rows(count, rows, picks)
 
-    csr_from_codes = instances._csr_from_codes
-    monkeypatch.setattr(instances, "_csr_from_codes", capture)
-    shift = instances._code_shift(n)
+    csr_from_rows = instances._csr_from_rows
+    monkeypatch.setattr(instances, "_csr_from_rows", capture)
     counts = np.zeros((n, n), dtype=np.int64)
     for seed in range(2000):
         inst = gen_planted_bounded_degree(n, alpha, d, seed=seed)
-        codes = captured.pop()
-        forward = codes[: codes.size // 2]  # the picks, in generation order
-        src, dst = forward >> shift, forward & ((1 << shift) - 1)
+        rows, matrix = captured.pop()
+        src, dst = np.repeat(rows, d), matrix.ravel()  # the picks, in generation order
         outside = np.flatnonzero(~_member_mask(inst.graph, inst.planted_ids))
         assert np.array_equal(np.unique(src), outside)
         for u in outside:
