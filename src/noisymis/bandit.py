@@ -17,7 +17,8 @@ from typing import Annotated
 import numpy as np
 
 from .graph import Graph, _sorted_ids, induced_subgraph, vertex_cover_2approx
-from .oracle import ORACLE_MODES, Oracle, ModeError, _POSITIVE, _UP_TO_HALF, _UP_TO_ONE, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError
+from .schema import _POSITIVE, _UP_TO_HALF, _UP_TO_ONE, _check_types
 
 __all__ = [
     "BanditParams",

@@ -16,7 +16,8 @@ from typing import Annotated
 import numpy as np
 
 from .graph import _int_ids
-from .oracle import ORACLE_MODES, Oracle, ModeError, _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_ONE, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError
+from .schema import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_ONE, _check_types
 
 __all__ = [
     "SamplerParams",

@@ -30,6 +30,7 @@ from .harness import (
 )
 from .instances import gen_planted_bounded_degree, gen_planted_gnp, read_instance, write_instance
 from .montecarlo import EVENT_BUILDERS, estimate_tail
+from .schema import _check_types, _schema
 
 __all__ = ["main", "build_parser"]
 
@@ -259,6 +260,10 @@ def _cmd_stats(args) -> int:
     missing = [_MC_FLAGS[k] for k, v in kwargs.items() if v is None]
     if missing:
         raise ValueError(f"--mc {args.mc} needs: {', '.join(sorted(missing))}")
+    # the flags whose parameters carry a range are checked here, before the event is built; every other
+    # flag keeps the check and the message of the library code it reaches
+    for target, values in ((builder, kwargs), (estimate_tail, {"seed": args.seed})):
+        _check_types(target, {k: v for k, v in values.items() if _schema(target)[k][1]}, f"--mc {args.mc}")
     sampler = builder(**kwargs)
     p_hat, half_width = estimate_tail(sampler, trials=args.trials, seed=args.seed)
     print(json.dumps({"event": args.mc, "trials": args.trials, "p_hat": p_hat, "ci99_half_width": half_width}))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -23,12 +22,13 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 from .graph import EXACT_MIS_MAX_N, exact_mis, greedy_mis, is_independent_set
-from .oracle import ORACLE_MODES, OracleConfig, _check_k, _check_types, _fits, make_oracle
-from .oracle import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_HALF, _UP_TO_ONE, _ZERO_TO_ONE  # field ranges
+from .oracle import ORACLE_MODES, OracleConfig, _check_k, make_oracle
 from .persistent import PersistentParams, run_persistent
 from .bandit import BanditParams, run_bandit
 from .baselines import AmplifyParams, SamplerParams, run_amplify, run_sampler
 from .instances import PlantedInstance, gen_planted_gnp, gen_planted_bounded_degree, read_instance
+from .schema import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_HALF, _UP_TO_ONE, _ZERO_TO_ONE  # field ranges
+from .schema import _check_args, _check_types, _checked, _fits
 
 __all__ = [
     "ALGORITHMS",
@@ -253,26 +253,6 @@ def _build_params(cls, values: dict):
         amplify = _checked(AmplifyParams, {k: v for k, v in values.items() if k != "delta"}, "params")
         return amplify, _checked(BanditParams, {k: v for k, v in values.items() if k == "delta"}, "params")
     return _checked(cls, values, "params")
-
-
-def _check_args(target, values, what: str) -> None:
-    """Raise unless ``values`` is a dict of ``target``'s parameters, the required ones included,
-    each of its annotated type; errors name the key and the block ``what``."""
-    if not isinstance(values, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(values).__name__}")
-    params = inspect.signature(target).parameters
-    unknown = values.keys() - params.keys()
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    for name, param in params.items():
-        if param.default is param.empty and name not in values:
-            raise ValueError(f"{what} is missing the required key {name!r}")
-    _check_types(target, values, what)
-
-
-def _checked(target, values, what: str):
-    _check_args(target, values, what)
-    return target(**values)
 
 
 def run_trial(config: ExperimentConfig, seed: int) -> tuple[TrialRecord, object]:

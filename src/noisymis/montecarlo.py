@@ -5,16 +5,21 @@ for the package's filtering and elimination rules.
 frequency with a 99% normal-approximation half-width, floored so that a
 zero-hit run still reports positive uncertainty.  Bound checks downstream
 should be one-sided: assert ``p_hat - ci <= bound``.
+
+The ranges in the annotations below are checked where ``noisymis stats
+--mc`` reads its flags, not when these functions are called.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Annotated
 
 import numpy as np
 
 from .bandit import BanditParams, query_schedule
 from .persistent import survival_threshold
+from .schema import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_HALF, _ZERO_TO_ONE
 
 __all__ = [
     "estimate_tail",
@@ -32,7 +37,7 @@ _Z99 = 2.58
 _BATCH = 1_000_000
 
 
-def estimate_tail(sampler, trials: int, seed: int) -> tuple[float, float]:
+def estimate_tail(sampler, trials: int, seed: Annotated[int, _NONNEGATIVE]) -> tuple[float, float]:
     """Estimate P(event) over ``trials`` draws of ``sampler(rng, count)``.
 
     The sampler must return a boolean array of length ``count``.  Returns
@@ -56,7 +61,7 @@ def estimate_tail(sampler, trials: int, seed: int) -> tuple[float, float]:
     return p_hat, half
 
 
-def coin_event(p: float):
+def coin_event(p: Annotated[float, _ZERO_TO_ONE]):
     """Bernoulli(p) hits; the estimator calibration case."""
 
     def sample(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -65,7 +70,12 @@ def coin_event(p: float):
     return sample
 
 
-def member_filter_violation(deg: int, epsilon: float, n: int, coeff: float = 6.0):
+def member_filter_violation(
+    deg: Annotated[int, _NONNEGATIVE],
+    epsilon: Annotated[float, _UP_TO_HALF],
+    n: Annotated[int, _AT_LEAST_ONE],
+    coeff: float = 6.0,
+):
     """A hidden-set vertex of degree ``deg`` fails the survival filter.
 
     All its neighbors are outsiders, so its claimed-neighbor count is
@@ -80,7 +90,13 @@ def member_filter_violation(deg: int, epsilon: float, n: int, coeff: float = 6.0
     return sample
 
 
-def blocker_filter_violation(deg: int, k: int, epsilon: float, n: int, coeff: float = 6.0):
+def blocker_filter_violation(
+    deg: Annotated[int, _NONNEGATIVE],
+    k: int,
+    epsilon: Annotated[float, _UP_TO_HALF],
+    n: Annotated[int, _AT_LEAST_ONE],
+    coeff: float = 6.0,
+):
     """An outsider with ``k`` hidden-set neighbors sneaks past the filter.
 
     Its claimed-neighbor count is Binomial(k, 1/2 + eps) + Binomial(deg - k,

@@ -13,9 +13,7 @@ mutate under queries.
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 import typing
 from dataclasses import dataclass
 
@@ -23,6 +21,7 @@ import numpy as np
 
 from .graph import _int_ids, _member_mask
 from .graph import is_independent_set  # noqa: F401  (bench/traced.py times calls through this binding)
+from .schema import _NONNEGATIVE, _UP_TO_HALF, _check_types
 
 __all__ = [
     "ADVANTAGE_CAP",
@@ -75,53 +74,6 @@ def cap_flip_probability(epsilon: float) -> float:
     if epsilon <= ADVANTAGE_CAP:
         return 0.0
     return (epsilon - ADVANTAGE_CAP) / (0.5 + epsilon)
-
-
-# a field's range, as the metadata of its hint Annotated[T, _Range(test, text)]; each range is written once here
-_Range = typing.NamedTuple("_Range", [("test", typing.Callable), ("text", str)])
-_FINITE = _Range(math.isfinite, "finite")  # the range of every float value, whatever its hint
-_UP_TO_HALF = _Range(lambda x: 0.0 < x <= 0.5, "in (0, 1/2]")
-_UP_TO_ONE = _Range(lambda x: 0.0 < x <= 1.0, "in (0, 1]")
-_ZERO_TO_ONE = _Range(lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
-_POSITIVE = _Range(lambda x: x > 0, "> 0")
-_NONNEGATIVE = _Range(lambda x: x >= 0, ">= 0")
-_AT_LEAST_ONE = _Range(lambda x: x >= 1, ">= 1")
-
-
-@functools.cache
-def _schema(target) -> dict:
-    """Each of ``target``'s annotated names, evaluated once: the types its value may take, and its ranges."""
-    schema = {}
-    for key, hint in typing.get_type_hints(target, include_extras=True).items():
-        hint, *ranges = typing.get_args(hint) if typing.get_origin(hint) is typing.Annotated else (hint,)
-        schema[key] = typing.get_args(hint) or (hint,), ranges
-    return schema
-
-
-def _check_types(target, values: dict, what: str) -> None:
-    """Raise unless each value fits its key's hint on ``target``: its type, then, unless it is None, a
-    finite float and the hint's ranges; errors name the block ``what`` and the key."""
-    for key, value in values.items():
-        kinds, ranges = _schema(target)[key]
-        if not _fits(value, kinds):
-            names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-            raise ValueError(f"{what} {key!r} must be {names}, got {value!r}")
-        if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):  # an int beyond the floats is finite
-            ranges = (_FINITE, *ranges)
-        for test, text in ranges:
-            if value is not None and not test(value):
-                raise ValueError(f"{what} {key!r} must be {text}, got {value!r}")
-
-
-def _fits(value, kinds: tuple) -> bool:
-    """Whether ``value`` suits a field typed as the union of ``kinds``; bools are not numbers here."""
-    if isinstance(value, bool):
-        return bool in kinds
-    if float in kinds and isinstance(value, numbers.Real):
-        return True
-    if int in kinds and isinstance(value, numbers.Integral):
-        return True
-    return isinstance(value, kinds)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .graph import Graph, _block_slots, _row_blocks, greedy_mis
 from .graph import induced_subgraph  # noqa: F401  (bench/traced.py wraps this binding)
-from .oracle import ORACLE_MODES, Oracle, ModeError, _NONNEGATIVE, _UP_TO_HALF, _check_types
+from .oracle import ORACLE_MODES, Oracle, ModeError
+from .schema import _NONNEGATIVE, _UP_TO_HALF, _check_types
 
 __all__ = [
     "PersistentParams",

@@ -18,10 +18,11 @@ import noisymis.cli as cli
 import noisymis.harness as harness
 from noisymis.cli import build_parser, main
 from noisymis.graph import exact_mis, is_maximal_independent_set
-from noisymis.harness import ALGORITHMS, CSV_COLUMNS, ExperimentConfig, _checked, _instance_source, records_from_csv
+from noisymis.harness import ALGORITHMS, CSV_COLUMNS, ExperimentConfig, _instance_source, records_from_csv
 from noisymis.instances import gen_planted_bounded_degree, gen_planted_gnp, read_instance, write_instance
 from noisymis.montecarlo import EVENT_BUILDERS
 from noisymis.persistent import PersistentParams, survival_threshold
+from noisymis.schema import _checked
 
 
 def strip_wall(csv_text):
@@ -576,6 +577,40 @@ def test_stats_mc_runs_on_exactly_the_flags_its_error_names(capsys, event):
         argv += [flag, values[flag]]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["event"] == event
+
+
+# a valid flag set for each event, which the cases below override one flag of
+MC_VALID = {
+    "coin": {"--prob": "0.5"},
+    "filter-member": {"--deg": "20", "--eps": "0.25", "--n": "1000"},
+    "filter-blocker": {"--deg": "20", "--eps": "0.25", "--n": "1000", "--blockers": "2"},
+}
+
+
+@pytest.mark.parametrize(
+    "event, flag, value, message",
+    [
+        ("coin", "--prob", "1.5", "'p' must be in [0, 1], got 1.5"),
+        ("coin", "--prob", "nan", "'p' must be finite, got nan"),
+        ("coin", "--seed", "-1", "'seed' must be >= 0, got -1"),
+        *[
+            (event, flag, value, message)
+            for event in ("filter-member", "filter-blocker")
+            for flag, value, message in [
+                ("--eps", "-0.2", "'epsilon' must be in (0, 1/2], got -0.2"),
+                ("--eps", "0.7", "'epsilon' must be in (0, 1/2], got 0.7"),
+                ("--n", "0", "'n' must be >= 1, got 0"),
+                ("--deg", "-10", "'deg' must be >= 0, got -10"),
+            ]
+        ],
+    ],
+)
+def test_stats_mc_refuses_a_flag_outside_its_range_in_one_error_line(capsys, event, flag, value, message):
+    argv = ["stats", "--mc", event, "--trials", "1000"]
+    for name, given in {**MC_VALID[event], flag: value}.items():
+        argv += [name, given]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: --mc {event} {message}\n")
 
 
 # -- parser-level behavior ------------------------------------------------------------------

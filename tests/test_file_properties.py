@@ -2,7 +2,8 @@
 empty one, round-trip through the writer, a one-line edit to an instance file reads back or names
 its line, any JSON in a config field is a result or one error line, and any
 such value in a field of a params class is rejected when the class is built
-or runs through its solver."""
+or runs through its solver, and a number in a ranged ``stats --mc`` flag is a
+result only within its range and one error line outside it."""
 
 import contextlib
 import dataclasses
@@ -208,3 +209,42 @@ def test_any_value_in_a_params_field_is_rejected_when_built_or_runs(class_field,
         solve(built)
     except (ValueError, ModeError):
         pass
+
+
+# each stats --mc flag that a range guards, on an event that reads it: whether the flag takes an int, and its range
+MC_RANGES = {
+    ("coin", "--prob"): (False, lambda x: 0 <= x <= 1),
+    ("coin", "--seed"): (True, lambda x: x >= 0),
+    **{(event, "--eps"): (False, lambda x: 0 < x <= 0.5) for event in ("filter-member", "filter-blocker")},
+    **{(event, "--n"): (True, lambda x: x >= 1) for event in ("filter-member", "filter-blocker")},
+    **{(event, "--deg"): (True, lambda x: x >= 0) for event in ("filter-member", "filter-blocker")},
+}
+# a valid flag set for each event; k = 0 blockers lies in [0, deg] for every valid deg
+MC_VALID = {
+    "coin": {"--prob": 0.5},
+    "filter-member": {"--deg": 20, "--eps": 0.25, "--n": 1000},
+    "filter-blocker": {"--deg": 20, "--eps": 0.25, "--n": 1000, "--blockers": 0},
+}
+# ints stay within int64 and small enough for a quick draw; floats take in the range ends and non-finite values
+MC_VALUES = {
+    True: st.integers(-10**6, 10**6) | st.sampled_from([-1, 0, 1]),
+    False: st.floats(-2.0, 2.0) | st.sampled_from([0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(MC_RANGES)).flatmap(lambda key: st.tuples(st.just(key), MC_VALUES[MC_RANGES[key][0]])))
+def test_a_stats_mc_flag_gives_a_result_only_in_its_range_and_else_one_error_line(case):
+    (event, flag), value = case
+    # "--flag=value", so that argparse reads a value such as -inf or -1e-05 as the flag's, not as an option
+    argv = ["stats", "--mc", event, "--trials", "1000"]
+    argv += [f"{name}={given!r}" for name, given in {**MC_VALID[event], flag: value}.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if MC_RANGES[event, flag][1](value):  # no range holds nan or an infinity
+        assert code == 0 and err.getvalue() == "", (argv, err.getvalue())
+        assert json.loads(out.getvalue())["event"] == event
+    else:
+        assert code == 1 and out.getvalue() == "", (argv, out.getvalue())
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -1,6 +1,8 @@
 """Oracle modes: persistence, advantage, capping, k-wise hashing, ledger."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +351,32 @@ def test_package_exports_every_module_public_name():
         for public in module.__all__:
             assert getattr(noisymis, public) is getattr(module, public)
     assert noisymis.ADVANTAGE_CAP == ADVANTAGE_CAP and noisymis.kwise_answer is kwise_answer
+
+
+def test_value_checking_has_one_module_and_the_oracle_lends_out_only_its_k_rule():
+    # schema.py alone builds ranges and defines the checkers, and the only private
+    # name any module imports from oracle.py is _check_k
+    checkers = {"_Range", "_schema", "_check_types", "_fits", "_check_args", "_checked"}
+
+    def made(node) -> set:
+        """The checkers ``node`` defines, and "_Range(" if it builds a range."""
+        if isinstance(node, ast.Call):
+            return {"_Range("} if getattr(node.func, "id", getattr(node.func, "attr", None)) == "_Range" else set()
+        if isinstance(node, ast.FunctionDef):
+            return {node.name} & checkers
+        if isinstance(node, ast.Assign):
+            return {getattr(target, "id", None) for target in node.targets} & checkers
+        return set()
+
+    found = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "noisymis").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if made(node):
+                found.setdefault(path.name, set()).update(made(node))
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "oracle"), (0, "noisymis.oracle")):
+                private = {alias.name for alias in node.names if alias.name.startswith("_")} - {"_check_k"}
+                assert not private, f"{path.name} imports {sorted(private)} from oracle.py"
+    assert found == {"schema.py": checkers | {"_Range("}}
 
 
 # -- k-wise hash ---------------------------------------------------------------

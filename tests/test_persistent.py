@@ -1,5 +1,6 @@
 """One-shot filter algorithm: yes-counts, thresholds, survival, greedy output."""
 
+import collections
 import math
 import tracemalloc
 
@@ -404,3 +405,59 @@ def test_threshold_branch_decides_on_a_dense_gnp_and_the_a1_bound_holds():
         stats = reports[record.seed].stats
         assert stats["num_low_degree"] == 0 and stats["num_surviving"] < record.n
         assert record.ratio >= (0.25 / 12.0) / math.sqrt(record.max_degree * math.log(record.n))
+
+
+def test_each_filter_stage_reads_each_row_at_most_once(monkeypatch):
+    # the filter's O(m) time as counted work: the CSR slots each stage reads, summed from the _block_slots
+    # bindings every stage reads rows through.  No stage reads a row twice, so none reads more than 2m slots;
+    # the claimed rows, the dropped rows and the output's rows are read whole, and greedy skips blocked rows
+    import noisymis.graph as graph
+    import noisymis.persistent as persistent
+
+    reads, stage = collections.Counter(), [None]
+
+    def counted(block_slots):
+        def slots(g, rows):
+            out = block_slots(g, rows)
+            reads[stage[0]] += out.size
+            return out
+
+        return slots
+
+    def staged(name, run):
+        def in_stage(*args):
+            stage[0] = name
+            try:
+                return run(*args)
+            finally:
+                stage[0] = None
+
+        return in_stage
+
+    monkeypatch.setattr(persistent, "_block_slots", counted(persistent._block_slots))
+    monkeypatch.setattr(graph, "_block_slots", counted(graph._block_slots))
+    for binding, name in (("neighbor_yes_counts", "claimed"), ("_greedy_order", "dropped"), ("greedy_mis", "greedy")):
+        monkeypatch.setattr(persistent, binding, staged(name, getattr(persistent, binding)))
+    check = staged("check", is_independent_set)
+    cfg = OracleConfig(epsilon=0.25, mode="persistent-random", seed=1)
+    params = PersistentParams(greedy_order="degree")
+
+    # the size ladder, where every vertex is exempt from the threshold, and a dense gnp where it decides
+    ladder = [gen_planted_bounded_degree(n, 0.3, d, seed=n + d) for n in (2000, 8000, 32000) for d in (10, 40)]
+    dense = gen_planted_gnp(800, 0.3, 0.5, seed=7)
+    for inst in (*ladder, dense):
+        g, degrees = inst.graph, inst.graph.degrees()
+        reads.clear()
+        report = run_persistent(g, make_oracle(inst, cfg), params)
+        assert check(g, report.independent_ids)
+        kept = report.low_degree_mask | report.surviving_mask
+        assert set(reads) <= {"claimed", "dropped", "greedy", "check"}  # no slot is read outside a stage
+        assert reads["claimed"] == report.yes_counts.sum()  # v counts one vote per claimed row listing v
+        assert reads["dropped"] == degrees[~kept].sum()
+        assert reads["greedy"] <= degrees[kept].sum()
+        assert reads["check"] == degrees[report.independent_ids].sum()
+        assert max(reads.values()) <= 2 * g.m
+    # the dense run, the last: its counts are exact for its seeds, so a change to which rows a stage reads shows here
+    assert report.stats["num_low_degree"] == 0 and report.stats["num_surviving"] == 499  # of 800
+    assert dense.graph.m == 145509
+    assert reads == {"claimed": 119289, "dropped": 120867, "greedy": 67325, "check": 67325}
