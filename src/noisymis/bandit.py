@@ -130,7 +130,8 @@ def elimination_round(survivors, oracle: Oracle, q: int) -> np.ndarray:
     verts = _sorted_ids(survivors, oracle.n)
     if "reward-sums" in ORACLE_MODES[oracle.config.mode].answers:
         return verts[oracle.query_reward_sums(verts, q) >= q / 2.0]
-    return verts[2 * oracle.query_yes_counts(verts, q) >= q]
+    counts = oracle.query_yes_counts(verts, q)
+    return verts[counts >= q - counts]  # 2 * counts could leave int64
 
 
 def cover_complement(g: Graph, vertices) -> np.ndarray:
@@ -174,10 +175,7 @@ def run_bandit(
         raise ModeError("elimination needs a non-persistent oracle; repeated queries must be fresh")
     params = _with_epsilon(params or BanditParams(), oracle.config.epsilon)
 
-    if initial is None:
-        survivors = np.arange(g.n, dtype=np.int64)
-    else:
-        survivors = _sorted_ids(initial, g.n)
+    survivors = np.arange(g.n, dtype=np.int64) if initial is None else _sorted_ids(initial, g.n)
     n_eff = survivors.size
     result = BanditResult(independent_ids=survivors[:0], best_round=0)
     if n_eff == 0:

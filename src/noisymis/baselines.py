@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import _int_ids
 from .oracle import ORACLE_MODES, Oracle, ModeError
-from .schema import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_ONE, _check_types
+from .schema import _AT_LEAST_ONE, _INT64, _NONNEGATIVE, _UP_TO_ONE, _check_types
 
 __all__ = [
     "SamplerParams",
@@ -32,7 +32,7 @@ class SamplerParams:
     """Defaults: sample probability ``1/ln n``, ``ceil(ln n / eps^2)`` queries each."""
 
     sample_prob: Annotated[float | None, _UP_TO_ONE] = None
-    queries_per_vertex: Annotated[int | None, _AT_LEAST_ONE] = None
+    queries_per_vertex: Annotated[int | None, _AT_LEAST_ONE, _INT64] = None
 
     def __post_init__(self):
         _check_types(SamplerParams, vars(self), "params")
@@ -45,7 +45,7 @@ class AmplifyParams:
 
     rounds: Annotated[int | None, _NONNEGATIVE] = None
     reps_per_round: Annotated[int | None, _AT_LEAST_ONE] = None
-    final_queries: Annotated[int | None, _AT_LEAST_ONE] = None
+    final_queries: Annotated[int | None, _AT_LEAST_ONE, _INT64] = None
 
     def __post_init__(self):
         _check_types(AmplifyParams, vars(self), "params")
@@ -67,7 +67,7 @@ def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, see
     rng = np.random.default_rng(seed)
     sampled = np.flatnonzero(rng.random(n) < prob)
     counts = oracle.query_yes_counts(sampled, q)
-    return sampled[2 * counts >= q]
+    return sampled[counts >= q - counts]  # 2 * counts could leave int64
 
 
 def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None = None) -> np.ndarray:
@@ -118,5 +118,5 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
         residual &= ~selected
     leftovers = np.flatnonzero(residual)
     counts = oracle.query_yes_counts(leftovers, final_q)
-    promoted[leftovers[2 * counts >= final_q]] = True
+    promoted[leftovers[counts >= final_q - counts]] = True
     return np.flatnonzero(promoted)

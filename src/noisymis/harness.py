@@ -27,8 +27,8 @@ from .persistent import PersistentParams, run_persistent
 from .bandit import BanditParams, run_bandit
 from .baselines import AmplifyParams, SamplerParams, run_amplify, run_sampler
 from .instances import PlantedInstance, gen_planted_gnp, gen_planted_bounded_degree, read_instance
-from .schema import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_HALF, _UP_TO_ONE, _ZERO_TO_ONE  # field ranges
-from .schema import _check_args, _check_types, _checked, _fits
+from .schema import _AT_LEAST_ONE, _NONEMPTY_INTS, _NONNEGATIVE, _UP_TO_HALF, _UP_TO_ONE, _ZERO_TO_ONE  # field ranges
+from .schema import _check_args, _check_types, _checked, _one_of
 
 __all__ = [
     "ALGORITHMS",
@@ -121,11 +121,11 @@ class ExperimentConfig:
     config's blocks are read-only dicts and its ``seeds`` a tuple.
     """
 
-    algorithm: str
+    algorithm: Annotated[str, _one_of(ALGORITHMS)]
     instance: dict
     oracle: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    seeds: list | tuple | None = None
+    seeds: Annotated[list | tuple | None, _NONEMPTY_INTS] = None
     seed_base: int = 0
     trials: Annotated[int, _AT_LEAST_ONE] = 1
     workers: Annotated[int, _AT_LEAST_ONE] = 1
@@ -135,13 +135,8 @@ class ExperimentConfig:
         _check_types(ExperimentConfig, vars(self), "config")
         for what in ("instance", "oracle", "params"):
             object.__setattr__(self, what, _ReadOnlyDict(getattr(self, what)))
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}")
-        for what in ("instance", "oracle"):
-            if "seed" in getattr(self, what):
+            if what != "params" and "seed" in getattr(self, what):
                 raise ValueError(f"{what} 'seed' cannot be set: every seed derives from seed_base/seeds")
-        if self.seeds is not None and not (self.seeds and all(_fits(s, (int,)) for s in self.seeds)):
-            raise ValueError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
         object.__setattr__(self, "seeds", self.seeds and tuple(int(s) for s in self.seeds))  # None stays None
         modes, params_class, _ = ALGORITHMS[self.algorithm]
         for what in ("oracle", "params"):

@@ -17,12 +17,13 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .graph import Graph, _sorted_ids, build_graph
+from .graph import Graph, _sorted_ids, build_graph, is_independent_set
 from .graph import _block_slots, _code_shift, _csr_from_rows, _row_blocks
-from .graph import is_independent_set
+from .schema import _NONNEGATIVE, _OPEN_UNIT, _ZERO_TO_ONE, _check_types
 
 __all__ = [
     "PlantedInstance",
@@ -57,8 +58,6 @@ class PlantedInstance:
 
 
 def _split_planted(n: int, alpha: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     k = int(alpha * n)
     if k < 1:
         raise ValueError(f"floor(alpha * n) must be at least 1, got {k}")
@@ -102,7 +101,10 @@ def _unrank_pairs(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks - j * (j - 1) // 2, j
 
 
-def gen_planted_gnp(n: int, alpha: float, p: float, seed: int, ensure_maximal: bool = False) -> PlantedInstance:
+def gen_planted_gnp(
+    n: int, alpha: Annotated[float, _OPEN_UNIT], p: Annotated[float, _ZERO_TO_ONE], seed: Annotated[int, _NONNEGATIVE],
+    ensure_maximal: bool = False,
+) -> PlantedInstance:
     """Random graph around a hidden independent set.
 
     The hidden set is a uniformly random ``floor(alpha * n)``-subset; every
@@ -111,8 +113,7 @@ def gen_planted_gnp(n: int, alpha: float, p: float, seed: int, ensure_maximal: b
     neighbor is wired to a uniformly random planted vertex, which makes the
     planted set maximal.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_types(gen_planted_gnp, locals(), "instance")
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
     edges = _gnp_edges(planted, outside, p, ensure_maximal, rng)
@@ -177,15 +178,16 @@ def _distinct_picks(rng: np.random.Generator, rows: int, d: int, high: int) -> n
         picks[todo] = sub
 
 
-def gen_planted_bounded_degree(n: int, alpha: float, d: int, seed: int) -> PlantedInstance:
+def gen_planted_bounded_degree(
+    n: int, alpha: Annotated[float, _OPEN_UNIT], d: Annotated[int, _NONNEGATIVE], seed: Annotated[int, _NONNEGATIVE]
+) -> PlantedInstance:
     """Planted instance where every outside vertex picks ``d`` distinct neighbors.
 
     Neighbors are drawn uniformly from all other vertices, so degrees stay
     within a small constant factor of ``d`` with overwhelming probability.
     Requires ``d <= n - 1`` and the slack ``d * (1 - alpha) <= alpha * n``.
     """
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
+    _check_types(gen_planted_bounded_degree, locals(), "instance")
     if d > n - 1:
         raise ValueError(f"d must be at most n - 1 = {n - 1}, got {d}")
     if d * (1.0 - alpha) > alpha * n:
@@ -265,8 +267,8 @@ def read_instance(path) -> PlantedInstance:
                     if not isinstance(params, dict):
                         raise ValueError(f"{path}:{lineno}: params must be a JSON object")
                     alpha = params.get("alpha", 0.5)  # none is fine: a run then records the planted share
-                    if type(alpha) not in (int, float) or not 0.0 < alpha < 1.0:
-                        raise ValueError(f"{path}:{lineno}: params 'alpha' must be a number in (0, 1), got {alpha!r}")
+                    if type(alpha) not in (int, float) or not _OPEN_UNIT.test(alpha):
+                        raise ValueError(f"{path}:{lineno}: params 'alpha' must be a number {_OPEN_UNIT.text}, got {alpha!r}")
                 continue
             if not line:
                 continue

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bandit import BanditParams, query_schedule
 from .persistent import survival_threshold
-from .schema import _AT_LEAST_ONE, _NONNEGATIVE, _UP_TO_HALF, _ZERO_TO_ONE
+from .schema import _AT_LEAST_ONE, _INT64, _NONNEGATIVE, _UP_TO_HALF, _ZERO_TO_ONE
 
 __all__ = [
     "estimate_tail",
@@ -71,7 +71,7 @@ def coin_event(p: Annotated[float, _ZERO_TO_ONE]):
 
 
 def member_filter_violation(
-    deg: Annotated[int, _NONNEGATIVE],
+    deg: Annotated[int, _NONNEGATIVE, _INT64],
     epsilon: Annotated[float, _UP_TO_HALF],
     n: Annotated[int, _AT_LEAST_ONE],
     coeff: float = 6.0,
@@ -91,7 +91,7 @@ def member_filter_violation(
 
 
 def blocker_filter_violation(
-    deg: Annotated[int, _NONNEGATIVE],
+    deg: Annotated[int, _NONNEGATIVE, _INT64],
     k: int,
     epsilon: Annotated[float, _UP_TO_HALF],
     n: Annotated[int, _AT_LEAST_ONE],

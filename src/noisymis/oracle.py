@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import _int_ids, _member_mask
 from .graph import is_independent_set  # noqa: F401  (bench/traced.py times calls through this binding)
-from .schema import _NONNEGATIVE, _UP_TO_HALF, _check_types
+from .schema import _NONNEGATIVE, _UP_TO_HALF, _check_types, _one_of
 
 __all__ = [
     "ADVANTAGE_CAP",
@@ -81,15 +81,13 @@ class OracleConfig:
     """Oracle description used by the harness JSON configs; an invalid one raises ``ValueError`` when built."""
 
     epsilon: typing.Annotated[float, _UP_TO_HALF]
-    mode: str = BANDIT_BERNOULLI
+    mode: typing.Annotated[str, _one_of(ORACLE_MODES)] = BANDIT_BERNOULLI
     k: int = 2
     seed: typing.Annotated[int, _NONNEGATIVE] = 0  # numpy seeds no generator from a negative integer
     apply_cap: bool = True
 
     def __post_init__(self):
         _check_types(OracleConfig, vars(self), "oracle")
-        if self.mode not in ORACLE_MODES:
-            raise ValueError(f"unknown oracle mode {self.mode!r}; expected one of {tuple(ORACLE_MODES)}")
         if "k" in ORACLE_MODES[self.mode].reads and self.k < 2:
             raise ValueError(f"k-wise mode needs k >= 2, got {self.k}")
 

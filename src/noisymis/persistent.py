@@ -19,7 +19,7 @@ import numpy as np
 from .graph import Graph, _block_slots, _row_blocks, greedy_mis
 from .graph import induced_subgraph  # noqa: F401  (bench/traced.py wraps this binding)
 from .oracle import ORACLE_MODES, Oracle, ModeError
-from .schema import _NONNEGATIVE, _UP_TO_HALF, _check_types
+from .schema import _NONNEGATIVE, _UP_TO_HALF, _check_types, _one_of
 
 __all__ = [
     "PersistentParams",
@@ -49,13 +49,11 @@ class PersistentParams:
     epsilon_effective: Annotated[float | None, _UP_TO_HALF] = None
     low_degree_cutoff_coeff: float = 36.0
     threshold_coeff: float = 6.0
-    greedy_order: str = "id"  # "id" | "degree" | "random"
+    greedy_order: Annotated[str, _one_of(("id", "degree", "random"))] = "id"
     order_seed: Annotated[int, _NONNEGATIVE] = 0  # numpy seeds no generator from a negative integer
 
     def __post_init__(self):
         _check_types(PersistentParams, vars(self), "params")
-        if self.greedy_order not in ("id", "degree", "random"):
-            raise ValueError(f"unknown greedy order policy {self.greedy_order!r}")
 
 
 @dataclass

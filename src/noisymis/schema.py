@@ -20,11 +20,19 @@ __all__ = []
 _Range = typing.NamedTuple("_Range", [("test", typing.Callable), ("text", str)])
 _FINITE = _Range(math.isfinite, "finite")  # the range of every float value, whatever its hint
 _UP_TO_HALF = _Range(lambda x: 0.0 < x <= 0.5, "in (0, 1/2]")
+_OPEN_UNIT = _Range(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _UP_TO_ONE = _Range(lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _ZERO_TO_ONE = _Range(lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _POSITIVE = _Range(lambda x: x > 0, "> 0")
 _NONNEGATIVE = _Range(lambda x: x >= 0, ">= 0")
 _AT_LEAST_ONE = _Range(lambda x: x >= 1, ">= 1")
+_INT64 = _Range(lambda x: x < 2**63, "< 2**63")  # a count that numpy takes must fit its int64
+_NONEMPTY_INTS = _Range(lambda xs: len(xs) > 0 and all(_fits(x, (int,)) for x in xs), "a non-empty list of integers")
+
+
+def _one_of(choices) -> _Range:
+    """The range of a value that must be one of ``choices``, a collection read at each check."""
+    return _Range(lambda x: x in choices, f"one of {tuple(choices)}")
 
 
 @functools.cache

@@ -108,6 +108,9 @@ def test_budget_values():
     # delta close to 1 falls back to the ln 2 floor
     assert query_budget(100, BanditParams(epsilon=0.5, delta=0.9)) == pytest.approx(8317.766166719344)
     assert query_budget(100, BanditParams(epsilon=0.5, delta=1.0)) == pytest.approx(12000 * math.log(2.0))
+    # a budget that overflows the floats is refused by name
+    with pytest.raises(ValueError, match="^query budget inf is not finite$"):
+        query_budget(10**10, BanditParams(epsilon=0.5, budget_coeff=1e300))
 
 
 # -- elimination rounds ----------------------------------------------------------
@@ -117,6 +120,14 @@ def test_elimination_perfect_oracle_keeps_members_exactly():
     inst = gen_planted_gnp(200, 0.4, 0.05, seed=3)
     o = make_oracle(inst, bern(0.5, seed=5))
     for q in (1, 2, 7):
+        assert np.array_equal(elimination_round(frozenset(range(200)), o, q), inst.planted_ids)
+
+
+def test_elimination_keeps_members_at_the_largest_query_counts():
+    # a yes-count above 2**62 would overflow as 2 * count
+    inst = gen_planted_gnp(200, 0.4, 0.05, seed=3)
+    for q in (2**62 + 1, 2**63 - 1):
+        o = make_oracle(inst, bern(0.5, seed=5))
         assert np.array_equal(elimination_round(frozenset(range(200)), o, q), inst.planted_ids)
 
 

@@ -105,6 +105,17 @@ def test_sampler_validation():
         assert oracle.total_queries == 0 and oracle._rng.bit_generator.state == state
 
 
+def test_votes_over_the_largest_query_count_keep_their_majority():
+    # a count near q < 2**63 would overflow as 2 * count; the sampler and the final sweep keep every member
+    inst = gen_planted_gnp(60, 0.5, 0.1, seed=3)
+    q = 2**63 - 1
+    o = make_oracle(inst, bern(0.5, seed=4))
+    assert np.array_equal(run_sampler(60, o, SamplerParams(sample_prob=1.0, queries_per_vertex=q)), inst.planted_ids)
+    o = make_oracle(inst, bern(0.5, seed=4))
+    out = run_amplify(lambda residual: [], o, 60, AmplifyParams(rounds=0, reps_per_round=1, final_queries=q))
+    assert np.array_equal(out, inst.planted_ids)
+
+
 # -- amplification ----------------------------------------------------------------
 
 

@@ -227,6 +227,15 @@ def test_run_debug_dump_for_persistent(tmp_path, capsys):
         # a k-wise family over n ids is fully independent at k = n
         ({"algorithm": "persistent", "oracle": {"epsilon": 0.25, "mode": "persistent-kwise", "k": 301}},
          "oracle 'k' must be <= n = 300, got 301"),
+        # each generator's own argument ranges
+        ({"instance": {"generator": "gnp", "n": 300, "alpha": 1.5, "p": 0.1}}, "instance 'alpha' must be in (0, 1), got 1.5"),
+        ({"instance": {"generator": "gnp", "n": 300, "alpha": 0.3, "p": -0.5}}, "instance 'p' must be in [0, 1], got -0.5"),
+        ({"instance": {"generator": "bounded-degree", "n": 300, "alpha": 0.3, "d": -2}}, "instance 'd' must be >= 0, got -2"),
+        # a vote count that numpy's binomial draws could not take
+        ({"algorithm": "sampler", "params": {"queries_per_vertex": 10**20}},
+         "params 'queries_per_vertex' must be < 2**63, got 100000000000000000000"),
+        ({"algorithm": "amplify", "params": {"final_queries": 10**20}},
+         "params 'final_queries' must be < 2**63, got 100000000000000000000"),
     ],
 )
 def test_bad_config_fails_before_any_instance_or_worker(tmp_path, capsys, monkeypatch, overrides, message):
@@ -237,12 +246,16 @@ def test_bad_config_fails_before_any_instance_or_worker(tmp_path, capsys, monkey
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    @functools.wraps(gen_planted_bounded_degree)
-    def generate(*args, **kwargs):
-        raise AssertionError("an instance was generated for a bad config")
+    def refuse(generator):
+        @functools.wraps(generator)
+        def generate(*args, **kwargs):
+            raise AssertionError("an instance was generated for a bad config")
+
+        return generate
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness, "gen_planted_bounded_degree", generate)
+    for generator in (gen_planted_gnp, gen_planted_bounded_degree):
+        monkeypatch.setattr(harness, generator.__name__, refuse(generator))
     config = {"algorithm": "bandit", "instance": {"generator": "bounded-degree", "n": 300, "alpha": 0.3, "d": 5},
               "oracle": {"epsilon": 0.25}, "trials": 2, **overrides}
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -400,6 +413,29 @@ def test_bad_run_input_is_an_error_line_not_a_traceback(tmp_path, config, flags,
     assert "Traceback" not in proc.stderr
     error = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(error) == 1 and key in error[0]
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ([1], [], "{path}: config must be a JSON object"),
+        ({"oracle": 5}, ["--eps", "0.25"], "config key 'oracle' must be a JSON object"),
+        (None, ["--algo", "greedy"], "no instance source given; pass --instance, generator flags, or a --config file"),
+        ({"instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1, "seed": 5}}, [],
+         "instance 'seed' cannot be set: every seed derives from seed_base/seeds"),
+        ({"oracle": {"epsilon": 0.25, "seed": 5}}, [], "oracle 'seed' cannot be set: every seed derives from seed_base/seeds"),
+    ],
+    ids=["array-config", "number-oracle-block", "no-instance", "instance-seed", "oracle-seed"],
+)
+def test_run_input_errors_print_their_own_message(tmp_path, capsys, config, flags, message):
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        if isinstance(config, dict):
+            config = {"algorithm": "bandit", "instance": {"generator": "gnp", "n": 30, "alpha": 0.4, "p": 0.1}, **config}
+        path.write_text(json.dumps(config))
+        flags = ["--config", str(path), *flags]
+    assert main(["run", *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
 
 # -- exact / verify -------------------------------------------------------------------
@@ -601,6 +637,9 @@ MC_VALID = {
                 ("--eps", "0.7", "'epsilon' must be in (0, 1/2], got 0.7"),
                 ("--n", "0", "'n' must be >= 1, got 0"),
                 ("--deg", "-10", "'deg' must be >= 0, got -10"),
+                # beyond int64, and beyond uint64, where numpy's errors differ
+                ("--deg", "9999999999999999999", "'deg' must be < 2**63, got 9999999999999999999"),
+                ("--deg", "99999999999999999999", "'deg' must be < 2**63, got 99999999999999999999"),
             ]
         ],
     ],

@@ -69,6 +69,13 @@ def test_build_graph_rejects_out_of_range():
         build_graph(3, [(-1, 0)])
 
 
+def test_build_graph_rejects_a_negative_count_and_rows_that_are_not_pairs():
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        build_graph(-1, [])
+    with pytest.raises(ValueError, match="^edges must be an iterable of id pairs$"):
+        build_graph(3, [[0, 1, 2]])
+
+
 def test_build_graph_empty():
     g = build_graph(0, [])
     assert g.n == 0 and g.m == 0 and g.max_degree == 0

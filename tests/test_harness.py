@@ -88,8 +88,11 @@ def test_explicit_seed_list_wins():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="algorithm"):
+    algorithms = "('persistent', 'bandit', 'sampler', 'amplify', 'greedy', 'exact')"
+    with pytest.raises(ValueError, match=re.escape(f"config 'algorithm' must be one of {algorithms}, got 'simulated-annealing'")):
         gnp_config(algorithm="simulated-annealing")
+    with pytest.raises(ValueError, match="^config must be a JSON object, got list$"):
+        ExperimentConfig.from_dict([1])
     for seeds in (None, [1, 2]):  # a trials below 1 is refused even where seeds set the trials
         with pytest.raises(ValueError, match="'trials' must be >= 1, got 0"):
             gnp_config(trials=0, seeds=seeds)
@@ -98,7 +101,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="not_a_knob"):
         gnp_config(algorithm="persistent", oracle={"epsilon": 0.25}, params={"not_a_knob": 1}, workers=2)
     # an empty seed list would run no trial and leave nothing to record
-    with pytest.raises(ValueError, match="seeds"):
+    with pytest.raises(ValueError, match=re.escape("config 'seeds' must be a non-empty list of integers, got []")):
         gnp_config(seeds=[])
     with pytest.raises(ValueError, match="instance"):
         ExperimentConfig(algorithm="greedy", instance={})
@@ -620,7 +623,8 @@ def test_a_failing_pooled_trial_ends_the_trials_still_running(tmp_path, monkeypa
 
 
 FAILING_INSTANCES = {
-    "alpha": ({"generator": "bounded-degree", "n": 100, "alpha": 1.5, "d": 3}, "alpha must lie in (0, 1), got 1.5"),
+    "infeasible": ({"generator": "bounded-degree", "n": 100, "alpha": 0.3, "d": 99},
+                   "infeasible parameters: d * (1 - alpha) = 69.3 exceeds alpha * n = 30.0"),
     "dependent-planted": ({"path": "dependent.txt"}, ":3: planted set is not independent in the graph"),
     "missing-file": ({"path": "absent.txt"}, "No such file or directory"),
 }

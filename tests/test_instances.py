@@ -77,11 +77,11 @@ def test_gnp_determinism_and_seed_sensitivity():
 
 
 def test_gnp_validation():
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match=re.escape("instance 'alpha' must be in (0, 1), got 0.0")):
         gen_planted_gnp(10, 0.0, 0.5, seed=0)
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match=re.escape("instance 'alpha' must be in (0, 1), got 1.0")):
         gen_planted_gnp(10, 1.0, 0.5, seed=0)
-    with pytest.raises(ValueError, match="p must"):
+    with pytest.raises(ValueError, match=re.escape("instance 'p' must be in [0, 1], got 1.2")):
         gen_planted_gnp(10, 0.5, 1.2, seed=0)
     with pytest.raises(ValueError, match="floor"):
         gen_planted_gnp(10, 0.05, 0.5, seed=0)
@@ -113,7 +113,7 @@ def test_bounded_degree_max_degree_band():
 
 
 def test_bounded_degree_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=re.escape("instance 'd' must be >= 0, got -1")):
         gen_planted_bounded_degree(10, 0.5, -1, seed=0)
     with pytest.raises(ValueError, match="at most n - 1"):
         gen_planted_bounded_degree(10, 0.5, 10, seed=0)

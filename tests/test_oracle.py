@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from noisymis.oracle import (
     ModeError,
     Oracle,
     OracleConfig,
+    QueryLedger,
     cap_flip_probability,
     kwise_answer,
     kwise_coefficients,
@@ -43,7 +45,8 @@ def test_config_validation():
         OracleConfig(epsilon=0.0)
     with pytest.raises(ValueError, match="epsilon"):
         OracleConfig(epsilon=0.51)
-    with pytest.raises(ValueError, match="mode"):
+    modes = "('persistent-random', 'persistent-kwise', 'bandit-bernoulli', 'bandit-gaussian')"
+    with pytest.raises(ValueError, match=re.escape(f"oracle 'mode' must be one of {modes}, got 'nope'")):
         OracleConfig(epsilon=0.25, mode="nope")
     with pytest.raises(ValueError, match="k >= 2"):
         OracleConfig(epsilon=0.25, mode=PERSISTENT_KWISE, k=1)
@@ -356,7 +359,7 @@ def test_package_exports_every_module_public_name():
 def test_value_checking_has_one_module_and_the_oracle_lends_out_only_its_k_rule():
     # schema.py alone builds ranges and defines the checkers, and the only private
     # name any module imports from oracle.py is _check_k
-    checkers = {"_Range", "_schema", "_check_types", "_fits", "_check_args", "_checked"}
+    checkers = {"_Range", "_one_of", "_schema", "_check_types", "_fits", "_check_args", "_checked"}
 
     def made(node) -> set:
         """The checkers ``node`` defines, and "_Range(" if it builds a range."""
@@ -368,7 +371,7 @@ def test_value_checking_has_one_module_and_the_oracle_lends_out_only_its_k_rule(
             return {getattr(target, "id", None) for target in node.targets} & checkers
         return set()
 
-    found = {}
+    found, posts, generators = {}, {}, {}
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "noisymis").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), path.name)):
             if made(node):
@@ -376,7 +379,20 @@ def test_value_checking_has_one_module_and_the_oracle_lends_out_only_its_k_rule(
             if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "oracle"), (0, "noisymis.oracle")):
                 private = {alias.name for alias in node.names if alias.name.startswith("_")} - {"_check_k"}
                 assert not private, f"{path.name} imports {sorted(private)} from oracle.py"
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Params"):
+                posts.update({node.name: f.body for f in node.body if getattr(f, "name", None) == "__post_init__"})
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("gen_"):
+                generators[node.name] = node.body[1] if ast.get_docstring(node) else node.body[0]
     assert found == {"schema.py": checkers | {"_Range("}}
+    # and single-field rules live only in annotations: each params class checks its fields in one
+    # _check_types call and nothing else, and each generator's first statement after its docstring
+    # checks its own arguments as the instance block
+    assert set(posts) == {"PersistentParams", "BanditParams", "SamplerParams", "AmplifyParams"}
+    for cls, body in posts.items():
+        assert [ast.unparse(stmt) for stmt in body] == [f"_check_types({cls}, vars(self), 'params')"], cls
+    assert set(generators) == {"gen_planted_gnp", "gen_planted_bounded_degree"}
+    for name, first in generators.items():
+        assert ast.unparse(first) == f"_check_types({name}, locals(), 'instance')", name
 
 
 # -- k-wise hash ---------------------------------------------------------------
@@ -477,6 +493,11 @@ def test_queries_reject_ids_outside_the_universe(mode):
         assert o._rng.bit_generator.state == state
     for call in batch_calls:
         assert len(call([0, 1, 2])) == 3
+
+
+def test_ledger_refuses_a_negative_query_count():
+    with pytest.raises(ValueError, match="^query count must be nonnegative$"):
+        QueryLedger(3).record([0], -1)
 
 
 def test_ledger_one_query_per_distinct_vertex():
