@@ -9,7 +9,7 @@ p = (eps - 1/4) / (1/2 + eps) restores incorrectness exactly 1/4.
 
 import numpy as np
 
-from noisymis import Oracle, OracleConfig, cap_flip_probability, gen_planted_gnp, make_oracle
+from noisymis import Oracle, OracleConfig, cap_flip_probability, elimination_round, gen_planted_gnp, make_oracle
 
 inst = gen_planted_gnp(200_000, 0.5, 0.0, seed=1)
 members = np.zeros(inst.graph.n, dtype=bool)
@@ -38,8 +38,8 @@ print(f"persistent re-query: {a} then {b}, ledger counts both: {o.queries_for(12
 # non-persistent majority voting: error decays with the query count
 o = make_oracle(inst, OracleConfig(epsilon=0.25, mode="bandit-bernoulli", seed=4))
 for q in (1, 9, 81):
-    counts = o.query_yes_counts(verts[:20_000], q)
-    majority = 2 * counts >= q
+    majority = np.zeros(20_000, dtype=bool)
+    majority[elimination_round(verts[:20_000], o, q)] = True  # at least half yes, ties win
     err = float(np.mean(majority != members[:20_000]))
     print(f"majority of {q:3d} queries: error rate {err:.4f}")
 

@@ -120,6 +120,11 @@ def query_budget(n: int, params: BanditParams) -> float:
     return budget
 
 
+def _at_least_half(votes, q):
+    """Where at least half of ``q`` answers say yes, ties included; unlike ``2 * votes >= q``, it cannot leave int64."""
+    return votes >= q - votes
+
+
 def elimination_round(survivors, oracle: Oracle, q: int) -> np.ndarray:
     """One vote: query each survivor ``q`` times, return the majority-yes ones' ascending ids.
 
@@ -128,10 +133,9 @@ def elimination_round(survivors, oracle: Oracle, q: int) -> np.ndarray:
     non-persistent oracle, since repeated queries must carry fresh noise.
     """
     verts = _sorted_ids(survivors, oracle.n)
-    if "reward-sums" in ORACLE_MODES[oracle.config.mode].answers:
-        return verts[oracle.query_reward_sums(verts, q) >= q / 2.0]
-    counts = oracle.query_yes_counts(verts, q)
-    return verts[counts >= q - counts]  # 2 * counts could leave int64
+    gaussian = "reward-sums" in ORACLE_MODES[oracle.config.mode].answers
+    votes = (oracle.query_reward_sums if gaussian else oracle.query_yes_counts)(verts, q)
+    return verts[_at_least_half(votes, q)]
 
 
 def cover_complement(g: Graph, vertices) -> np.ndarray:

@@ -15,6 +15,7 @@ from typing import Annotated
 
 import numpy as np
 
+from .bandit import _at_least_half, elimination_round
 from .graph import _int_ids
 from .oracle import ORACLE_MODES, Oracle, ModeError
 from .schema import _AT_LEAST_ONE, _INT64, _NONNEGATIVE, _UP_TO_ONE, _check_types
@@ -54,20 +55,20 @@ class AmplifyParams:
 def run_sampler(n: int, oracle: Oracle, params: SamplerParams | None = None, seed: int = 0) -> np.ndarray:
     """Majority-vote a random ``~n / ln n``-vertex sample; returns the kept vertices' ascending ids.
 
-    Total cost is ``|sample| * queries_per_vertex``.  The subset sampling is
-    the procedure's own randomness and is driven by ``seed``, separate from
-    the oracle noise.  Requires the non-persistent Bernoulli oracle.
+    The vote is one elimination round on the sample, costing ``|sample| *
+    queries_per_vertex``.  The sampling is the procedure's own randomness, driven
+    by ``seed``, apart from the oracle noise.  Needs the non-persistent Bernoulli oracle.
     """
     params = params or SamplerParams()
+    if "yes-counts" not in ORACLE_MODES[oracle.config.mode].answers:
+        raise ModeError("the sampler votes by repeated queries; it needs the non-persistent Bernoulli oracle")
     if oracle.n != n:
         raise ValueError("oracle universe size does not match n")
     prob = params.sample_prob if params.sample_prob is not None else (min(1.0, 1.0 / math.log(n)) if n > 1 else 1.0)
     eps = oracle.config.epsilon
     q = params.queries_per_vertex if params.queries_per_vertex is not None else math.ceil(math.log(max(n, 2)) / eps**2)
     rng = np.random.default_rng(seed)
-    sampled = np.flatnonzero(rng.random(n) < prob)
-    counts = oracle.query_yes_counts(sampled, q)
-    return sampled[counts >= q - counts]  # 2 * counts could leave int64
+    return elimination_round(np.flatnonzero(rng.random(n) < prob), oracle, q)
 
 
 def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None = None) -> np.ndarray:
@@ -81,8 +82,8 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
     is not an integer fitting int64 raises ``ValueError``.  Each round reruns
     it ``reps_per_round`` times and promotes the vertices selected in at
     least half the runs, removing them from the residual.  After the last
-    round every leftover vertex is queried directly ``final_queries`` times
-    and promoted on a majority of yes answers.  Requires the non-persistent
+    round the leftovers go through one elimination round of ``final_queries``
+    queries each, and its survivors are promoted.  Requires the non-persistent
     Bernoulli oracle (the final sweep votes by repetition).
     """
     params = params or AmplifyParams()
@@ -113,10 +114,8 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
             # one would wrap around); repeats within one run count once
             picked = picked[(picked >= 0) & (picked < n)]
             votes[picked[residual[picked]]] += 1
-        selected = 2 * votes >= reps
+        selected = _at_least_half(votes, reps)
         promoted |= selected
         residual &= ~selected
-    leftovers = np.flatnonzero(residual)
-    counts = oracle.query_yes_counts(leftovers, final_q)
-    promoted[leftovers[counts >= final_q - counts]] = True
+    promoted[elimination_round(np.flatnonzero(residual), oracle, final_q)] = True
     return np.flatnonzero(promoted)

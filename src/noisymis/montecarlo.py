@@ -17,7 +17,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .bandit import BanditParams, query_schedule
+from .bandit import BanditParams, _at_least_half, query_schedule
 from .persistent import survival_threshold
 from .schema import _AT_LEAST_ONE, _INT64, _NONNEGATIVE, _UP_TO_HALF, _ZERO_TO_ONE
 
@@ -119,7 +119,7 @@ def member_elimination(r: int, epsilon: float, delta: float, schedule_coeff: flo
     q = query_schedule(r, BanditParams(epsilon=epsilon, delta=delta, schedule_coeff=schedule_coeff))
 
     def sample(rng: np.random.Generator, count: int) -> np.ndarray:
-        return 2 * rng.binomial(q, 0.5 + epsilon, size=count) < q
+        return ~_at_least_half(rng.binomial(q, 0.5 + epsilon, size=count), q)
 
     return sample
 
@@ -129,7 +129,7 @@ def nonmember_survival(r: int, epsilon: float, delta: float, schedule_coeff: flo
     q = query_schedule(r, BanditParams(epsilon=epsilon, delta=delta, schedule_coeff=schedule_coeff))
 
     def sample(rng: np.random.Generator, count: int) -> np.ndarray:
-        return 2 * rng.binomial(q, 0.5 - epsilon, size=count) >= q
+        return _at_least_half(rng.binomial(q, 0.5 - epsilon, size=count), q)
 
     return sample
 

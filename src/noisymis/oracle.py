@@ -109,16 +109,28 @@ class QueryLedger:
         self.total = 0
 
     def record(self, verts, times: int) -> np.ndarray:
-        """Count ``times`` queries of each listed id in ``range(n)``; returns the ids as an int64 array."""
+        """Count ``times`` queries of each listed id in ``range(n)``; returns the ids as an int64 array.
+
+        A count that some vertex's int64 counter cannot hold raises ``ValueError``
+        before anything is counted; a repeated id counts once per listing.
+        """
         if times < 0:
             raise ValueError("query count must be nonnegative")
+        if times >= 2**63:
+            raise ValueError(f"query count must be < 2**63, got {times}")
         n = len(self.per_vertex)
         arr = _int_ids(verts, n)
         # a negative id reads as a huge unsigned one, so one max checks both ends
         if arr.size and arr.view(np.uint64).max() >= n:
             raise ValueError(f"vertex ids must lie in range(0, {n})")
+        added = len(arr) * int(times)
+        # total bounds every counter, so only a total this large needs the per-vertex check
+        if self.total + added >= 2**63:
+            ids, listed = np.unique(arr, return_counts=True)
+            if np.any((2**63 - 1 - self.per_vertex[ids]) // listed < times):
+                raise ValueError(f"{times} queries per listed id would take a vertex's query count past 2**63 - 1")
         np.add.at(self.per_vertex, arr, times)
-        self.total += int(len(arr)) * int(times)
+        self.total += added
         return arr
 
 

@@ -1,16 +1,22 @@
 """Elimination algorithm: schedule, budget, voting rule, cover phase, full runs."""
 
+import ast
 import math
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
 
 import noisymis.bandit as bandit
 from noisymis.bandit import (
     BanditParams,
     BanditResult,
+    _at_least_half,
     cover_complement,
     elimination_round,
     log_inv_delta,
@@ -28,6 +34,12 @@ from noisymis.oracle import (
     OracleConfig,
     make_oracle,
 )
+
+
+# derandomized and without an example database: the same examples every run; hypothesis's
+# cache of local source files goes to the temp directory, not the working tree
+SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir(), "noisymis-hypothesis"))
 
 
 def bern(eps, seed=0):
@@ -172,6 +184,51 @@ def test_elimination_rejects_persistent_oracle():
     o = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=0))
     with pytest.raises(ModeError):
         elimination_round(frozenset(range(20)), o, 4)
+
+
+# counts, and counts within 2 of half of q, where a tie or its neighbours decide
+COUNTS = st.integers(0, 2**61 - 1).flatmap(
+    lambda q: st.tuples(st.lists(st.integers(0, 2**61 - 1) | st.integers(-2, 2).map(lambda d: max(q // 2 + d, 0))), st.just(q))
+)
+
+
+@SETTINGS
+@given(COUNTS)
+def test_the_majority_rule_is_twice_the_yes_count_against_q(case):
+    votes, q = case
+    counts = np.array(votes, dtype=np.int64)
+    assert np.array_equal(_at_least_half(counts, q), 2 * counts >= q)
+    assert np.array_equal(_at_least_half(counts, np.int64(q)), 2 * counts >= q)
+
+
+@SETTINGS
+@given(st.integers(1, 2**63 - 1), st.lists(st.floats(width=64)))
+def test_the_majority_rule_is_half_of_q_on_reward_sums(q, drawn):
+    half = q / 2.0
+    sums = np.array([*drawn, half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf), np.inf, -np.inf, np.nan])
+    assert np.array_equal(_at_least_half(sums, q), sums >= half)
+
+
+def test_the_majority_rule_has_one_owner():
+    # only bandit.py defines the rule; only the oracle and elimination name the repeated
+    # queries; and no comparison anywhere doubles an operand, as a copied vote would
+    def doubled(node) -> bool:
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and 2 in (
+            getattr(node.left, "value", None), getattr(node.right, "value", None)
+        )
+
+    owners, callers, doubling = set(), set(), []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "noisymis").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.FunctionDef) and node.name == "_at_least_half":
+                owners.add(path.name)
+            if isinstance(node, ast.Attribute) and node.attr in ("query_yes_counts", "query_reward_sums"):
+                callers.add(path.name)
+            if isinstance(node, ast.Compare) and any(doubled(side) for side in (node.left, *node.comparators)):
+                doubling.append(f"{path.name}:{node.lineno}")
+    assert owners == {"bandit.py"}
+    assert callers <= {"oracle.py", "bandit.py"}
+    assert not doubling, f"a comparison doubles an operand at {', '.join(doubling)}"
 
 
 def test_nonmember_survival_rate_below_chernoff():
@@ -416,3 +473,45 @@ def test_edge_reads_track_edge_count(monkeypatch):
 
     ratio = slots_read(120) / slots_read(60)
     assert 1.2 <= ratio <= 4.0
+
+
+# a schedule this light leaves outsiders alive for a few rounds, so that later rounds
+# induce again and their covers read real edges
+LIGHT = BanditParams(delta=0.1, schedule_coeff=0.1)
+
+
+def elimination_slot_reads(monkeypatch, inst, seed):
+    """A ``LIGHT`` bandit run on ``inst``, and the CSR slots each of its induces and covers read, in call order."""
+    induce, cover = bandit.induced_subgraph, bandit.vertex_cover_2approx
+    induced, covered = [], []
+    monkeypatch.setattr(bandit, "induced_subgraph", lambda g, vertices: induced.append(g.indices.size) or induce(g, vertices))
+    monkeypatch.setattr(bandit, "vertex_cover_2approx", lambda sub: covered.append(sub.indices.size) or cover(sub))
+    result = run_bandit(inst.graph, make_oracle(inst, bern(0.25, seed=seed)), LIGHT)
+    return result, induced, covered
+
+
+@pytest.mark.parametrize("n, d", [*[(n, d) for n in (2000, 8000, 32000) for d in (10, 40)], (400, None)])
+def test_elimination_reads_track_rounds_times_graph_size(monkeypatch, n, d):
+    # the elimination half of the O(rounds * (n + m)) claim as counted work: a round induces on
+    # the whole graph and covers the survivors' subgraph, each at most once, and the budget
+    # caps the rounds at the least r whose schedule alone, one survivor a round, overspends it
+    inst = gen_planted_bounded_degree(n, 0.3, d, seed=7) if d else gen_planted_gnp(n, 0.3, 0.3, seed=7)
+    m = inst.graph.m
+    result, induced, covered = elimination_slot_reads(monkeypatch, inst, seed=8)
+    assert len(induced) == len(covered) <= len(result.trace)
+    assert sum(induced) + sum(covered) <= len(result.trace) * 2 * (n + 2 * m)
+    params = replace(LIGHT, epsilon=0.25)
+    budget, spent, rounds = query_budget(n, params), 0, 0
+    while spent <= budget:
+        rounds += 1
+        spent += query_schedule(rounds, params)
+    assert len(result.trace) <= rounds
+
+
+def test_elimination_slot_reads_of_one_small_instance(monkeypatch):
+    inst = gen_planted_bounded_degree(2000, 0.3, 10, seed=7)
+    result, induced, covered = elimination_slot_reads(monkeypatch, inst, seed=8)
+    assert (inst.graph.m, len(result.trace), result.total_queries) == (13981, 74, 2211326)
+    # 14 rounds drop someone and induce the whole graph again; the other 60 keep their candidate
+    assert induced == [2 * 13981] * 14
+    assert covered == [1662, 108] + [0] * 12

@@ -82,11 +82,12 @@ def test_sampler_appendix_guarantees():
 def test_sampler_validation():
     inst = gen_planted_gnp(30, 0.5, 0.1, seed=0)
     pers = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random"))
-    with pytest.raises(ModeError):
+    with pytest.raises(ModeError, match="^the sampler votes by repeated queries; it needs the non-persistent Bernoulli oracle$"):
         run_sampler(30, pers)
     gauss = make_oracle(inst, OracleConfig(epsilon=0.25, mode="bandit-gaussian"))
-    with pytest.raises(ModeError):
+    with pytest.raises(ModeError, match="^the sampler votes by repeated queries"):
         run_sampler(30, gauss)
+    assert pers.total_queries == gauss.total_queries == 0
     o = make_oracle(inst, bern(0.25))
     with pytest.raises(ValueError, match="size"):
         run_sampler(29, o)

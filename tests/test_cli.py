@@ -16,6 +16,7 @@ import pytest
 import noisymis
 import noisymis.cli as cli
 import noisymis.harness as harness
+from noisymis.bandit import BanditParams, query_schedule
 from noisymis.cli import build_parser, main
 from noisymis.graph import exact_mis, is_maximal_independent_set
 from noisymis.harness import ALGORITHMS, CSV_COLUMNS, ExperimentConfig, _instance_source, records_from_csv
@@ -570,6 +571,15 @@ def test_stats_monte_carlo(capsys):
     assert out["event"] == "coin"
     assert abs(out["p_hat"] - 0.5) < 0.05
     assert out["ci99_half_width"] > 0
+
+
+def test_stats_mc_elimination_votes_past_2_62_keep_their_majority(capsys):
+    # this epsilon schedules q = 9,223,372,019,674,907,648 queries, so twice a count would wrap;
+    # a member then loses its vote with probability about 0
+    assert query_schedule(1, BanditParams(epsilon=1.1967739869017714e-09, delta=0.1)) == 9_223_372_019_674_907_648
+    argv = ["stats", "--mc", "elim-member", "--round", "1", "--eps", "1.1967739869017714e-09", "--delta", "0.1"]
+    assert main([*argv, "--trials", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["p_hat"] == 0.0
 
 
 def test_stats_argument_errors(tmp_path, capsys):

@@ -500,6 +500,32 @@ def test_ledger_refuses_a_negative_query_count():
         QueryLedger(3).record([0], -1)
 
 
+def test_ledger_refuses_a_count_past_int64_and_keeps_what_it_had():
+    ledger = QueryLedger(1)
+    ledger.record([0], 2**63 - 1)
+    for times in (2, 1):
+        with pytest.raises(ValueError, match=rf"^{times} queries per listed id would take a vertex's query count past 2\*\*63 - 1$"):
+            ledger.record([0], times)
+    assert ledger.per_vertex.tolist() == [2**63 - 1] and ledger.total == 2**63 - 1
+    # a count that no counter can hold is refused whatever the ids, before they are read
+    for times in (2**63, 2**64):
+        with pytest.raises(ValueError, match=rf"^query count must be < 2\*\*63, got {times}$"):
+            QueryLedger(1).record([], times)
+    # a repeated id counts once per listing, as np.add.at adds it
+    ledger = QueryLedger(1)
+    with pytest.raises(ValueError, match="past 2"):
+        ledger.record([0, 0], 2**62)
+    assert ledger.per_vertex.tolist() == [0] and ledger.total == 0
+    ledger.record([0, 0], 2**62 - 1)
+    ledger.record([0], 1)
+    assert ledger.per_vertex.tolist() == [2**63 - 1] and ledger.total == 2**63 - 1
+    # the total is a Python int and may pass int64 while every counter fits
+    ledger = QueryLedger(4)
+    ledger.record([0, 1, 2, 3], 2**62)
+    ledger.record([3, 2, 1, 0], 2**62 - 1)
+    assert ledger.per_vertex.tolist() == [2**63 - 1] * 4 and ledger.total == 4 * (2**63 - 1)
+
+
 def test_ledger_one_query_per_distinct_vertex():
     members = half_members(100)
     o = Oracle(members, OracleConfig(epsilon=0.25, mode=PERSISTENT_RANDOM, seed=2))
