@@ -204,65 +204,59 @@ def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
     the same pairs.  ``picks`` is consumed: the call reuses its buffer and
     leaves it trimmed.
 
-    The picks are copied as int32, and the matrix turns in place into the
-    flipped codes ``v << shift | u``.  Only these are sorted, as each row's
-    picks already are, and they are narrowed in place into int32 in-lists.
-    The int32 ``indices`` are then filled from the top, one block of about
-    ``_UNIQUE_CHUNK`` slots at a time: the block's picks and in-lists become
-    two ascending runs of codes, which are merged and deduplicated (mutual
-    picks are the only repeats), and both sources are trimmed past the block
-    before its rows are written, so the sources shrink as the output fills.
-    A chunked move then closes the slots that mutual picks left free at the
-    bottom.
+    The matrix is narrowed in place into the int32 picks, and
+    ``_in_list_codes`` writes each pick ``u -> v`` into one more 4-byte
+    buffer as the uint32 code ``(v mod 2**bbits) << shift | u``, grouped by
+    bucket ``v >> bbits``.  A bucket spans at most ``2**(32 - shift)``
+    vertices, so the codes fit, and no int64 code exists.  The int32
+    ``indices`` are then filled from the top, one bucket at a time: its
+    rows' picks, coded alike, join its in-list codes in one uint32 block,
+    which ``_sorted_unique`` sorts and deduplicates (mutual picks are the
+    only repeats), so that it lists each row's neighbors in turn, and
+    ``searchsorted`` finds where each row starts.  Both sources are trimmed
+    past the bucket before its rows are written, so they shrink as the
+    output fills, and the build never holds much more than 8 bytes a pick
+    besides the offsets.  A chunked move then closes the slots that mutual
+    picks left free at the bottom.
+
+    A bucket is the widest power of two of vertices whose picks and
+    in-lists, ``2m / n`` slots a vertex on average, fill at most about
+    ``_UNIQUE_CHUNK`` slots, which bounds the block's temporaries; where the
+    codes allow, it is widened until there are at most 256 buckets, so that
+    their ids fit uint8.
     """
     shift = _code_shift(n)
     d = picks.shape[1]
     m = picks.size
-    forward = picks.ravel().astype(np.int32)  # each picking row's ids, row after row
-    flipped = picks  # its buffer holds the flipped codes, then the int32 in-lists
-    flipped <<= shift
-    flipped |= rows[:, None]
-    flipped.reshape(-1).sort()
-    # the in-lists' row starts; each block overwrites its own with the graph's
-    offsets = _row_offsets(n, flipped.reshape(-1))
-    _narrow_ids(n, flipped)
+    _narrow_ids(n, picks)  # every id is below 2**shift, so the mask keeps it whole
+    bbits = min(32 - shift, max((_UNIQUE_CHUNK * n // max(2 * m, 1)).bit_length() - 1, shift - 8, 0))
+    inl, counts = _in_list_codes(n, rows, picks.view(np.uint32)[:m], d, bbits)
+    ends = np.cumsum(counts)
+    firsts = np.searchsorted(rows, np.arange(counts.size + 1, dtype=np.int64) << bbits)  # each bucket's first row
+    held = np.flatnonzero((counts > 0) | (firsts[1:] > firsts[:-1]))[::-1]  # buckets with rows or codes, top first
+    offsets = np.empty(n + 1, dtype=np.int64)
     # allocated only now: tracemalloc counts its untouched pages, which RSS does not
     indices = np.empty(2 * m, dtype=np.int32)
     top = 2 * m  # indices[top:] is filled
-    # a block starts at every half-chunk of picks and of in-list slots
-    half = max(_UNIQUE_CHUNK // 2, 1)
-    by_picks = rows[:: max(half // max(d, 1), 1)]
-    by_slots = np.searchsorted(offsets, np.arange(half, m, half), "right") - 1
-    cuts = np.concatenate(([0, n], by_picks, by_slots))
-    cuts = cuts[: _sorted_unique(cuts)]
-    firsts = np.searchsorted(rows, cuts).tolist()  # index in rows of each cut's first picking row
-    starts = offsets[cuts].tolist()  # slot of each cut's first in-list id
-    offsets[n] = top
-    cuts = cuts.tolist()
-    for j in range(len(cuts) - 2, -1, -1):
-        # vertices [lo, hi) hold the picks of rows[a:b] and the in-list slots [p, q)
-        lo, hi, a, b, p, q = cuts[j], cuts[j + 1], firsts[j], firsts[j + 1], starts[j], starts[j + 1]
-        block = np.empty((b - a) * d + q - p, dtype=np.int64)
-        head = block[: (b - a) * d].reshape(b - a, d)
-        np.bitwise_or((rows[a:b] << shift)[:, None], forward[a * d : b * d].reshape(b - a, d), out=head)
-        lengths = np.diff(offsets[lo:hi], append=q)
-        high = np.arange(lo, hi, dtype=np.int64) << shift
-        np.bitwise_or(np.repeat(high, lengths), flipped.view(np.int32)[p:q], out=block[(b - a) * d :])
-        forward.resize(a * d, refcheck=False)
-        flipped.resize((p + 1) // 2, refcheck=False)
-        block.sort(kind="stable")  # timsort: a merge of the two ascending runs
-        lengths[rows[a:b] - lo] += d  # each row's in-list and picks, less its mutual picks below
-        keep = np.empty(block.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(block[1:], block[:-1], out=keep[1:])
-        if not keep.all():
-            np.subtract.at(lengths, (block[~keep] >> shift) - lo, 1)
-            block = block[keep]
+    above = n + 1  # offsets[above:] are set
+    starts = ends - counts
+    for bucket, a, b, p, q in zip(*(x.tolist() for x in (held, firsts[held], firsts[held + 1], starts[held], ends[held]))):
+        # vertices [lo, hi) hold the picks of rows[a:b] and the in-list codes inl[p:q]
+        lo, hi = bucket << bbits, min((bucket + 1) << bbits, n)
+        offsets[hi:above] = top  # the empty rows above
+        block = np.empty((b - a) * d + q - p, dtype=np.uint32)
+        high = (rows[a:b] - lo).astype(np.uint32) << shift
+        np.bitwise_or(high[:, None], picks.view(np.uint32)[a * d : b * d].reshape(b - a, d),
+                      out=block[: (b - a) * d].reshape(b - a, d))
+        block[(b - a) * d :] = inl[p:q]
+        picks.resize((a * d + 1) // 2, refcheck=False)
+        inl.resize(p, refcheck=False)
+        block = block[: _sorted_unique(block)]
         top -= block.size
-        np.bitwise_and(block, (1 << shift) - 1, out=indices[top : top + block.size])
-        offsets[lo] = top
-        np.cumsum(lengths[:-1], out=offsets[lo + 1 : hi])
-        offsets[lo + 1 : hi] += top
+        np.add(np.searchsorted(block, np.arange(hi - lo, dtype=np.uint32) << shift), top, out=offsets[lo:hi])
+        np.bitwise_and(block, (1 << shift) - 1, out=indices.view(np.uint32)[top : top + block.size])
+        above = lo
+    offsets[:above] = top
     if top:
         # the graph's ids lie in indices[top:]: move them down, chunk by chunk
         for start in range(top, 2 * m, _UNIQUE_CHUNK):
@@ -273,8 +267,52 @@ def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
     return Graph(n, offsets, indices)
 
 
-# values per step of _sorted_unique's compaction and CSR slots per row block of
-# the edge-wise passes and of _csr_from_rows' merge; it bounds their temporaries
+def _in_list_codes(n: int, rows: np.ndarray, forward: np.ndarray, d: int, bbits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The in-list codes of the picks ``forward``, grouped by bucket, and each bucket's count.
+
+    ``forward`` holds the picks as uint32, ``d`` per entry of ``rows``.
+    Each pick ``u -> v`` becomes ``(v mod 2**bbits) << _code_shift(n) | u``
+    in a fresh uint32 buffer, where the ``counts[k]`` codes of bucket ``k``
+    (the picks ``v`` with ``v >> bbits == k``) follow those of every lower
+    bucket, in pick order.  One pass counts the buckets; one more groups
+    each chunk of picks by bucket, through numpy's stable argsort of their
+    ids (a radix sort, as the ids are uint8 or uint16 where there are at
+    most 2**16 buckets), and scatters it.  A chunk is never shorter than the
+    bucket count, so that its per-bucket work costs no more than its
+    per-pick work.
+    """
+    shift = _code_shift(n)
+    low = (1 << bbits) - 1
+    nb = (n + low) >> bbits
+    counts = np.zeros(nb, dtype=np.int64)
+    step = max(_UNIQUE_CHUNK, nb)
+    for start in range(0, forward.size, step):
+        counts += np.bincount(forward[start : start + step] >> bbits, minlength=nb)
+    fill = np.cumsum(counts) - counts  # next free slot of each bucket
+    inl = np.empty(forward.size, dtype=np.uint32)
+    bucket_ids = np.min_scalar_type(max(nb - 1, 0))
+    per = max(step // max(d, 1), 1)  # picking rows per chunk
+    for a in range(0, rows.size if d else 0, per):
+        b = min(a + per, rows.size)
+        picked = forward[a * d : b * d]
+        local = np.bitwise_and(picked, low)
+        local <<= shift
+        local.reshape(b - a, d)[...] |= rows[a:b, None].astype(np.uint32)
+        ids = (picked >> bbits).astype(bucket_ids)
+        order = np.argsort(ids, kind="stable")
+        tops = np.searchsorted(ids[order], np.arange(nb, dtype=bucket_ids), "right")  # each bucket's end in order
+        here = np.diff(tops, prepend=0)
+        # the k-th code of a bucket in order goes to that bucket's fill + k
+        dest = np.repeat(fill - tops + here, here)
+        dest += np.arange(dest.size)
+        inl[dest] = local[order]
+        fill += here
+    return inl, counts
+
+
+# values per step of _sorted_unique's compaction, CSR slots per row block of the
+# edge-wise passes and of instances.write_instance, and about the CSR slots per
+# bucket of _csr_from_rows; it bounds their temporaries
 _UNIQUE_CHUNK = 1 << 16
 # rows per window of greedy_mis's scan and CSR slots per block it widens to int64
 _GREEDY_BLOCK = 1 << 12

@@ -22,7 +22,7 @@ from typing import Annotated
 import numpy as np
 
 from .graph import Graph, _sorted_ids, build_graph, is_independent_set
-from .graph import _block_slots, _code_shift, _csr_from_rows, _row_blocks
+from .graph import _UNIQUE_CHUNK, _code_shift, _csr_from_rows
 from .schema import _NONNEGATIVE, _OPEN_UNIT, _ZERO_TO_ONE, _check_types
 
 __all__ = [
@@ -196,8 +196,9 @@ def gen_planted_bounded_degree(
     planted, outside = _split_planted(n, alpha, rng)
     picks = _distinct_picks(rng, outside.size, d, n - 1)
     picks += picks >= outside[:, None]  # skip u itself; picks stay uniform over the rest
-    # the builder turns the pick matrix into the flipped codes in place and trims
-    # it as the CSR fills, so neither an (m, 2) edge array nor a 2m code buffer exists
+    # the builder narrows the pick matrix in place to int32 and codes each pick's
+    # in-list entry as uint32 in 4 more bytes, trimming both as the CSR fills, so
+    # no (m, 2) edge array and no int64 code exists
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
     return PlantedInstance(_csr_from_rows(n, outside, picks), planted, params)
 
@@ -205,31 +206,53 @@ def gen_planted_bounded_degree(
 def write_instance(instance: PlantedInstance, path) -> None:
     """Write ``n m``, one ``u v`` line per edge (u < v, ascending), then the ``# planted:`` and ``# params:`` lines.
 
-    Rows are read in blocks, so no temporary grows with the edge count, and
-    each block's text is built in numpy, one fixed-width column per decimal
-    digit, so no edge becomes a Python int.
+    Rows are read in blocks of about ``_UNIQUE_CHUNK`` CSR slots, and planted
+    ids in chunks of that many, so no temporary grows with ``n`` or the edge
+    count.  ``_decimal`` builds their text in numpy, so no id becomes a
+    Python int, and the file is binary, so the bytes are written as they are.
     """
     g = instance.graph
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        width = len(str(max(g.n - 1, 0)))  # digits of the largest id
-        for rows in _row_blocks(g, np.arange(g.n, dtype=np.int64)):
-            src = np.repeat(rows, g.offsets[rows + 1] - g.offsets[rows])
-            dst = g.indices[_block_slots(g, rows)]
+    width = len(str(max(g.n - 1, 0)))  # digits of the largest id
+    with open(path, "wb") as fh:
+        fh.write(f"{g.n} {g.m}\n".encode())
+        cuts = np.searchsorted(g.offsets, np.arange(_UNIQUE_CHUNK, 2 * g.m, _UNIQUE_CHUNK)).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, g.n]):
+            # n <= 2**31, so ids fit uint32
+            src = np.repeat(np.arange(lo, hi, dtype=np.uint32), np.diff(g.offsets[lo : hi + 1]))
+            dst = g.indices[g.offsets[lo] : g.offsets[hi]].view(np.uint32)
             fwd = src < dst
-            ends = np.empty(2 * np.count_nonzero(fwd), dtype=np.uint32)  # u, v, u, v, ...; n <= 2**31, so ids fit
+            ends = np.empty(2 * np.count_nonzero(fwd), dtype=np.uint32)  # u, v, u, v, ...
             ends[0::2], ends[1::2] = src[fwd], dst[fwd]
-            # one row per end: its zero-padded digits, then " " after a u or "\n" after a v
-            text = np.empty((ends.size, width + 1), dtype=np.uint8)
-            text[0::2, width], text[1::2, width] = ord(" "), ord("\n")
-            for col in range(width - 1, -1, -1):
-                text[:, col] = ends % 10 + ord("0")
-                ends //= 10
-            keep = np.logical_or.accumulate(text != ord("0"), axis=1)  # drops the leading zeros,
-            keep[:, width - 1] = True  # but not the one digit of a 0
-            fh.write(text[keep].tobytes().decode("ascii"))
-        fh.write("# planted: " + " ".join(map(str, instance.planted_ids.tolist())) + "\n")
-        fh.write("# params: " + json.dumps(instance.params, sort_keys=True) + "\n")
+            fh.write(_decimal(ends, width, b" \n"))
+        fh.write(b"# planted: ")
+        planted = instance.planted_ids
+        for start in range(0, planted.size, _UNIQUE_CHUNK):
+            text = _decimal(planted[start : start + _UNIQUE_CHUNK].astype(np.uint32), width, b" ")
+            if start + _UNIQUE_CHUNK >= planted.size:
+                text[-1] = ord("\n")  # the line ends after the last id
+            fh.write(text)
+        if not planted.size:
+            fh.write(b"\n")
+        fh.write(("# params: " + json.dumps(instance.params, sort_keys=True) + "\n").encode())
+
+
+def _decimal(ids: np.ndarray, width: int, seps: bytes) -> np.ndarray:
+    """The decimal text of the uint32 ``ids``, each followed by the next byte of ``seps`` in turn.
+
+    Each id gets a row of ``width`` digits, zero-padded, and its separator;
+    a mask drops the leading zeros, but keeps the one digit of a 0.
+    ``ids.size`` must be a multiple of ``len(seps)``.
+    """
+    text = np.empty((ids.size, width + 1), dtype=np.uint8)
+    text[:, width] = np.tile(np.frombuffer(seps, dtype=np.uint8), ids.size // len(seps))
+    keep = np.ones(text.shape, dtype=bool)
+    for col in range(width - 1, -1, -1):
+        quotient = ids // 10
+        text[:, col] = ids - 10 * quotient + ord("0")
+        ids = quotient
+        if col:
+            np.not_equal(ids, 0, out=keep[:, col - 1])  # the digit to the left shows iff the id reaches it
+    return text[keep]
 
 
 def read_instance(path) -> PlantedInstance:

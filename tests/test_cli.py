@@ -84,6 +84,23 @@ def test_gen_requires_exactly_one_density_flag(tmp_path):
                  "--out", str(tmp_path / "x.txt")]) == 2
 
 
+@pytest.mark.parametrize(
+    "message", ["Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type int64", ""]
+)
+def test_an_instance_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    # the generator's pick draw stands in for an allocation that does not fit
+    def picks(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("noisymis.instances._distinct_picks", picks)
+    expected = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
+    for argv in (["gen", "--out", str(tmp_path / "x.txt")], ["run", "--algo", "persistent", "--eps", "0.25"]):
+        assert main([*argv, "--n", "50", "--alpha", "0.3", "--d", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == expected and captured.out == ""
+    assert not (tmp_path / "x.txt").exists()
+
+
 # -- run ---------------------------------------------------------------------------
 
 

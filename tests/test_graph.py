@@ -291,6 +291,32 @@ def test_csr_from_rows_matches_build_graph(monkeypatch, chunk):
         assert buffer_bytes(g.indices) <= g.indices.nbytes + 4  # the trim left no larger buffer behind
 
 
+@pytest.mark.parametrize("n", [2**16, 2**16 + 1, 100_003, 2**22 + 5])
+def test_csr_from_rows_matches_build_graph_across_buckets(n):
+    # with few picks a bucket spans the most vertices whose codes fit a uint32,
+    # W = 2**(32 - shift): one bucket at 2**16; at 2**16 + 1 buckets of 2**15, the
+    # last holding one vertex; 4 at 100,003; at 2**22 + 5, 8,193 of 512, nearly all
+    # empty.  The picking rows sit on both sides of bucket edges and pick each
+    # other (mutual picks) as well as vertices on both sides of those edges.
+    rng = np.random.default_rng(n)
+    w = 2 ** (32 - (n - 1).bit_length())
+    near = [0, 1, w - 1, w, w + 1, 2 * w - 1, 2 * w, 3 * w, n // 2, n - 2, n - 1]
+    rows = np.unique([v for v in near if 0 <= v < n]).astype(np.int64)
+    picks = np.zeros((rows.size, 8), dtype=np.int64)
+    for i, u in enumerate(rows.tolist()):
+        others = rows[rows != u]
+        mutual = rng.choice(others, size=4, replace=False)
+        # the rest are non-picking vertices next to the edges, or anywhere
+        spare = np.setdiff1d([v for v in (w - 2, w + 2, 2 * w + 1) if v < n] + rng.integers(0, n, size=6).tolist(), rows)
+        picks[i] = np.sort(np.concatenate((mutual, rng.choice(spare, size=4, replace=False))))
+    expected = build_graph(n, np.column_stack((np.repeat(rows, 8), picks.ravel())))
+    g = _csr_from_rows(n, rows, picks)
+    for got, want in ((g.offsets, expected.offsets), (g.indices, expected.indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert g.m < 8 * rows.size  # some pairs were picked from both ends
+    assert buffer_bytes(g.indices) <= g.indices.nbytes + 4
+
+
 def test_build_graph_keeps_no_duplicate_tail(tmp_path):
     # every edge in both orientations, some three times: the deduplicated
     # codes fill less than half the build buffer, and indices must not pin it

@@ -1,6 +1,7 @@
 """Planted-instance generators and instance file I/O."""
 
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -158,10 +159,11 @@ def test_bounded_degree_codes_match_the_edge_array_reference(n, alpha, d, seeds)
 
 
 def test_bounded_degree_peak_memory_stays_near_the_csr():
-    # the picks are copied as int32 and the pick matrix turns in place into the
-    # flipped codes, which are narrowed to int32 in-lists; the int32 indices are
-    # allocated only then and filled as both sources are trimmed, so no (m, 2)
-    # edge array and no 2m int64 code buffer ever exists
+    # the pick matrix is narrowed in place to int32 and each pick's in-list entry
+    # is coded as uint32 in 4 more bytes; the int32 indices are allocated only
+    # then and filled as both sources are trimmed, so no (m, 2) edge array and no
+    # int64 code ever exists.  tracemalloc counts the indices' pages before they
+    # are touched, which RSS does not, so this peak reads about 19 bytes a pick
     gen_planted_bounded_degree(100, 0.3, 5, seed=0)  # first-call allocations are not the generator's
     for seed in (0, 1):
         tracemalloc.start()
@@ -348,6 +350,23 @@ def test_instance_file_is_the_edge_list_plus_two_comment_lines(tmp_path):
     tail = "# planted: " + " ".join(map(str, inst.planted_ids.tolist())) + "\n"
     tail += '# params: {"alpha": 0.4, "ensure_maximal": false, "generator": "gnp", "n": 40, "p": 0.2, "seed": 6}\n'
     assert (tmp_path / "inst.txt").read_bytes() == (edges + tail).encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64, instances._UNIQUE_CHUNK])
+def test_instance_file_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, chunk):
+    # small chunks cut the edge blocks between and inside rows and split the
+    # planted line; ids of 1 to 4 digits, and 0, test the dropped leading zeros
+    monkeypatch.setattr(instances, "_UNIQUE_CHUNK", chunk)
+    g = build_graph(1200, [(0, 1), (0, 9), (9, 10), (99, 100), (100, 999), (999, 1000), (1000, 1199), (5, 1199)])
+    for inst in (gen_planted_bounded_degree(1200, 0.3, 3, seed=4), PlantedInstance(g, [0, 2, 11, 1001], {}),
+                 PlantedInstance(g, [], {}), PlantedInstance(build_graph(1, []), [0], {})):
+        write_instance(inst, tmp_path / "inst.txt")
+        g = inst.graph
+        pairs = [(u, v) for u in range(g.n) for v in g.neighbors(u).tolist() if u < v]
+        text = f"{g.n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+        text += "# planted: " + " ".join(map(str, inst.planted_ids.tolist())) + "\n"
+        text += "# params: " + json.dumps(inst.params, sort_keys=True) + "\n"
+        assert (tmp_path / "inst.txt").read_bytes() == text.encode()
 
 
 def test_params_json_preserved(tmp_path):
