@@ -77,7 +77,16 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        return int(self.degrees().max()) if self.n > 0 else 0
+        """Largest degree, 0 without vertices.
+
+        The offsets are differenced ``_GREEDY_BLOCK`` rows at a time, so no
+        temporary grows with ``n``.
+        """
+        top = 0
+        for start in range(0, self.n, _GREEDY_BLOCK):
+            block = self.offsets[start : start + _GREEDY_BLOCK + 1]
+            top = max(top, int((block[1:] - block[:-1]).max()))
+        return top
 
     def __eq__(self, other):
         return (
@@ -198,13 +207,12 @@ def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
     """Graph on ``n`` vertices that joins each vertex ``rows[i]`` to every id in ``picks[i]``.
 
     ``rows`` lists distinct ids in ascending order.  ``picks`` is a
-    C-contiguous int64 matrix that owns its data, with one ascending row of
-    ids per entry of ``rows``, none equal to that row's own id; a pair
-    picked from both ends is one edge.  The result equals ``build_graph`` on
-    the same pairs.  ``picks`` is consumed: the call reuses its buffer and
-    leaves it trimmed.
+    C-contiguous int32 matrix that owns its data, as ``_distinct_picks``
+    draws it, with one ascending row of ids per entry of ``rows``, none
+    equal to that row's own id; a pair picked from both ends is one edge.
+    The result equals ``build_graph`` on the same pairs.  ``picks`` is
+    consumed: the call flattens it, reuses its buffer and leaves it trimmed.
 
-    The matrix is narrowed in place into the int32 picks, and
     ``_in_list_codes`` writes each pick ``u -> v`` into one more 4-byte
     buffer as the uint32 code ``(v mod 2**bbits) << shift | u``, grouped by
     bucket ``v >> bbits``.  A bucket spans at most ``2**(32 - shift)``
@@ -228,9 +236,9 @@ def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
     shift = _code_shift(n)
     d = picks.shape[1]
     m = picks.size
-    _narrow_ids(n, picks)  # every id is below 2**shift, so the mask keeps it whole
+    picks.resize(m, refcheck=False)  # the same bytes, one row after another
     bbits = min(32 - shift, max((_UNIQUE_CHUNK * n // max(2 * m, 1)).bit_length() - 1, shift - 8, 0))
-    inl, counts = _in_list_codes(n, rows, picks.view(np.uint32)[:m], d, bbits)
+    inl, counts = _in_list_codes(n, rows, picks.view(np.uint32), d, bbits)
     ends = np.cumsum(counts)
     firsts = np.searchsorted(rows, np.arange(counts.size + 1, dtype=np.int64) << bbits)  # each bucket's first row
     held = np.flatnonzero((counts > 0) | (firsts[1:] > firsts[:-1]))[::-1]  # buckets with rows or codes, top first
@@ -249,7 +257,7 @@ def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
         np.bitwise_or(high[:, None], picks.view(np.uint32)[a * d : b * d].reshape(b - a, d),
                       out=block[: (b - a) * d].reshape(b - a, d))
         block[(b - a) * d :] = inl[p:q]
-        picks.resize((a * d + 1) // 2, refcheck=False)
+        picks.resize(a * d, refcheck=False)
         inl.resize(p, refcheck=False)
         block = block[: _sorted_unique(block)]
         top -= block.size
@@ -277,15 +285,16 @@ def _in_list_codes(n: int, rows: np.ndarray, forward: np.ndarray, d: int, bbits:
     bucket, in pick order.  One pass counts the buckets; one more groups
     each chunk of picks by bucket, through numpy's stable argsort of their
     ids (a radix sort, as the ids are uint8 or uint16 where there are at
-    most 2**16 buckets), and scatters it.  A chunk is never shorter than the
-    bucket count, so that its per-bucket work costs no more than its
-    per-pick work.
+    most 2**16 buckets), and scatters it.  A chunk holds half of
+    ``_UNIQUE_CHUNK`` picks, so that its intp sort order and scatter
+    targets fill 256 KiB each, but is never shorter than the bucket count,
+    so that its per-bucket work costs no more than its per-pick work.
     """
     shift = _code_shift(n)
     low = (1 << bbits) - 1
     nb = (n + low) >> bbits
     counts = np.zeros(nb, dtype=np.int64)
-    step = max(_UNIQUE_CHUNK, nb)
+    step = max(_UNIQUE_CHUNK >> 1, nb)
     for start in range(0, forward.size, step):
         counts += np.bincount(forward[start : start + step] >> bbits, minlength=nb)
     fill = np.cumsum(counts) - counts  # next free slot of each bucket
@@ -311,10 +320,13 @@ def _in_list_codes(n: int, rows: np.ndarray, forward: np.ndarray, d: int, bbits:
 
 
 # values per step of _sorted_unique's compaction, CSR slots per row block of the
-# edge-wise passes and of instances.write_instance, and about the CSR slots per
-# bucket of _csr_from_rows; it bounds their temporaries
+# edge-wise passes and of instances.write_instance, about the CSR slots per
+# bucket of _csr_from_rows, and twice the picks per chunk of _in_list_codes; it
+# bounds their temporaries
 _UNIQUE_CHUNK = 1 << 16
-# rows per window of greedy_mis's scan and CSR slots per block it widens to int64
+# rows per window of greedy_mis's scan and CSR slots per block it widens to
+# int64; also ids per window and CSR slots per block of _has_inner_edge, and
+# rows per block of Graph.max_degree
 _GREEDY_BLOCK = 1 << 12
 
 
@@ -480,7 +492,7 @@ def greedy_mis(g: Graph, order=None) -> np.ndarray:
                     blocked[neighbors[lo:hi]] = True
     # a taken vertex is never blocked later, as its later neighbors are
     # blocked by it and so never taken: the taken vertices are the unblocked
-    return np.flatnonzero(~blocked)
+    return np.flatnonzero(np.logical_not(blocked, out=blocked))
 
 
 def vertex_cover_2approx(g: Graph) -> np.ndarray:
@@ -509,20 +521,35 @@ def vertex_cover_2approx(g: Graph) -> np.ndarray:
 
 
 def _member_mask(g: Graph, s) -> np.ndarray:
-    """Boolean mask over ``range(g.n)`` of the ids in ``s``; an id outside it raises ``ValueError``."""
+    """Boolean mask over ``range(g.n)`` of the ids in ``s``; an id outside it raises ``ValueError``.
+
+    An int64 id array is read where it lies, so the mask is the only array
+    that grows with ``n``.
+    """
+    ids = _int_ids(s, g.n)
+    if ids.size and (ids.min() < 0 or ids.max() >= g.n):
+        raise ValueError(f"vertex ids must lie in range(0, {g.n})")
     mask = np.zeros(g.n, dtype=bool)
-    mask[_sorted_ids(s, g.n)] = True
+    mask[ids] = True
     return mask
 
 
 def _has_inner_edge(g: Graph, mask: np.ndarray) -> bool:
     """True iff some edge of ``g`` has both endpoints in the vertex mask ``mask``.
 
-    Only the members' rows can hold such an edge; they are read block by
-    block, stopping at the first block that holds one.
+    Only the members' rows can hold such an edge.  The members are listed
+    one window of ``_GREEDY_BLOCK`` ids at a time, and their rows read in
+    blocks of about ``_GREEDY_BLOCK`` CSR slots, stopping at the first block
+    that holds one; so no temporary grows with ``n``, and a block's int64
+    slot numbers fill about 32 KiB besides its last row.
     """
-    members = np.flatnonzero(mask)
-    return any(mask[g.indices[_block_slots(g, rows)]].any() for rows in _row_blocks(g, members))
+    for start in range(0, g.n, _GREEDY_BLOCK):
+        members = np.flatnonzero(mask[start : start + _GREEDY_BLOCK])
+        members += start
+        for rows in _row_blocks(g, members, _GREEDY_BLOCK):
+            if mask[g.indices[_block_slots(g, rows)]].any():
+                return True
+    return False
 
 
 def is_independent_set(g: Graph, s) -> bool:

@@ -154,16 +154,19 @@ def _gnp_edges(planted: np.ndarray, outside: np.ndarray, p: float, ensure_maxima
 
 
 def _distinct_picks(rng: np.random.Generator, rows: int, d: int, high: int) -> np.ndarray:
-    """``rows`` independent uniform ``d``-subsets of ``range(high)``, one sorted row each.
+    """``rows`` independent uniform ``d``-subsets of ``range(high)``, one sorted int32 row each.
 
     Draws with replacement, then redraws only the surplus copies of any
     repeated value until every row is distinct.  Each step treats all values
     alike, so the law of a finished row is invariant under relabeling values
     and is therefore uniform over ``d``-subsets; unlike redrawing whole rows,
-    this also finishes quickly when ``d`` is close to ``high``.  The matrix
-    owns its data, so the caller may reuse and trim it in place.
+    this also finishes quickly when ``d`` is close to ``high``.  The values
+    are drawn as int32, ``high <= 2**31``: below ``2**32`` numpy draws int32
+    and int64 alike through one 32-bit path, so the values and the
+    generator's state after are those of an int64 draw, at half the bytes.
+    The matrix owns its data, so the caller may reuse and trim it in place.
     """
-    picks = rng.integers(0, high, size=(rows, d))
+    picks = rng.integers(0, high, size=(rows, d), dtype=np.int32)
     picks.sort(axis=1)
     todo, sub = np.arange(rows), picks
     while True:
@@ -173,7 +176,7 @@ def _distinct_picks(rng: np.random.Generator, rows: int, d: int, high: int) -> n
         if not repeated.any():
             return picks
         todo, sub, surplus = todo[repeated], sub[repeated], surplus[repeated]
-        sub[surplus] = rng.integers(0, high, size=int(surplus.sum()))
+        sub[surplus] = rng.integers(0, high, size=int(surplus.sum()), dtype=np.int32)
         sub.sort(axis=1)
         picks[todo] = sub
 
@@ -196,9 +199,8 @@ def gen_planted_bounded_degree(
     planted, outside = _split_planted(n, alpha, rng)
     picks = _distinct_picks(rng, outside.size, d, n - 1)
     picks += picks >= outside[:, None]  # skip u itself; picks stay uniform over the rest
-    # the builder narrows the pick matrix in place to int32 and codes each pick's
-    # in-list entry as uint32 in 4 more bytes, trimming both as the CSR fills, so
-    # no (m, 2) edge array and no int64 code exists
+    # the builder codes each int32 pick's in-list entry as uint32 in 4 more bytes,
+    # trimming both as the CSR fills, so no (m, 2) edge array and no int64 code exists
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
     return PlantedInstance(_csr_from_rows(n, outside, picks), planted, params)
 

@@ -123,14 +123,18 @@ def survival_threshold(deg, epsilon: float, n: int, coeff: float = 6.0):
     return float(out) if out.ndim == 0 else out
 
 
-def _greedy_order(g: Graph, kept: np.ndarray, policy: str, seed: int) -> np.ndarray:
+def _greedy_order(g: Graph, kept: np.ndarray, policy: str, seed: int) -> np.ndarray | None:
     """The ids of the vertex mask ``kept`` in the order the greedy pass scans them.
 
     ``id`` keeps them ascending; ``random`` permutes them with a generator
     seeded by ``seed``; ``degree`` sorts them stably by their degree in the
     subgraph induced on ``kept``.  That degree is a vertex's degree in ``g``
     less its count of dropped neighbors, which reads only the dropped rows.
+    Where ``id`` keeps every vertex, the order is ``None``, which
+    ``greedy_mis`` reads as every id ascending, so no id array is made.
     """
+    if policy == "id" and kept.all():
+        return None
     kept_ids = np.flatnonzero(kept)
     if policy == "degree":
         dropped_neighbors = np.zeros(g.n, dtype=np.int64)

@@ -54,6 +54,25 @@ def test_build_graph_basic():
     assert g.max_degree == 2
 
 
+@pytest.mark.parametrize("n", [0, 1, 2**16, 2**16 + 1])
+def test_max_degree_reads_the_offsets_block_by_block(n):
+    # the last vertex holds the unique largest degree, so the last block must be
+    # read; at 2**16 + 1 that block holds only it
+    edges = [(v, v + 1) for v in range(0, n - 2, 2)] + [(n - 1, v) for v in range(min(n - 1, 3))]
+    g = build_graph(n, edges)
+    want = int(g.degrees().max()) if n else 0
+    tracemalloc.start()
+    try:
+        got = g.max_degree
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(got) is int and got == want
+    if n > 4:
+        assert got == g.degree(n - 1) > g.degrees()[:-1].max()
+    assert peak <= 16 * _GREEDY_BLOCK  # no n-sized difference: 2**16 offsets would fill 512 KiB
+
+
 def test_build_graph_dedupes_and_drops_self_loops():
     g = build_graph(3, [(0, 1), (1, 0), (0, 1), (2, 2)])
     assert g.m == 1
@@ -268,7 +287,7 @@ def test_sorted_unique_matches_np_unique(monkeypatch, chunk):
 def random_picks(rng, n, count, d):
     """``count`` ascending picking rows of ``range(n)``, each with ``d`` ascending distinct picks other than itself."""
     rows = np.sort(rng.choice(n, size=count, replace=False)).astype(np.int64)
-    picks = np.zeros((count, d), dtype=np.int64)  # a matrix that owns its data, as the builder requires
+    picks = np.zeros((count, d), dtype=np.int32)  # an int32 matrix that owns its data, as the builder requires
     for i, u in enumerate(rows.tolist()):
         picks[i] = np.sort(rng.choice(np.delete(np.arange(n), u), size=d, replace=False))
     return rows, picks
@@ -302,7 +321,7 @@ def test_csr_from_rows_matches_build_graph_across_buckets(n):
     w = 2 ** (32 - (n - 1).bit_length())
     near = [0, 1, w - 1, w, w + 1, 2 * w - 1, 2 * w, 3 * w, n // 2, n - 2, n - 1]
     rows = np.unique([v for v in near if 0 <= v < n]).astype(np.int64)
-    picks = np.zeros((rows.size, 8), dtype=np.int64)
+    picks = np.zeros((rows.size, 8), dtype=np.int32)
     for i, u in enumerate(rows.tolist()):
         others = rows[rows != u]
         mutual = rng.choice(others, size=4, replace=False)
@@ -746,6 +765,22 @@ def test_is_maximal_independent_set():
     assert not is_maximal_independent_set(g, {0, 1})  # not even independent
 
 
+def test_independence_check_makes_only_the_mask_and_one_block():
+    # an int64 id array is read where it lies and the members are listed one
+    # window of ids at a time, so besides the n-byte mask only one block's
+    # arrays exist: about six of _GREEDY_BLOCK int64 values, under 200 KB
+    inst = gen_planted_bounded_degree(100000, 0.3, 20, seed=0)
+    g = inst.graph
+    for ids, independent in ((inst.planted_ids, True), (greedy_mis(g), True), (np.arange(g.n), False)):
+        tracemalloc.start()
+        try:
+            assert is_independent_set(g, ids) == independent
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= g.n + 48 * _GREEDY_BLOCK
+
+
 def one_shot_is_independent(g, mask):
     """Independence over every CSR slot at once, through the repeated member mask."""
     return not np.any(np.repeat(mask, g.degrees()) & mask[g.indices])
@@ -761,8 +796,10 @@ def one_shot_is_maximal(g, mask):
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_membership_predicates_match_one_shot_references(monkeypatch, chunk):
-    # small blocks split the members' rows many ways, and rows outgrow a block
+    # small blocks split the members' rows many ways, and rows outgrow a block;
+    # the independence check windows the ids and blocks the rows by _GREEDY_BLOCK
     monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
+    monkeypatch.setattr("noisymis.graph._GREEDY_BLOCK", chunk)
     rng = np.random.default_rng(23)
     graphs = [build_graph(0, []), build_graph(5, [])]
     # isolated rows 0 and 10 open blocks of three slots and 12 ends the last; the star's centre outgrows 64

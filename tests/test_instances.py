@@ -291,7 +291,7 @@ def test_distinct_picks_are_uniform_subsets():
     rng = np.random.default_rng(21)
     high, d, rows = 6, 3, 20000
     picks = instances._distinct_picks(rng, rows, d, high)
-    assert picks.shape == (rows, d)
+    assert picks.shape == (rows, d) and picks.dtype == np.int32 and picks.flags.owndata
     assert np.all(np.diff(picks, axis=1) > 0) and picks.min() >= 0 and picks.max() < high
     subsets = {c: i for i, c in enumerate(itertools.combinations(range(high), d))}
     observed = np.bincount([subsets[tuple(row)] for row in picks.tolist()], minlength=len(subsets))
@@ -299,6 +299,20 @@ def test_distinct_picks_are_uniform_subsets():
     # a row that must use every value still finishes
     full = instances._distinct_picks(rng, 50, high, high)
     assert np.array_equal(full, np.tile(np.arange(high), (50, 1)))
+
+
+@pytest.mark.parametrize("high", [1, 2**16 + 1, 2**31 - 1])
+def test_int32_draws_equal_int64_draws(high):
+    # _distinct_picks draws int32 picks on the strength of this: below 2**32 numpy
+    # draws both widths through one 32-bit path, so the values and the state
+    # after are those of an int64 draw, and every instance is the same either way
+    for seed in (0, 7):
+        narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in ((1000, 20), 37):
+            a = narrow.integers(0, high, size=size, dtype=np.int32)
+            b = wide.integers(0, high, size=size)
+            assert a.dtype == np.int32 and np.array_equal(a, b)
+            assert narrow.bit_generator.state == wide.bit_generator.state
 
 
 def test_bounded_degree_picks_are_distinct_and_uniform(monkeypatch):

@@ -15,6 +15,7 @@ from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, m
 from noisymis.persistent import (
     _QUERY_BLOCK,
     PersistentParams,
+    _greedy_order,
     neighbor_yes_counts,
     run_persistent,
     survival_threshold,
@@ -203,6 +204,27 @@ def test_run_peak_memory_stays_far_below_the_indices():
             tracemalloc.stop()
         assert report.low_degree_mask.all()  # the unfiltered path
         assert peak <= 0.25 * (2 * g.indices.nbytes)  # a quarter of an int64 copy of the indices
+
+
+def test_an_all_kept_id_run_scans_every_id_without_an_id_array():
+    # with every vertex kept the id order is greedy_mis's own default, so
+    # _greedy_order hands it None and allocates nothing
+    inst = gen_planted_bounded_degree(20000, 0.3, 20, seed=0)
+    g = inst.graph
+    report = run_persistent(g, make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=0)))
+    assert report.low_degree_mask.all()
+    assert np.array_equal(report.independent_ids, greedy_mis(g, np.arange(g.n)))
+    kept = np.ones(g.n, dtype=bool)
+    tracemalloc.start()
+    try:
+        order = _greedy_order(g, kept, "id", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order is None and peak < 1024
+    # one dropped vertex brings the ascending id array back
+    kept[5] = False
+    assert np.array_equal(_greedy_order(g, kept, "id", 0), np.flatnonzero(kept))
 
 
 def test_edgeless_returns_everything():
