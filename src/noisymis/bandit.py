@@ -144,14 +144,22 @@ def cover_complement(g: Graph, vertices) -> np.ndarray:
     Whenever members of the hidden set outnumber outsiders 50:1 inside
     ``vertices``, the result keeps at least 49/50 of those members (each
     matched edge spends at most one member per outsider).
+
+    ``g`` remembers the last ids it was given and their result: a call with
+    the same ids returns a fresh copy of that result, and the memo's arrays
+    are never handed out.
     """
-    sub, ids = induced_subgraph(g, vertices)
+    ids = _sorted_ids(vertices, g.n)
+    memo = g._cover
+    if memo is not None and np.array_equal(memo[0], ids):
+        return memo[1].copy()
+    sub, _ = induced_subgraph(g, ids)  # its ids are a copy of ``ids``
     cover = vertex_cover_2approx(sub)
-    if not cover.size:
-        return ids
-    keep = np.ones(ids.size, dtype=bool)
-    keep[cover] = False
-    return ids[keep]
+    ids.setflags(write=False)
+    kept = np.delete(ids, cover) if cover.size else ids
+    kept.setflags(write=False)
+    g._cover = (ids, kept)
+    return kept.copy()
 
 
 @functools.lru_cache(maxsize=16)
@@ -198,8 +206,10 @@ def run_bandit(
         survivors = elimination_round(survivors, oracle, q)
         spent += before * q
         # survivors only shrink, so a round that drops nobody keeps the previous
-        # candidate, which depends on the survivors alone
-        if candidate is None or survivors.size != before:
+        # candidate, which depends on the survivors alone; no survivors, no cover
+        if not survivors.size:
+            candidate = survivors
+        elif candidate is None or survivors.size != before:
             candidate = cover_complement(g, survivors)
         if candidate.size > best.size:
             best = candidate

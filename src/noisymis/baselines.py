@@ -110,6 +110,8 @@ def run_amplify(base_alg, oracle: Oracle, n: int, params: AmplifyParams | None =
         votes = np.zeros(n, dtype=np.int64)
         for _ in range(reps):
             picked = _int_ids(base_alg(residual_ids), n)
+            if not picked.size:
+                continue
             # ids outside range(n) are dropped before they can index (a negative
             # one would wrap around); repeats within one run count once
             picked = picked[(picked >= 0) & (picked < n)]

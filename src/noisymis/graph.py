@@ -38,11 +38,12 @@ class Graph:
     ``v``.  The graphs the library builds hold int32 ``indices``, as
     ``n <= 2**31`` lets every id fit, and int64 ``offsets``.  Instances are
     immutable after construction and safe to share across concurrent
-    trials.  Equality goes by content, and the lazily built owner array is
-    a cache, not content.  Graphs are not hashable.
+    trials.  Equality goes by content.  The lazily built owner array and
+    ``_cover``, the last survivor ids ``bandit.cover_complement`` was given
+    and its result, are caches, not content.  Graphs are not hashable.
     """
 
-    __slots__ = ("n", "m", "offsets", "indices", "_owner")
+    __slots__ = ("n", "m", "offsets", "indices", "_owner", "_cover")
 
     def __init__(self, n: int, offsets: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -52,6 +53,7 @@ class Graph:
         for arr in (self.offsets, self.indices):
             arr.setflags(write=False)
         self._owner = None
+        self._cover = None
 
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
@@ -325,7 +327,7 @@ def _in_list_codes(n: int, rows: np.ndarray, forward: np.ndarray, d: int, bbits:
 # bounds their temporaries
 _UNIQUE_CHUNK = 1 << 16
 # rows per window of greedy_mis's scan and CSR slots per block it widens to
-# int64; also ids per window and CSR slots per block of _has_inner_edge, and
+# int64; also ids per window and CSR slots per block of _member_neighbors, and
 # rows per block of Graph.max_degree
 _GREEDY_BLOCK = 1 << 12
 
@@ -534,27 +536,29 @@ def _member_mask(g: Graph, s) -> np.ndarray:
     return mask
 
 
-def _has_inner_edge(g: Graph, mask: np.ndarray) -> bool:
-    """True iff some edge of ``g`` has both endpoints in the vertex mask ``mask``.
+def _member_neighbors(g: Graph, mask: np.ndarray):
+    """The neighbor ids of the members of the vertex mask ``mask``, yielded one block of rows at a time.
 
-    Only the members' rows can hold such an edge.  The members are listed
-    one window of ``_GREEDY_BLOCK`` ids at a time, and their rows read in
-    blocks of about ``_GREEDY_BLOCK`` CSR slots, stopping at the first block
-    that holds one; so no temporary grows with ``n``, and a block's int64
-    slot numbers fill about 32 KiB besides its last row.
+    The members are listed one window of ``_GREEDY_BLOCK`` ids at a time,
+    and their rows read in blocks of about ``_GREEDY_BLOCK`` CSR slots; so
+    no temporary grows with ``n``, and a block's int64 slot numbers fill
+    about 32 KiB besides its last row.
     """
     for start in range(0, g.n, _GREEDY_BLOCK):
         members = np.flatnonzero(mask[start : start + _GREEDY_BLOCK])
         members += start
         for rows in _row_blocks(g, members, _GREEDY_BLOCK):
-            if mask[g.indices[_block_slots(g, rows)]].any():
-                return True
-    return False
+            yield g.indices[_block_slots(g, rows)]
 
 
 def is_independent_set(g: Graph, s) -> bool:
-    """True iff no edge of ``g`` has both endpoints in ``s``."""
-    return not _has_inner_edge(g, _member_mask(g, s))
+    """True iff no edge of ``g`` has both endpoints in ``s``.
+
+    Only the members' rows can hold such an edge; the scan stops at the
+    first block of them that holds one.
+    """
+    mask = _member_mask(g, s)
+    return not any(mask[neighbors].any() for neighbors in _member_neighbors(g, mask))
 
 
 def is_maximal_independent_set(g: Graph, s) -> bool:
@@ -562,8 +566,7 @@ def is_maximal_independent_set(g: Graph, s) -> bool:
     mask = _member_mask(g, s)
     # by symmetry, the vertices with a member neighbor are the members' neighbors
     touched = mask.copy()
-    for rows in _row_blocks(g, np.flatnonzero(mask)):
-        neighbors = g.indices[_block_slots(g, rows)]
+    for neighbors in _member_neighbors(g, mask):
         if mask[neighbors].any():
             return False
         touched[neighbors] = True

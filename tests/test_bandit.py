@@ -24,7 +24,7 @@ from noisymis.bandit import (
     query_schedule,
     run_bandit,
 )
-from noisymis.graph import build_graph, is_independent_set
+from noisymis.graph import Graph, build_graph, induced_subgraph, is_independent_set, vertex_cover_2approx
 from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp
 from noisymis.oracle import (
     BANDIT_BERNOULLI,
@@ -277,6 +277,79 @@ def test_cover_complement_lopsided_survivors():
     assert len(out) >= math.ceil((49 / 50) * len(planted))
 
 
+def counted(monkeypatch, name):
+    """Wrap ``bandit.<name>`` so that each call through the module binding is recorded; returns the list of calls' arguments."""
+    calls = []
+    wrapped = getattr(bandit, name)
+
+    def call(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(bandit, name, call)
+    return calls
+
+
+def reference_cover_complement(g, vertices):
+    """``cover_complement`` without the memo, through the library's own induce and cover."""
+    sub, ids = induced_subgraph(g, vertices)
+    return np.delete(ids, vertex_cover_2approx(sub))
+
+
+def test_cover_complement_remembers_the_last_ids_per_graph(monkeypatch):
+    inst = gen_planted_gnp(200, 0.5, 0.05, seed=3)
+    g = inst.graph
+    induces = counted(monkeypatch, "induced_subgraph")
+    verts = list(range(0, 200, 3))
+    first = cover_complement(g, verts)
+    want = first.copy()
+    assert g.m and 0 < want.size < len(verts)  # the cover drops someone
+    # a frozenset and an unsorted array of the same ids hit the list's entry
+    again = cover_complement(g, frozenset(verts))
+    third = cover_complement(g, np.array(verts[::-1]))
+    assert len(induces) == 1
+    assert np.array_equal(again, want) and np.array_equal(third, want)
+    assert first is not again and not np.shares_memory(again, third)
+    # writing to a result reaches neither the memo nor the next result
+    for out in (first, again, third):
+        out[:] = -1
+    assert np.array_equal(cover_complement(g, verts), want) and len(induces) == 1
+    held, kept = g._cover
+    assert not held.flags.writeable and not kept.flags.writeable
+    # a graph with the same content is another graph: it misses
+    twin = Graph(g.n, g.offsets.copy(), g.indices.copy())
+    assert twin == g
+    assert np.array_equal(cover_complement(twin, verts), want) and len(induces) == 2
+    # one id fewer misses, and so does one id swapped in a caller's array
+    # after the call: the memo holds its own copy of the ids
+    ids = np.array(verts[1:])
+    assert np.array_equal(cover_complement(g, ids), reference_cover_complement(g, ids))
+    ids[0] = 1
+    assert np.array_equal(cover_complement(g, ids), reference_cover_complement(g, ids))
+    assert len(induces) == 4
+    # the swapped set, given as a list, hits
+    assert np.array_equal(cover_complement(g, [1, *verts[2:]]), reference_cover_complement(g, ids))
+    assert len(induces) == 4
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
+    st.lists(st.frozensets(st.integers(0, 11)), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from([frozenset, sorted, np.array])), max_size=10),
+)
+def test_cover_complement_memo_matches_a_fresh_graph(edges, pool, picks):
+    # a sequence of sets, drawn with repeats from a small pool and passed in
+    # several forms, on one graph: each result equals the cover taken on a fresh copy
+    g = build_graph(12, edges)
+    for i, form in picks:
+        vertices = pool[i % len(pool)]
+        out = cover_complement(g, form(list(vertices)) if form is np.array else form(vertices))
+        want = reference_cover_complement(build_graph(12, edges), list(vertices))
+        assert out.dtype == np.int64 and np.array_equal(out, want)
+        out[:] = -1  # the next hit must not see this
+
+
 # -- run_bandit ------------------------------------------------------------------
 
 
@@ -325,6 +398,19 @@ def test_run_trace_invariants_and_budget_overshoot():
     assert len(result.independent_ids) == max(r.candidate_size for r in trace)
     assert result.best_round == min(r.r for r in trace if r.candidate_size == len(result.independent_ids))
     assert is_independent_set(inst.graph, result.independent_ids)
+
+
+def test_run_builds_no_cover_of_no_survivors(monkeypatch):
+    # a noiseless oracle drops every vertex of an instance with nothing planted
+    # in round one: that round's candidate is empty and needs no cover
+    g = build_graph(20, [(0, 1), (2, 3)])
+    inst = PlantedInstance(graph=g, planted=frozenset(), params={})
+    covers = counted(monkeypatch, "cover_complement")
+    result = run_bandit(g, make_oracle(inst, bern(0.5, seed=9)), BanditParams(delta=0.1))
+    assert not covers
+    assert result.terminated_reason == "survivors-empty" and result.independent_ids.size == 0
+    [rec] = result.trace
+    assert (rec.survivors_after, rec.cover_size, rec.candidate_size) == (0, 0, 0)
 
 
 def test_run_restricted_to_initial_subset():

@@ -781,6 +781,21 @@ def test_independence_check_makes_only_the_mask_and_one_block():
         assert peak <= g.n + 48 * _GREEDY_BLOCK
 
 
+def test_maximality_check_makes_only_the_two_masks_and_one_block():
+    # the member mask and the touched mask are the only arrays that grow with
+    # n; the members are listed and their rows read as the independence check does
+    inst = gen_planted_bounded_degree(100000, 0.3, 20, seed=0)
+    g = inst.graph
+    for ids, maximal in ((inst.planted_ids, False), (greedy_mis(g), True), (np.arange(g.n), False)):
+        tracemalloc.start()
+        try:
+            assert is_maximal_independent_set(g, ids) == maximal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * g.n + 48 * _GREEDY_BLOCK
+
+
 def one_shot_is_independent(g, mask):
     """Independence over every CSR slot at once, through the repeated member mask."""
     return not np.any(np.repeat(mask, g.degrees()) & mask[g.indices])
@@ -797,7 +812,7 @@ def one_shot_is_maximal(g, mask):
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_membership_predicates_match_one_shot_references(monkeypatch, chunk):
     # small blocks split the members' rows many ways, and rows outgrow a block;
-    # the independence check windows the ids and blocks the rows by _GREEDY_BLOCK
+    # both predicates window the ids and block the rows by _GREEDY_BLOCK
     monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
     monkeypatch.setattr("noisymis.graph._GREEDY_BLOCK", chunk)
     rng = np.random.default_rng(23)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import noisymis.bandit as bandit
 import noisymis.harness as harness
 from noisymis.baselines import run_amplify, run_sampler
 from noisymis.bandit import run_bandit
@@ -689,13 +690,29 @@ def test_trials_read_only_the_id_arrays(monkeypatch):
         assert residual.dtype == np.int64 and not residual.flags.writeable and np.all(np.diff(residual) > 0)
 
 
-def test_bench_shaped_amplify_trial_keeps_its_record():
+def recording(calls, name, wrapped):
+    """``wrapped``, appending ``name`` to ``calls`` on every call."""
+
+    def call(*args):
+        calls.append(name)
+        return wrapped(*args)
+
+    return call
+
+
+def test_bench_shaped_amplify_trial_keeps_its_record(monkeypatch):
     # the benchmark's amplify workload, which the golden fixture does not cover
+    calls = []
+    for name in ("cover_complement", "induced_subgraph"):
+        monkeypatch.setattr(bandit, name, recording(calls, name, getattr(bandit, name)))
     instance = {"generator": "gnp", "n": 4096, "alpha": 0.8797, "p": 0.005, "ensure_maximal": True}
     config = ExperimentConfig(algorithm="amplify", instance=instance, oracle={"epsilon": 0.25}, seed_base=1)
     record, _ = run_trial(config, trial_seeds(config)[0])
     assert (record.total_queries, record.output_size, record.planted_size) == (1074121935, 3603, 3603)
     assert (record.m, record.max_degree, record.ratio) == (9571, 34, 1.0)
+    # the 212 runs that keep survivors all keep the same set, so the graph's
+    # memo induces it once; the 1,060 runs left without survivors cover nothing
+    assert (calls.count("cover_complement"), calls.count("induced_subgraph")) == (212, 1)
 
 
 def amplify_reference(config, seed):
