@@ -38,12 +38,12 @@ class Graph:
     ``v``.  The graphs the library builds hold int32 ``indices``, as
     ``n <= 2**31`` lets every id fit, and int64 ``offsets``.  Instances are
     immutable after construction and safe to share across concurrent
-    trials.  Equality goes by content.  The lazily built owner array and
-    ``_cover``, the last survivor ids ``bandit.cover_complement`` was given
-    and its result, are caches, not content.  Graphs are not hashable.
+    trials.  Equality goes by content.  The only cache, ``_cover``, holds
+    the last survivor ids ``bandit.cover_complement`` was given and its
+    result; it is not content.  Graphs are not hashable.
     """
 
-    __slots__ = ("n", "m", "offsets", "indices", "_owner", "_cover")
+    __slots__ = ("n", "m", "offsets", "indices", "_cover")
 
     def __init__(self, n: int, offsets: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -52,7 +52,6 @@ class Graph:
         self.indices = indices
         for arr in (self.offsets, self.indices):
             arr.setflags(write=False)
-        self._owner = None
         self._cover = None
 
     def degree(self, v: int) -> int:
@@ -64,18 +63,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def owner(self) -> np.ndarray:
-        """Source vertex of every CSR slot, so edge ``j`` is ``(owner()[j], indices[j])``.
-
-        Built on first use and cached (read-only).  ``induced_subgraph`` is its only
-        user: it reuses the array across the many induces of one graph.
-        """
-        if self._owner is None:
-            owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-            owner.setflags(write=False)
-            self._owner = owner
-        return self._owner
 
     @property
     def max_degree(self) -> int:
@@ -322,7 +309,7 @@ def _in_list_codes(n: int, rows: np.ndarray, forward: np.ndarray, d: int, bbits:
 
 
 # values per step of _sorted_unique's compaction, CSR slots per row block of the
-# edge-wise passes and of instances.write_instance, about the CSR slots per
+# edge-wise passes and of _row_ranges, about the CSR slots per
 # bucket of _csr_from_rows, and twice the picks per chunk of _in_list_codes; it
 # bounds their temporaries
 _UNIQUE_CHUNK = 1 << 16
@@ -373,6 +360,17 @@ def _row_blocks(g: Graph, rows: np.ndarray, size: int | None = None) -> list[np.
     return [rows[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, rows.size]) if hi > lo]
 
 
+def _row_ranges(g: Graph) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` row ranges that cut ``g``'s CSR into blocks of about ``_UNIQUE_CHUNK`` slots.
+
+    Each range holds the rows that start in one window of ``_UNIQUE_CHUNK``
+    slots, so it has fewer slots than that plus the length of its last row;
+    a range may be empty.  Together they cover ``range(g.n)`` in order.
+    """
+    cuts = np.searchsorted(g.offsets, np.arange(_UNIQUE_CHUNK, 2 * g.m, _UNIQUE_CHUNK)).tolist()
+    return list(zip([0, *cuts], [*cuts, g.n]))
+
+
 def _block_slots(g: Graph, rows: np.ndarray) -> np.ndarray:
     """CSR slot numbers of the row list ``rows``, row after row."""
     starts = g.offsets[rows]
@@ -418,41 +416,34 @@ def _sorted_ids(vertices, n: int) -> np.ndarray:
     return ids
 
 
-def _take(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``table[ids]``, gathered ``_UNIQUE_CHUNK`` ids at a time.
-
-    numpy indexes through int32 ids several times slower than through intp
-    ones; ``np.take`` casts each chunk instead, into a chunk-sized temporary.
-    """
-    out = np.empty(ids.shape, dtype=table.dtype)
-    for start in range(0, ids.size, _UNIQUE_CHUNK):
-        np.take(table, ids[start : start + _UNIQUE_CHUNK], out=out[start : start + _UNIQUE_CHUNK])
-    return out
-
-
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on ``vertices`` with compacted ids.
 
     Returns ``(sub, ids)`` where ``ids[new] == old``; the old-to-new map is
-    the rank of each kept id inside the ascending ``ids`` array.
+    the rank of each kept id inside the ascending ``ids`` array.  Every row
+    is read, in the blocks of ``_row_ranges``: a slot is kept when both its
+    row and its neighbor are, and its neighbor is renumbered.  Row lengths
+    come by symmetry: a new id appears once in the kept slots for every
+    kept neighbor, so counting the renumbered ids, block by block, gives
+    every length.
     """
     ids = _sorted_ids(vertices, g.n)
+    if not ids.size:  # no ids read no edge
+        return Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32)), ids
     mask = np.zeros(g.n, dtype=bool)
     mask[ids] = True
-    # no ids read no edge, and no kept id with a neighbor builds no owner
-    slot = _take(mask, g.indices) if ids.size else mask[:0]
-    offsets = np.zeros(ids.size + 1, dtype=np.int64)
-    if not slot.any():
-        return Graph(ids.size, offsets, np.zeros(0, dtype=np.int32)), ids
-    owner = g.owner()
-    slot &= mask[owner]
-    # row lengths come from the old ids, so no renumbered copy of the kept
-    # slots' owners is ever alive next to the renumbered neighbor ids
-    np.cumsum(np.bincount(owner[slot], minlength=g.n)[ids], out=offsets[1:])
     new_id = np.cumsum(mask, dtype=np.int32)
     new_id -= 1
-    sub_indices = _take(new_id, g.indices[slot])
-    return Graph(ids.size, offsets, sub_indices), ids
+    offsets = np.zeros(ids.size + 1, dtype=np.int64)
+    kept = []
+    for lo, hi in _row_ranges(g):
+        dst = g.indices[g.offsets[lo] : g.offsets[hi]]
+        slot = np.repeat(mask[lo:hi], np.diff(g.offsets[lo : hi + 1]))
+        slot &= mask[dst]
+        kept.append(np.take(new_id, dst[slot]))
+        np.add.at(offsets[1:], kept[-1], 1)  # a bincount would cast every kept id to intp at once
+    np.cumsum(offsets, out=offsets)
+    return Graph(ids.size, offsets, np.concatenate(kept)), ids
 
 
 def greedy_mis(g: Graph, order=None) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Annotated
 import numpy as np
 
 from .graph import Graph, _sorted_ids, build_graph, is_independent_set
-from .graph import _UNIQUE_CHUNK, _code_shift, _csr_from_rows
+from .graph import _UNIQUE_CHUNK, _code_shift, _csr_from_rows, _row_ranges
 from .schema import _NONNEGATIVE, _OPEN_UNIT, _ZERO_TO_ONE, _check_types
 
 __all__ = [
@@ -217,8 +217,7 @@ def write_instance(instance: PlantedInstance, path) -> None:
     width = len(str(max(g.n - 1, 0)))  # digits of the largest id
     with open(path, "wb") as fh:
         fh.write(f"{g.n} {g.m}\n".encode())
-        cuts = np.searchsorted(g.offsets, np.arange(_UNIQUE_CHUNK, 2 * g.m, _UNIQUE_CHUNK)).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, g.n]):
+        for lo, hi in _row_ranges(g):
             # n <= 2**31, so ids fit uint32
             src = np.repeat(np.arange(lo, hi, dtype=np.uint32), np.diff(g.offsets[lo : hi + 1]))
             dst = g.indices[g.offsets[lo] : g.offsets[hi]].view(np.uint32)

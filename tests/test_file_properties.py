@@ -62,7 +62,6 @@ def test_edge_list_and_instance_files_round_trip(inst):
     assert back.graph == inst.graph
     assert back.planted_ids.tolist() == inst.planted_ids.tolist()
     assert back.params == inst.params
-    assert inst.graph._owner is None
 
 
 # the one-line edits of the mutation property; each keeps or drops the line it edits

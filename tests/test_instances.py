@@ -65,8 +65,6 @@ def test_gnp_ensure_maximal():
     # without the flag the same sparse draw leaves uncovered vertices
     sparse = gen_planted_gnp(300, 0.3, 0.002, seed=5)
     assert not is_maximal_independent_set(sparse.graph, sparse.planted_ids)
-    # the check reads the planted rows alone and caches no edge-sized owner array
-    assert inst.graph._owner is None
 
 
 def test_gnp_determinism_and_seed_sensitivity():
@@ -190,8 +188,8 @@ def test_independence_check_peak_memory_stays_far_below_the_indices():
 
 
 def test_write_instance_peak_memory_stays_below_the_indices(tmp_path):
-    # rows are written block by block from the CSR: no owner array is built,
-    # kept on the graph or formatted whole; gen-filter's instance again
+    # rows are written block by block from the CSR: no edge-sized array is
+    # built or formatted whole; gen-filter's instance again
     inst = gen_planted_bounded_degree(100000, 0.3, 20, seed=0)
     tracemalloc.start()
     try:
@@ -200,7 +198,6 @@ def test_write_instance_peak_memory_stays_below_the_indices(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * inst.graph.indices.nbytes
-    assert inst.graph._owner is None
 
 
 def test_bounded_degree_vertex_count_limit():

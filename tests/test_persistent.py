@@ -68,7 +68,8 @@ def test_yes_counts_rejects_nonpersistent():
 
 def reference_yes_counts(g, answers):
     """Yes-counts as the owner-array bincount over float weights produced them."""
-    counts = np.bincount(g.owner(), weights=answers[g.indices].astype(np.float64), minlength=g.n)
+    owner = np.repeat(np.arange(g.n), g.degrees())
+    counts = np.bincount(owner, weights=answers[g.indices].astype(np.float64), minlength=g.n)
     return counts.astype(np.int64)
 
 
@@ -258,12 +259,22 @@ def induced_greedy(g, kept, policy, seed):
     return ids[greedy_mis(sub, order)]
 
 
-def test_every_run_takes_its_greedy_set_on_the_graph_itself():
+def forbid_induce(monkeypatch):
+    """Make every binding of ``induced_subgraph`` that a run could reach raise."""
+
+    def induce(g, vertices):
+        raise AssertionError("the run induced a subgraph")
+
+    monkeypatch.setattr("noisymis.persistent.induced_subgraph", induce)
+    monkeypatch.setattr("noisymis.graph.induced_subgraph", induce)
+
+
+def test_every_run_takes_its_greedy_set_on_the_graph_itself(monkeypatch):
     # on the bounded-degree instance every degree is at most the default cutoff
     # 36 ln n, so every vertex is kept; on the gnp one a cutoff of 0.5 ln n
     # exempts nobody, and a threshold coefficient of 1 keeps 224 of its 512
-    # vertices.  No run builds the owner array or an induced copy, and each
-    # returns the greedy set of the subgraph induced on its kept vertices
+    # vertices.  No run induces a subgraph, and each returns the greedy set of
+    # the subgraph induced on its kept vertices
     unfiltered = gen_planted_bounded_degree(3000, 0.3, 8, seed=5)
     assert unfiltered.graph.max_degree <= 36 * math.log(unfiltered.graph.n)
     filtered = gen_planted_gnp(512, 0.2, 0.08, seed=20)
@@ -271,11 +282,12 @@ def test_every_run_takes_its_greedy_set_on_the_graph_itself():
     for inst, cutoff_coeff, threshold_coeff in ((unfiltered, 36.0, 6.0), (filtered, 0.5, 1.0)):
         g = inst.graph
         reports = {}
-        for policy in ("id", "degree", "random"):
-            params = PersistentParams(low_degree_cutoff_coeff=cutoff_coeff, threshold_coeff=threshold_coeff,
-                                      greedy_order=policy, order_seed=2)
-            reports[policy] = run_persistent(g, make_oracle(inst, cfg), params)
-            assert g._owner is None
+        with monkeypatch.context() as patched:
+            forbid_induce(patched)
+            for policy in ("id", "degree", "random"):
+                params = PersistentParams(low_degree_cutoff_coeff=cutoff_coeff, threshold_coeff=threshold_coeff,
+                                          greedy_order=policy, order_seed=2)
+                reports[policy] = run_persistent(g, make_oracle(inst, cfg), params)
         yes = neighbor_yes_counts(g, make_oracle(inst, cfg))
         for policy, report in reports.items():
             kept = report.low_degree_mask | report.surviving_mask
@@ -316,7 +328,7 @@ def test_report_set_algebra_invariants():
         assert o.total_queries == inst.graph.n
 
 
-def test_output_independent_under_adversarial_answers():
+def test_output_independent_under_adversarial_answers(monkeypatch):
     # all-yes and all-no oracles; the filter may keep anything, greedy still
     # guarantees independence
     from noisymis.oracle import Oracle
@@ -328,13 +340,13 @@ def test_output_independent_under_adversarial_answers():
         report = run_persistent(g, o, PersistentParams(low_degree_cutoff_coeff=0.5))
         assert is_independent_set(g, report.independent_ids)
     # all-yes answers and no exemption on a graph without isolated vertices:
-    # every vertex is filtered out, and no owner array is built for the empty survivor set
+    # every vertex is filtered out, and the empty survivor set is not induced
+    forbid_induce(monkeypatch)
     path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     o = Oracle(np.ones(4, dtype=bool), OracleConfig(epsilon=0.5, mode="persistent-random", seed=0, apply_cap=False))
     report = run_persistent(path, o, PersistentParams(low_degree_cutoff_coeff=0.0))
     assert report.independent_ids.size == 0
     assert not report.low_degree_mask.any() and not report.surviving_mask.any()
-    assert path._owner is None
 
 
 def test_filter_is_monotone_in_epsilon():
