@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisymis.graph import _UNIQUE_CHUNK, build_graph, greedy_mis, induced_subgraph, is_independent_set
+from noisymis.graph import _UNIQUE_CHUNK, Graph, build_graph, greedy_mis, induced_subgraph, is_independent_set
 from noisymis.harness import ExperimentConfig, run_experiment
 from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp
 from noisymis.oracle import BANDIT_BERNOULLI, ModeError, Oracle, OracleConfig, make_oracle
@@ -106,7 +106,7 @@ def check_yes_counts_against_references(rng):
             oracle = Oracle(members, cfg)
             got = neighbor_yes_counts(g, oracle)
             for expected in (reference_yes_counts(g, answers), one_shot_yes_counts(g, answers)):
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+                assert got.dtype == np.int32 and np.array_equal(got, expected)
             # however the ids are blocked, each vertex is queried exactly once
             assert oracle.total_queries == g.n and np.array_equal(oracle.ledger.per_vertex, np.ones(g.n, np.int64))
     assert any(g.m == 0 and g.n > 0 for g in graphs) and any(g.n == 0 for g in graphs)
@@ -207,6 +207,21 @@ def test_run_peak_memory_stays_far_below_the_indices():
         assert peak <= 0.25 * (2 * g.indices.nbytes)  # a quarter of an int64 copy of the indices
 
 
+def test_run_holds_its_counts_and_degrees_in_four_bytes_a_vertex():
+    # the yes-counts and degrees are int32 and no int64 copy of either is made; the thresholds stay float64
+    inst = gen_planted_bounded_degree(100000, 0.3, 20, seed=0)
+    g = inst.graph
+    oracle = make_oracle(inst, OracleConfig(epsilon=0.25, mode="persistent-random", seed=0))
+    tracemalloc.start()
+    try:
+        report = run_persistent(g, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.yes_counts.nbytes + report.degrees.nbytes == 8 * g.n
+    assert peak <= 24 * g.n
+
+
 def test_an_all_kept_id_run_scans_every_id_without_an_id_array():
     # with every vertex kept the id order is greedy_mis's own default, so
     # _greedy_order hands it None and allocates nothing
@@ -218,14 +233,14 @@ def test_an_all_kept_id_run_scans_every_id_without_an_id_array():
     kept = np.ones(g.n, dtype=bool)
     tracemalloc.start()
     try:
-        order = _greedy_order(g, kept, "id", 0)
+        order = _greedy_order(g, report.degrees, kept, "id", 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert order is None and peak < 1024
     # one dropped vertex brings the ascending id array back
     kept[5] = False
-    assert np.array_equal(_greedy_order(g, kept, "id", 0), np.flatnonzero(kept))
+    assert np.array_equal(_greedy_order(g, report.degrees, kept, "id", 0), np.flatnonzero(kept))
 
 
 def test_edgeless_returns_everything():
@@ -242,7 +257,7 @@ def test_empty_graph():
         o = make_oracle(inst, OracleConfig(epsilon=0.25, mode=mode, seed=0))
         report = run_persistent(g, o)
         assert report.independent_ids.size == 0
-        for name, dtype in (("yes_counts", np.int64), ("degrees", np.int64), ("thresholds", np.float64),
+        for name, dtype in (("yes_counts", np.int32), ("degrees", np.int32), ("thresholds", np.float64),
                             ("low_degree_mask", bool), ("surviving_mask", bool)):
             arr = getattr(report, name)
             assert arr.shape == (0,) and arr.dtype == dtype, name
@@ -371,6 +386,43 @@ def test_greedy_order_policies():
     message = "params 'greedy_order' must be one of ('id', 'degree', 'random'), got 'nope'"
     with pytest.raises(ValueError, match=re.escape(message)):
         run_persistent(inst.graph, o, PersistentParams(greedy_order="nope"))
+
+
+def reference_degree_order(g, kept):
+    """The ``degree`` policy's order from int64 degrees in G[kept], sorted stably."""
+    owner = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
+    inner = np.bincount(owner[kept[owner] & kept[g.indices]], minlength=g.n)
+    kept_ids = np.flatnonzero(kept)
+    return kept_ids[np.argsort(inner[kept_ids], kind="stable")]
+
+
+def test_degree_order_matches_an_int64_reference_on_tied_degrees(monkeypatch):
+    # a cycle ties every degree; small random graphs tie many.  Besides keeping all, the masks keep none,
+    # a random half and all but one
+    rng = np.random.default_rng(8)
+    graphs = [build_graph(0, []), build_graph(5, []), build_graph(9, [(v, (v + 1) % 9) for v in range(9)])]
+    for n in (2, 12, 60, 300):
+        for m in (n // 2, 2 * n):
+            graphs.append(build_graph(n, rng.integers(0, n, size=(m, 2))))
+    for g in graphs:
+        degrees = g.degrees().astype(np.int32)
+        assert g.n <= 2 or np.unique(degrees).size < g.n  # ties are present
+        masks = [np.ones(g.n, dtype=bool), np.zeros(g.n, dtype=bool), rng.random(g.n) < 0.5]
+        if g.n:
+            one_out = np.ones(g.n, dtype=bool)
+            one_out[rng.integers(g.n)] = False
+            masks.append(one_out)
+        for kept in masks:
+            assert np.array_equal(_greedy_order(g, degrees, kept, "degree", 0), reference_degree_order(g, kept))
+    # a degree-policy run takes its degrees from the report, never from Graph.degrees
+    inst = gen_planted_gnp(200, 0.3, 0.1, seed=4)
+    monkeypatch.setattr(Graph, "degrees", lambda g: pytest.fail("the run built an int64 degree array"))
+    params = PersistentParams(low_degree_cutoff_coeff=0.5, threshold_coeff=1.0, greedy_order="degree")
+    report = run_persistent(inst.graph, perfect_oracle(inst), params)
+    kept = report.low_degree_mask | report.surviving_mask
+    assert not kept.all()
+    monkeypatch.undo()
+    assert np.array_equal(report.independent_ids, greedy_mis(inst.graph, reference_degree_order(inst.graph, kept)))
 
 
 def test_params_check_themselves_when_built():
