@@ -16,7 +16,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .graph import Graph, _sorted_ids, induced_subgraph, vertex_cover_2approx
+from .graph import Graph, _sorted_ids, vertex_cover_2approx
+from .graph import induced_subgraph  # noqa: F401  (bench/traced.py wraps this binding)
 from .oracle import ORACLE_MODES, Oracle, ModeError
 from .schema import _POSITIVE, _UP_TO_HALF, _UP_TO_ONE, _check_types
 
@@ -122,7 +123,8 @@ def query_budget(n: int, params: BanditParams) -> float:
 
 def _at_least_half(votes, q):
     """Where at least half of ``q`` answers say yes, ties included; unlike ``2 * votes >= q``, it cannot leave int64."""
-    return votes >= q - votes
+    # integer votes meet the scalar ceil(q / 2), as 2v >= q exactly when v >= ceil(q / 2): no votes-sized temporary
+    return votes >= (-(-q // 2) if votes.dtype.kind in "iu" else q - votes)
 
 
 def elimination_round(survivors, oracle: Oracle, q: int) -> np.ndarray:
@@ -153,10 +155,9 @@ def cover_complement(g: Graph, vertices) -> np.ndarray:
     memo = g._cover
     if memo is not None and np.array_equal(memo[0], ids):
         return memo[1].copy()
-    sub, _ = induced_subgraph(g, ids)  # its ids are a copy of ``ids``
-    cover = vertex_cover_2approx(sub)
+    cover = vertex_cover_2approx(g, ids)
     ids.setflags(write=False)
-    kept = np.delete(ids, cover) if cover.size else ids
+    kept = np.delete(ids, np.searchsorted(ids, cover)) if cover.size else ids
     kept.setflags(write=False)
     g._cover = (ids, kept)
     return kept.copy()

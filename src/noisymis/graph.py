@@ -488,28 +488,26 @@ def greedy_mis(g: Graph, order=None) -> np.ndarray:
     return np.flatnonzero(np.logical_not(blocked, out=blocked))
 
 
-def vertex_cover_2approx(g: Graph) -> np.ndarray:
+def vertex_cover_2approx(g: Graph, vertices=None) -> np.ndarray:
     """Vertex cover at most twice the optimum, via greedy maximal matching, as ascending ids.
 
-    Edges are scanned lowest endpoint first (ascending u, then ascending v
-    within N(u)); both endpoints of every matched edge enter the cover.
-    Isolated vertices can never be matched, so only vertices of nonzero
-    degree are scanned; the matching is the same as a scan over every id.
+    It covers G[vertices] (default: all of ``g``) on ``g`` itself, equal to
+    ``ids[vertex_cover_2approx(sub)]`` for ``sub, ids = induced_subgraph(g, vertices)``.
+    Each ``_row_ranges`` block keeps the slots with both ends in the set and
+    matches their pairs with u < v, ascending u then v; a pair with v < u met
+    v's scan first, which left v or u matched.  Both ends of a match are covered.
     """
-    if not g.m:
-        return np.zeros(0, dtype=np.int64)
-    offsets = g.offsets
-    active = np.flatnonzero(offsets[1:] != offsets[:-1])
+    inside = np.ones(g.n, dtype=bool) if vertices is None else _member_mask(g, vertices)
     matched = bytearray(g.n)
-    indices = g.indices.tolist()
-    for u, start, stop in zip(active.tolist(), offsets[active].tolist(), offsets[active + 1].tolist()):
-        if matched[u]:
-            continue
-        for j in range(start, stop):
-            v = indices[j]
-            if not matched[v]:
-                matched[u] = matched[v] = 1
-                break
+    for lo, hi in _row_ranges(g):
+        starts = g.offsets[lo : hi + 1]
+        kept = np.repeat(inside[lo:hi], np.diff(starts))
+        kept &= inside[g.indices[starts[0] : starts[-1]]]
+        slots = np.flatnonzero(kept) + starts[0]
+        u, v = np.searchsorted(starts, slots, "right") + (lo - 1), g.indices[slots]  # each kept slot's row and id
+        for a, b in zip(u[u < v].tolist(), v[u < v].tolist()):
+            if not (matched[a] or matched[b]):
+                matched[a] = matched[b] = 1
     return np.flatnonzero(np.frombuffer(matched, dtype=bool))
 
 

@@ -296,7 +296,7 @@ class Oracle:
         # means share that inner probability, one scalar-p call makes the same
         # draws (p = 0 draws nothing, so eps = 1/2 keeps the per-vertex path)
         counts = self._rng.binomial(q, low, size=arr.size)
-        np.putmask(counts, self._members[arr], q - counts)  # counts lie in [0, q]: no overflow
+        np.subtract(q, counts, out=counts, where=self._members[arr])  # counts lie in [0, q]: no overflow
         return counts
 
     def query_reward_sums(self, verts, q: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
 import noisymis.bandit as bandit
+import noisymis.graph as graph
 from noisymis.bandit import (
     BanditParams,
     BanditResult,
@@ -201,6 +202,13 @@ def test_the_majority_rule_is_twice_the_yes_count_against_q(case):
     assert np.array_equal(_at_least_half(counts, np.int64(q)), 2 * counts >= q)
 
 
+def test_the_integer_majority_rule_is_exact_at_the_extremes():
+    # integer votes meet a scalar, ceil(q / 2); Python's integers double a vote exactly
+    for q in (0, 1, 2, 212, 2**62, 2**63 - 1):
+        for v in (0, q // 2, -(-q // 2), q):
+            assert bool(_at_least_half(np.array([v], dtype=np.int64), q)[0]) == (2 * v >= q), (q, v)
+
+
 @SETTINGS
 @given(st.integers(1, 2**63 - 1), st.lists(st.floats(width=64)))
 def test_the_majority_rule_is_half_of_q_on_reward_sums(q, drawn):
@@ -299,7 +307,7 @@ def reference_cover_complement(g, vertices):
 def test_cover_complement_remembers_the_last_ids_per_graph(monkeypatch):
     inst = gen_planted_gnp(200, 0.5, 0.05, seed=3)
     g = inst.graph
-    induces = counted(monkeypatch, "induced_subgraph")
+    covers = counted(monkeypatch, "vertex_cover_2approx")
     verts = list(range(0, 200, 3))
     first = cover_complement(g, verts)
     want = first.copy()
@@ -307,29 +315,29 @@ def test_cover_complement_remembers_the_last_ids_per_graph(monkeypatch):
     # a frozenset and an unsorted array of the same ids hit the list's entry
     again = cover_complement(g, frozenset(verts))
     third = cover_complement(g, np.array(verts[::-1]))
-    assert len(induces) == 1
+    assert len(covers) == 1
     assert np.array_equal(again, want) and np.array_equal(third, want)
     assert first is not again and not np.shares_memory(again, third)
     # writing to a result reaches neither the memo nor the next result
     for out in (first, again, third):
         out[:] = -1
-    assert np.array_equal(cover_complement(g, verts), want) and len(induces) == 1
+    assert np.array_equal(cover_complement(g, verts), want) and len(covers) == 1
     held, kept = g._cover
     assert not held.flags.writeable and not kept.flags.writeable
     # a graph with the same content is another graph: it misses
     twin = Graph(g.n, g.offsets.copy(), g.indices.copy())
     assert twin == g
-    assert np.array_equal(cover_complement(twin, verts), want) and len(induces) == 2
+    assert np.array_equal(cover_complement(twin, verts), want) and len(covers) == 2
     # one id fewer misses, and so does one id swapped in a caller's array
     # after the call: the memo holds its own copy of the ids
     ids = np.array(verts[1:])
     assert np.array_equal(cover_complement(g, ids), reference_cover_complement(g, ids))
     ids[0] = 1
     assert np.array_equal(cover_complement(g, ids), reference_cover_complement(g, ids))
-    assert len(induces) == 4
+    assert len(covers) == 4
     # the swapped set, given as a list, hits
     assert np.array_equal(cover_complement(g, [1, *verts[2:]]), reference_cover_complement(g, ids))
-    assert len(induces) == 4
+    assert len(covers) == 4
 
 
 @SETTINGS
@@ -398,6 +406,19 @@ def test_run_trace_invariants_and_budget_overshoot():
     assert len(result.independent_ids) == max(r.candidate_size for r in trace)
     assert result.best_round == min(r.r for r in trace if r.candidate_size == len(result.independent_ids))
     assert is_independent_set(inst.graph, result.independent_ids)
+
+
+def test_a_round_that_spends_exactly_the_budget_is_not_the_last():
+    # only overspending ends a run: a first round whose n * q1 queries meet the budget
+    # exactly is followed by a second, which overspends it
+    inst = gen_planted_gnp(200, 0.3, 0.05, seed=4)
+    q1 = query_schedule(1, BanditParams(epsilon=0.25, delta=0.1))
+    params = BanditParams(delta=0.1, budget_coeff=q1 * 0.25**2 / math.log(10.0))
+    assert query_budget(200, replace(params, epsilon=0.25)) == 200 * q1  # exactly, in floats
+    result = run_bandit(inst.graph, make_oracle(inst, bern(0.25, seed=5)), params)
+    assert [rec.cumulative_queries for rec in result.trace][:1] == [200 * q1]
+    assert result.trace[0].survivors_after > 0
+    assert (len(result.trace), result.terminated_reason) == (2, "budget")
 
 
 def test_run_builds_no_cover_of_no_survivors(monkeypatch):
@@ -538,8 +559,8 @@ def test_runtime_tracks_edge_count():
 
 def test_edge_reads_track_edge_count(monkeypatch):
     # the timing test above as counted work, which host speed cannot move: the same
-    # six runs, each summing the CSR slots of the graphs its induces read
-    induce = bandit.induced_subgraph
+    # six runs, each summing the CSR slots of the graphs its covers read
+    cover = bandit.vertex_cover_2approx
 
     def slots_read(d):
         total = 0
@@ -548,11 +569,11 @@ def test_edge_reads_track_edge_count(monkeypatch):
             o = make_oracle(inst, bern(0.25, seed=seed + 1))
             reads = []
             monkeypatch.setattr(
-                bandit, "induced_subgraph", lambda g, vertices: reads.append(g.indices.size) or induce(g, vertices)
+                bandit, "vertex_cover_2approx", lambda g, vertices: reads.append(g.indices.size) or cover(g, vertices)
             )
             result = run_bandit(inst.graph, o, BanditParams(delta=0.1))
             m = inst.graph.m
-            assert reads[0] == 2 * m  # the first induce reads the whole graph once
+            assert reads[0] == 2 * m  # the first cover reads the whole graph once
             assert sum(reads) <= len(result.trace) * 2 * m  # and no round reads more
             total += sum(reads)
         return total
@@ -562,30 +583,31 @@ def test_edge_reads_track_edge_count(monkeypatch):
 
 
 # a schedule this light leaves outsiders alive for a few rounds, so that later rounds
-# induce again and their covers read real edges
+# cover again and their covers match real edges
 LIGHT = BanditParams(delta=0.1, schedule_coeff=0.1)
 
 
 def elimination_slot_reads(monkeypatch, inst, seed):
     """A ``LIGHT`` bandit run on ``inst``, and the CSR slots each of its induces and covers read, in call order."""
-    induce, cover = bandit.induced_subgraph, bandit.vertex_cover_2approx
+    induce, cover = graph.induced_subgraph, bandit.vertex_cover_2approx
     induced, covered = [], []
-    monkeypatch.setattr(bandit, "induced_subgraph", lambda g, vertices: induced.append(g.indices.size) or induce(g, vertices))
-    monkeypatch.setattr(bandit, "vertex_cover_2approx", lambda sub: covered.append(sub.indices.size) or cover(sub))
+    for owner in (bandit, graph):  # every binding of the induce that a run could reach
+        monkeypatch.setattr(owner, "induced_subgraph", lambda g, vertices: induced.append(g.indices.size) or induce(g, vertices))
+    monkeypatch.setattr(bandit, "vertex_cover_2approx", lambda g, vertices: covered.append(g.indices.size) or cover(g, vertices))
     result = run_bandit(inst.graph, make_oracle(inst, bern(0.25, seed=seed)), LIGHT)
     return result, induced, covered
 
 
 @pytest.mark.parametrize("n, d", [*[(n, d) for n in (2000, 8000, 32000) for d in (10, 40)], (400, None)])
 def test_elimination_reads_track_rounds_times_graph_size(monkeypatch, n, d):
-    # the elimination half of the O(rounds * (n + m)) claim as counted work: a round induces on
-    # the whole graph and covers the survivors' subgraph, each at most once, and the budget
-    # caps the rounds at the least r whose schedule alone, one survivor a round, overspends it
+    # the elimination half of the O(rounds * (n + m)) claim as counted work: a round covers its
+    # survivors on the whole graph at most once, and induces nothing, and the budget caps the
+    # rounds at the least r whose schedule alone, one survivor a round, overspends it
     inst = gen_planted_bounded_degree(n, 0.3, d, seed=7) if d else gen_planted_gnp(n, 0.3, 0.3, seed=7)
     m = inst.graph.m
     result, induced, covered = elimination_slot_reads(monkeypatch, inst, seed=8)
-    assert len(induced) == len(covered) <= len(result.trace)
-    assert sum(induced) + sum(covered) <= len(result.trace) * 2 * (n + 2 * m)
+    assert not induced and len(covered) <= len(result.trace)
+    assert sum(covered) <= len(result.trace) * 2 * (n + 2 * m)
     params = replace(LIGHT, epsilon=0.25)
     budget, spent, rounds = query_budget(n, params), 0, 0
     while spent <= budget:
@@ -598,6 +620,7 @@ def test_elimination_slot_reads_of_one_small_instance(monkeypatch):
     inst = gen_planted_bounded_degree(2000, 0.3, 10, seed=7)
     result, induced, covered = elimination_slot_reads(monkeypatch, inst, seed=8)
     assert (inst.graph.m, len(result.trace), result.total_queries) == (13981, 74, 2211326)
-    # 14 rounds drop someone and induce the whole graph again; the other 60 keep their candidate
-    assert induced == [2 * 13981] * 14
-    assert covered == [1662, 108] + [0] * 12
+    # 14 rounds drop someone and cover their survivors on the whole graph again; the other 60
+    # keep their candidate, and no round induces
+    assert induced == []
+    assert covered == [2 * 13981] * 14

@@ -3,10 +3,14 @@
 import gc
 import itertools
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
 
 from noisymis.bandit import run_bandit
 from noisymis.graph import (
@@ -27,6 +31,11 @@ from noisymis.graph import (
 )
 from noisymis.instances import PlantedInstance, gen_planted_bounded_degree, gen_planted_gnp, read_instance, write_instance
 from noisymis.oracle import Oracle, OracleConfig
+
+# derandomized and without an example database: the same examples every run; hypothesis's
+# cache of local source files goes to the temp directory, not the working tree
+SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir(), "noisymis-hypothesis"))
 
 
 def random_graph(rng, n, p):
@@ -697,6 +706,32 @@ def test_cover_against_networkx_matching():
         # any cover needs one endpoint per edge of a maximum matching, so
         # twice the matching size bounds a 2-approximation from above
         assert len(cover) <= 2 * len(nx.max_weight_matching(ref, maxcardinality=True))
+
+
+# small generated graphs: gnp from edgeless to dense, and bounded-degree
+SMALL_GRAPHS = st.one_of(
+    st.builds(gen_planted_gnp, st.integers(2, 40), st.just(0.5), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2**16)),
+    st.builds(gen_planted_bounded_degree, st.integers(20, 60), st.just(0.3), st.integers(1, 6), st.integers(0, 2**16)),
+).map(lambda inst: inst.graph)
+
+
+@SETTINGS
+@given(SMALL_GRAPHS, st.data())
+def test_cover_of_a_vertex_set_is_the_cover_of_its_induced_subgraph(g, data):
+    # the cover taken on the graph itself, for a set given as a list, as an unsorted array
+    # with repeats, as no id and as every id, against the cover of the subgraph the set
+    # induces, through the library's cover and through the loop as first written
+    picked = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    repeated = np.array(data.draw(st.permutations(picked + picked[::2])), dtype=np.int64)
+    for vertices in (picked, repeated, [], np.arange(g.n)):
+        sub, ids = induced_subgraph(g, vertices)
+        got = vertex_cover_2approx(g, vertices)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ids[vertex_cover_2approx(sub)])
+        assert np.array_equal(got, ids[reference_cover(sub)])
+    for bad in ([g.n], [0, -1]):
+        with pytest.raises(ValueError, match=re.escape(f"vertex ids must lie in range(0, {g.n})")):
+            vertex_cover_2approx(g, bad)
 
 
 # -- networkx differential checks ----------------------------------------------

@@ -703,7 +703,7 @@ def recording(calls, name, wrapped):
 def test_bench_shaped_amplify_trial_keeps_its_record(monkeypatch):
     # the benchmark's amplify workload, which the golden fixture does not cover
     calls = []
-    for name in ("cover_complement", "induced_subgraph"):
+    for name in ("cover_complement", "vertex_cover_2approx"):
         monkeypatch.setattr(bandit, name, recording(calls, name, getattr(bandit, name)))
     instance = {"generator": "gnp", "n": 4096, "alpha": 0.8797, "p": 0.005, "ensure_maximal": True}
     config = ExperimentConfig(algorithm="amplify", instance=instance, oracle={"epsilon": 0.25}, seed_base=1)
@@ -711,8 +711,8 @@ def test_bench_shaped_amplify_trial_keeps_its_record(monkeypatch):
     assert (record.total_queries, record.output_size, record.planted_size) == (1074121935, 3603, 3603)
     assert (record.m, record.max_degree, record.ratio) == (9571, 34, 1.0)
     # the 212 runs that keep survivors all keep the same set, so the graph's
-    # memo induces it once; the 1,060 runs left without survivors cover nothing
-    assert (calls.count("cover_complement"), calls.count("induced_subgraph")) == (212, 1)
+    # memo covers it once; the 1,060 runs left without survivors cover nothing
+    assert (calls.count("cover_complement"), calls.count("vertex_cover_2approx")) == (212, 1)
 
 
 def amplify_reference(config, seed):

@@ -250,6 +250,21 @@ def test_edgeless_returns_everything():
     assert report.independent_ids.tolist() == list(range(7))
 
 
+def test_a_degree_equal_to_the_cutoff_is_exempt():
+    # a star whose centre's degree d is exactly the cutoff coeff * ln n: ties survive the
+    # cutoff, so the centre is exempt, though each leaf claims membership and the filter
+    # alone would drop it
+    d = 5
+    g = build_graph(d + 1, [(0, leaf) for leaf in range(1, d + 1)])
+    inst = PlantedInstance(graph=g, planted=frozenset(range(1, d + 1)), params={})
+    coeff = d / math.log(d + 1)
+    assert coeff * math.log(d + 1) == d  # exactly, in floats
+    report = run_persistent(g, perfect_oracle(inst), PersistentParams(low_degree_cutoff_coeff=coeff))
+    assert report.degrees[0] == report.yes_counts[0] == d and report.thresholds[0] < d
+    assert report.low_degree_mask.all()
+    assert report.independent_ids.tolist() == [0]
+
+
 def test_empty_graph():
     g = build_graph(0, [])
     inst = PlantedInstance(graph=g, planted=frozenset(), params={})
