@@ -93,30 +93,62 @@ def build_graph(n: int, edges) -> Graph:
     """Build a graph from unordered id pairs.
 
     Self-loops and duplicate pairs (in either orientation) are dropped
-    silently.  An endpoint outside ``range(n)`` raises ``ValueError`` naming
-    the offending edge, and so does ``n > 2**31``.
+    silently.  An id that is not an integer (a float, a bool array, a
+    string, one beyond int64) raises ``ValueError``, as do an endpoint
+    outside ``range(n)``, naming the offending edge, and ``n > 2**31``.
+
+    Each pair is coded low to high, ``low << _code_shift(n) | high``, into
+    one int64 buffer, ``_UNIQUE_CHUNK`` pairs at a time, which
+    ``_sorted_unique`` sorts and deduplicates in place.  The sorted codes
+    list each row's higher neighbors in turn, so they give the row lengths,
+    and their high ids, narrowed to int32 from the top as the codes are
+    trimmed, are the picks that ``_csr_from_rows`` builds from.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    _code_shift(n)  # rejects an n too large to encode before anything is allocated
-    arr = np.asarray(edges, dtype=np.int64)
+    shift = _code_shift(n)  # rejects an n too large to encode before anything is allocated
+    arr = np.asarray(edges)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be an iterable of id pairs")
+    arr = _int_ids(arr.reshape(-1), n).reshape(-1, 2)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         i = int(np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))[0])
         raise ValueError(
             f"edge ({int(arr[i, 0])}, {int(arr[i, 1])}) has an endpoint outside range(0, {n})"
         )
-    loops = arr[:, 0] == arr[:, 1]
-    if loops.any():
-        arr = arr[~loops]
-    return _csr_from_codes(n, _edge_codes(n, arr[:, 0], arr[:, 1]))
+    codes = np.empty(len(arr), dtype=np.int64)
+    k = 0  # codes[:k] are filled
+    for start in range(0, len(arr), _UNIQUE_CHUNK):
+        u, v = arr[start : start + _UNIQUE_CHUNK].T
+        low, high = np.minimum(u, v), np.maximum(u, v)
+        kept = (low << shift | high)[low != high]  # self-loops are dropped
+        codes[k : k + kept.size] = kept
+        k += kept.size
+    codes.resize(_sorted_unique(codes[:k]), refcheck=False)
+    counts = np.diff(np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) << shift))  # row v's codes start at v << shift
+    picks = np.empty(codes.size, dtype=np.int32)
+    for start, stop in _top_down(codes):
+        np.bitwise_and(codes[start:stop], (1 << shift) - 1, out=picks[start:stop], casting="unsafe")
+    return _csr_from_rows(n, np.arange(n), counts, picks)
+
+
+def _top_down(a: np.ndarray):
+    """Yield the ``(start, stop)`` chunks of ``a``, ``_UNIQUE_CHUNK`` values each, from the top down.
+
+    Once a chunk is read, ``a`` is trimmed to ``a[:start]``, so it shrinks as
+    its values are used.  ``a`` must own its data; no view of it may be kept
+    past its chunk.
+    """
+    while a.size:
+        start = max(a.size - _UNIQUE_CHUNK, 0)
+        yield start, a.size
+        a.resize(start, refcheck=False)
 
 
 def _code_shift(n: int) -> int:
-    """Bit width of ``dst`` in the edge codes ``src << shift | dst`` of a graph on ``n`` vertices.
+    """Bit width of the lower field of the codes ``u << shift | v`` that pack two ids of a graph on ``n`` vertices.
 
     Two such fields must fit in an int64 code, which caps ``n`` at 2**31.
     """
@@ -125,95 +157,31 @@ def _code_shift(n: int) -> int:
     return max(1, (int(n) - 1).bit_length())
 
 
-def _edge_codes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Codes ``src << _code_shift(n) | dst`` of the pairs ``(src, dst)``, then of the same pairs flipped.
+def _csr_from_rows(n: int, rows: np.ndarray, counts: np.ndarray, picks: np.ndarray) -> Graph:
+    """Graph on ``n`` vertices that joins each vertex ``rows[i]`` to the ``counts[i]`` ids it picks.
 
-    ``src`` and ``dst`` are id arrays of one length; the codes fill one
-    fresh int64 buffer, twice that length.
-    """
-    shift = _code_shift(n)
-    codes = np.empty(2 * src.size, dtype=np.int64)
-    for half, high, low in ((codes[: src.size], src, dst), (codes[src.size :], dst, src)):
-        np.left_shift(high, shift, out=half)
-        half |= low
-    return codes
-
-
-def _csr_from_codes(n: int, codes: np.ndarray) -> Graph:
-    """Graph on ``n`` vertices from the ``_edge_codes`` of both orientations of every edge.
-
-    Sorts and deduplicates ``codes`` in place, so the sorted codes list every
-    row in turn with ascending neighbors, then trims the buffer to its
-    distinct codes and narrows them in place into the graph's int32
-    ``indices``.  ``codes`` must own its data and nothing else may refer to
-    it: this function owns the buffer ``_edge_codes`` returns, and no view
-    of it outlives the call.
-    """
-    k = _sorted_unique(codes)
-    if k < codes.size:
-        codes.resize(k, refcheck=False)
-    offsets = _row_offsets(n, codes)
-    return Graph(n, offsets, _narrow_ids(n, codes))
-
-
-def _row_offsets(n: int, codes: np.ndarray) -> np.ndarray:
-    """Where each row of a graph on ``n`` vertices starts in its ascending edge codes ``codes``.
-
-    Row ``v`` starts at the first code at or above ``v << _code_shift(n)``,
-    and entry ``n`` is ``codes.size``.  Filled in chunks, so no temporary
-    grows with ``n``.
-    """
-    shift = _code_shift(n)
-    offsets = np.arange(n + 1, dtype=np.int64)
-    for start in range(0, n + 1, _UNIQUE_CHUNK):
-        block = offsets[start : start + _UNIQUE_CHUNK]
-        block[:] = np.searchsorted(codes, block << shift)
-    return offsets
-
-
-def _narrow_ids(n: int, codes: np.ndarray) -> np.ndarray:
-    """The low ids of the edge codes ``codes``, as int32 written over ``codes``' own buffer.
-
-    The ids are packed at the front of the buffer, chunk by chunk, which is
-    then trimmed to the half they fill; the result is an int32 view of it.
-    ``n <= 2**31``, so every id fits.  ``codes`` must be a C-contiguous
-    int64 array that owns its data; the trim leaves any other view of it
-    dangling.
-    """
-    mask = (1 << _code_shift(n)) - 1
-    flat = codes.reshape(-1)
-    narrow = flat.view(np.int32)
-    # id j goes to bytes [4j, 4j + 4), never past code j's bytes [8j, 8j + 8),
-    # so a chunk's writes reach no later chunk's codes
-    for start in range(0, flat.size, _UNIQUE_CHUNK):
-        stop = min(start + _UNIQUE_CHUNK, flat.size)
-        np.bitwise_and(flat[start:stop], mask, out=narrow[start:stop])
-    codes.resize((flat.size + 1) // 2, refcheck=False)
-    return codes.view(np.int32)[: flat.size]
-
-
-def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
-    """Graph on ``n`` vertices that joins each vertex ``rows[i]`` to every id in ``picks[i]``.
-
-    ``rows`` lists distinct ids in ascending order.  ``picks`` is a
-    C-contiguous int32 matrix that owns its data, as ``_distinct_picks``
-    draws it, with one ascending row of ids per entry of ``rows``, none
-    equal to that row's own id; a pair picked from both ends is one edge.
-    The result equals ``build_graph`` on the same pairs.  ``picks`` is
-    consumed: the call flattens it, reuses its buffer and leaves it trimmed.
+    Every graph that the package builds comes from here.  ``rows`` lists
+    distinct ids in ascending order, and ``counts`` how many ids each picks,
+    0 included; rows of one length pass a zero-stride view of it
+    (``np.broadcast_to``), so no per-row array is built for them.  ``picks``
+    is an int32 array that owns its data and holds the picks of ``rows[0]``,
+    then those of ``rows[1]``, and so on, in any order within a row and none
+    equal to its row's id; a pair picked more than once, from either end, is
+    one edge.  ``picks`` is consumed: the call flattens it, reuses its
+    buffer and leaves it trimmed.
 
     ``_in_list_codes`` writes each pick ``u -> v`` into one more 4-byte
     buffer as the uint32 code ``(v mod 2**bbits) << shift | u``, grouped by
     bucket ``v >> bbits``.  A bucket spans at most ``2**(32 - shift)``
     vertices, so the codes fit, and no int64 code exists.  The int32
     ``indices`` are then filled from the top, one bucket at a time: its
-    rows' picks, coded alike, join its in-list codes in one uint32 block,
-    which ``_sorted_unique`` sorts and deduplicates (mutual picks are the
-    only repeats), so that it lists each row's neighbors in turn, and
+    rows' picks, the last of ``picks`` not yet read, coded alike, join its
+    in-list codes in one uint32 block, which ``_sorted_unique`` sorts and
+    deduplicates, so that it lists each row's neighbors in turn, and
     ``searchsorted`` finds where each row starts.  Both sources are trimmed
     past the bucket before its rows are written, so they shrink as the
     output fills, and the build never holds much more than 8 bytes a pick
-    besides the offsets.  A chunked move then closes the slots that mutual
+    besides the offsets.  A chunked move then closes the slots that repeated
     picks left free at the bottom.
 
     A bucket is the widest power of two of vertices whose picks and
@@ -223,30 +191,31 @@ def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
     their ids fit uint8.
     """
     shift = _code_shift(n)
-    d = picks.shape[1]
     m = picks.size
     picks.resize(m, refcheck=False)  # the same bytes, one row after another
     bbits = min(32 - shift, max((_UNIQUE_CHUNK * n // max(2 * m, 1)).bit_length() - 1, shift - 8, 0))
-    inl, counts = _in_list_codes(n, rows, picks.view(np.uint32), d, bbits)
-    ends = np.cumsum(counts)
-    firsts = np.searchsorted(rows, np.arange(counts.size + 1, dtype=np.int64) << bbits)  # each bucket's first row
-    held = np.flatnonzero((counts > 0) | (firsts[1:] > firsts[:-1]))[::-1]  # buckets with rows or codes, top first
+    inl, tally = _in_list_codes(n, rows, counts, picks.view(np.uint32), bbits)
+    ends = np.cumsum(tally)
+    firsts = np.searchsorted(rows, np.arange(tally.size + 1, dtype=np.int64) << bbits)  # each bucket's first row
+    held = np.flatnonzero((tally > 0) | (firsts[1:] > firsts[:-1]))[::-1]  # buckets with rows or codes, top first
     offsets = np.empty(n + 1, dtype=np.int64)
     # allocated only now: tracemalloc counts its untouched pages, which RSS does not
     indices = np.empty(2 * m, dtype=np.int32)
     top = 2 * m  # indices[top:] is filled
     above = n + 1  # offsets[above:] are set
-    starts = ends - counts
+    unread = m  # picks[:unread] are not yet read
+    starts = ends - tally
     for bucket, a, b, p, q in zip(*(x.tolist() for x in (held, firsts[held], firsts[held + 1], starts[held], ends[held]))):
-        # vertices [lo, hi) hold the picks of rows[a:b] and the in-list codes inl[p:q]
+        # vertices [lo, hi) hold the picks of rows[a:b], the last k unread, and the in-list codes inl[p:q]
         lo, hi = bucket << bbits, min((bucket + 1) << bbits, n)
         offsets[hi:above] = top  # the empty rows above
-        block = np.empty((b - a) * d + q - p, dtype=np.uint32)
+        k = int(counts[a:b].sum())
+        block = np.empty(k + q - p, dtype=np.uint32)
         high = (rows[a:b] - lo).astype(np.uint32) << shift
-        np.bitwise_or(high[:, None], picks.view(np.uint32)[a * d : b * d].reshape(b - a, d),
-                      out=block[: (b - a) * d].reshape(b - a, d))
-        block[(b - a) * d :] = inl[p:q]
-        picks.resize(a * d, refcheck=False)
+        np.bitwise_or(np.repeat(high, counts[a:b]), picks.view(np.uint32)[unread - k : unread], out=block[:k])
+        block[k:] = inl[p:q]
+        unread -= k
+        picks.resize(unread, refcheck=False)
         inl.resize(p, refcheck=False)
         block = block[: _sorted_unique(block)]
         top -= block.size
@@ -264,54 +233,64 @@ def _csr_from_rows(n: int, rows: np.ndarray, picks: np.ndarray) -> Graph:
     return Graph(n, offsets, indices)
 
 
-def _in_list_codes(n: int, rows: np.ndarray, forward: np.ndarray, d: int, bbits: int) -> tuple[np.ndarray, np.ndarray]:
+def _in_list_codes(n: int, rows: np.ndarray, counts: np.ndarray, forward: np.ndarray, bbits: int) -> tuple[np.ndarray, np.ndarray]:
     """The in-list codes of the picks ``forward``, grouped by bucket, and each bucket's count.
 
-    ``forward`` holds the picks as uint32, ``d`` per entry of ``rows``.
-    Each pick ``u -> v`` becomes ``(v mod 2**bbits) << _code_shift(n) | u``
-    in a fresh uint32 buffer, where the ``counts[k]`` codes of bucket ``k``
-    (the picks ``v`` with ``v >> bbits == k``) follow those of every lower
-    bucket, in pick order.  One pass counts the buckets; one more groups
-    each chunk of picks by bucket, through numpy's stable argsort of their
-    ids (a radix sort, as the ids are uint8 or uint16 where there are at
-    most 2**16 buckets), and scatters it.  A chunk holds half of
-    ``_UNIQUE_CHUNK`` picks, so that its intp sort order and scatter
-    targets fill 256 KiB each, but is never shorter than the bucket count,
-    so that its per-bucket work costs no more than its per-pick work.
+    ``forward`` holds the picks as uint32, ``counts[i]`` of them for
+    ``rows[i]``, in turn.  Each pick ``u -> v`` becomes
+    ``(v mod 2**bbits) << _code_shift(n) | u`` in a fresh uint32 buffer,
+    where the ``tally[k]`` codes of bucket ``k`` (the picks ``v`` with
+    ``v >> bbits == k``) follow those of every lower bucket, in pick order.
+    One pass counts the buckets; one more groups each chunk of picks by
+    bucket, through numpy's stable argsort of their ids (a radix sort, as
+    the ids are uint8 or uint16 where there are at most 2**16 buckets), and
+    scatters it.  A chunk holds about ``step`` picks, half of
+    ``_UNIQUE_CHUNK``, so that its intp sort order and scatter targets fill
+    about 256 KiB each, but never fewer than there are buckets, so that its
+    per-bucket work costs no more than its per-pick work.  The rows are read
+    in windows that hold ``step`` picks on average, and their pick starts
+    summed there, so no per-row array is built; a window that long rows fill
+    past ``step`` picks is cut into chunks of the rows that start within
+    ``step`` picks of each other.
     """
     shift = _code_shift(n)
     low = (1 << bbits) - 1
     nb = (n + low) >> bbits
-    counts = np.zeros(nb, dtype=np.int64)
-    step = max(_UNIQUE_CHUNK >> 1, nb)
+    tally = np.zeros(nb, dtype=np.int64)
+    step = max(_UNIQUE_CHUNK >> 1, nb, 1)
     for start in range(0, forward.size, step):
-        counts += np.bincount(forward[start : start + step] >> bbits, minlength=nb)
-    fill = np.cumsum(counts) - counts  # next free slot of each bucket
+        tally += np.bincount(forward[start : start + step] >> bbits, minlength=nb)
+    fill = np.cumsum(tally) - tally  # next free slot of each bucket
     inl = np.empty(forward.size, dtype=np.uint32)
     bucket_ids = np.min_scalar_type(max(nb - 1, 0))
-    per = max(step // max(d, 1), 1)  # picking rows per chunk
-    for a in range(0, rows.size if d else 0, per):
-        b = min(a + per, rows.size)
-        picked = forward[a * d : b * d]
-        local = np.bitwise_and(picked, low)
-        local <<= shift
-        local.reshape(b - a, d)[...] |= rows[a:b, None].astype(np.uint32)
-        ids = (picked >> bbits).astype(bucket_ids)
-        order = np.argsort(ids, kind="stable")
-        tops = np.searchsorted(ids[order], np.arange(nb, dtype=bucket_ids), "right")  # each bucket's end in order
-        here = np.diff(tops, prepend=0)
-        # the k-th code of a bucket in order goes to that bucket's fill + k
-        dest = np.repeat(fill - tops + here, here)
-        dest += np.arange(dest.size)
-        inl[dest] = local[order]
-        fill += here
-    return inl, counts
+    per = max(step // max(forward.size // max(rows.size, 1), 1), 1)  # rows per window: about step picks on average
+    done = 0  # picks of the rows before the window
+    for w in range(0, rows.size, per):
+        firsts = np.zeros(min(per, rows.size - w) + 1, dtype=np.int64)  # each window row's first pick, then the end
+        np.cumsum(counts[w : w + per], out=firsts[1:])
+        cuts = np.searchsorted(firsts, np.arange(step, firsts[-1], step)).tolist()
+        for a, b in zip([0, *cuts], [*cuts, firsts.size - 1]):
+            picked = forward[done + firsts[a] : done + firsts[b]]
+            local = np.bitwise_and(picked, low)
+            local <<= shift
+            local |= np.repeat(rows[w + a : w + b].astype(np.uint32), counts[w + a : w + b])
+            ids = (picked >> bbits).astype(bucket_ids)
+            order = np.argsort(ids, kind="stable")
+            tops = np.searchsorted(ids[order], np.arange(nb, dtype=bucket_ids), "right")  # each bucket's end in order
+            here = np.diff(tops, prepend=0)
+            # the k-th code of a bucket in order goes to that bucket's fill + k
+            dest = np.repeat(fill - tops + here, here)
+            dest += np.arange(dest.size)
+            inl[dest] = local[order]
+            fill += here
+        done += int(firsts[-1])
+    return inl, tally
 
 
-# values per step of _sorted_unique's compaction, CSR slots per row block of the
-# edge-wise passes and of _row_ranges, about the CSR slots per
-# bucket of _csr_from_rows, and twice the picks per chunk of _in_list_codes; it
-# bounds their temporaries
+# values per step of _sorted_unique's compaction, pairs per chunk of
+# build_graph's codes, CSR slots per row block of the edge-wise passes and of
+# _row_ranges, about the CSR slots per bucket of _csr_from_rows, and twice the
+# picks per chunk of _in_list_codes; it bounds their temporaries
 _UNIQUE_CHUNK = 1 << 16
 # rows per window of greedy_mis's scan and CSR slots per block it widens to
 # int64; also ids per window and CSR slots per block of _member_neighbors, and
@@ -388,9 +367,12 @@ def _int_ids(vertices, n: int) -> np.ndarray:
     An integer array is cast (an int64 one is returned as it is); anything
     else is read item by item, and an item that is not an integer fitting
     int64 raises ``ValueError``, as does a bool array (a mask, not ids).
+    Of any other array but an object one, only the first item is read.
     """
     if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
         return vertices.astype(np.int64, copy=False)
+    if isinstance(vertices, np.ndarray) and vertices.dtype.kind != "O":
+        vertices = vertices.ravel()[:1]
     try:
         # array("q") checks each item in C: it takes only integers that fit int64
         return np.frombuffer(array("q", list(vertices)), dtype=np.int64)

@@ -22,7 +22,7 @@ from typing import Annotated
 import numpy as np
 
 from .graph import Graph, _sorted_ids, build_graph, is_independent_set
-from .graph import _UNIQUE_CHUNK, _code_shift, _csr_from_rows, _row_ranges
+from .graph import _UNIQUE_CHUNK, _code_shift, _csr_from_rows, _row_ranges, _top_down
 from .schema import _NONNEGATIVE, _OPEN_UNIT, _ZERO_TO_ONE, _check_types
 
 __all__ = [
@@ -80,14 +80,16 @@ def _skip_sample(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
     last = -1
     while True:
         expected = (total - 1 - last) * p
-        steps = rng.geometric(p, size=int(expected + 4.0 * math.sqrt(expected)) + 16)
+        ranks = rng.geometric(p, size=int(expected + 4.0 * math.sqrt(expected)) + 16)
         # any step past the end may be shortened to one that still ends past it;
         # that keeps the running sum far from int64 overflow for tiny p
-        np.minimum(steps, total + 1, out=steps)
-        ranks = last + np.cumsum(steps)
+        np.minimum(ranks, total + 1, out=ranks)
+        np.cumsum(ranks, out=ranks)  # the steps become ranks in place
+        ranks += last
         if ranks[-1] >= total:
-            chunks.append(ranks[: np.searchsorted(ranks, total)])
-            return np.concatenate(chunks)
+            ranks.resize(np.searchsorted(ranks, total), refcheck=False)
+            chunks.append(ranks)
+            return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         chunks.append(ranks)
         last = int(ranks[-1])
 
@@ -111,12 +113,14 @@ def gen_planted_gnp(
     other vertex pair appears independently with probability ``p``.  With
     ``ensure_maximal``, any outside vertex that ended up with no planted
     neighbor is wired to a uniformly random planted vertex, which makes the
-    planted set maximal.
+    planted set maximal.  Each outside vertex picks its lower outside
+    neighbors, its planted ones and its wire, and ``_csr_from_rows`` builds
+    the graph from those rows; no edge array is built.
     """
     _check_types(gen_planted_gnp, locals(), "instance")
     rng = np.random.default_rng(seed)
     planted, outside = _split_planted(n, alpha, rng)
-    edges = _gnp_edges(planted, outside, p, ensure_maximal, rng)
+    counts, picks = _gnp_picks(planted, outside, p, ensure_maximal, rng)
     params = {
         "generator": "gnp",
         "n": n,
@@ -125,32 +129,43 @@ def gen_planted_gnp(
         "seed": seed,
         "ensure_maximal": ensure_maximal,
     }
-    return PlantedInstance(build_graph(n, edges), planted, params)
+    return PlantedInstance(_csr_from_rows(n, outside, counts, picks), planted, params)
 
 
-def _gnp_edges(planted: np.ndarray, outside: np.ndarray, p: float, ensure_maximal: bool, rng) -> np.ndarray:
-    """The ``(m, 2)`` edge array of ``gen_planted_gnp``, filled in place.
+def _gnp_picks(planted: np.ndarray, outside: np.ndarray, p: float, ensure_maximal: bool, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Each outside vertex's pick count, and the int32 picks of ``gen_planted_gnp`` row after row.
 
-    The sampled ranks and endpoint indices are locals, so they are freed
-    before the caller builds the graph.
+    Both rank streams are ascending by outside index, so where each row's
+    ranks start in them gives the counts.  Each stream is then unranked and
+    scattered to its rows' slots a chunk at a time from the top, and trimmed
+    past each chunk, so it shrinks as the picks fill.
     """
-    k = planted.size
-    # outside-outside pairs, colex-ranked over outside indices i < j
-    i, j = _unrank_pairs(_skip_sample(outside.size * (outside.size - 1) // 2, p, rng))
+    k, r = planted.size, outside.size
+    # outside-outside pairs, colex-ranked over outside indices i < j: j picks i
+    lower = _skip_sample(r * (r - 1) // 2, p, rng)
     # outside-planted pairs, ranked as outside index * k + planted index
-    a, b = np.divmod(_skip_sample(outside.size * k, p, rng), k)
-    lonely = outside[np.bincount(a, minlength=outside.size) == 0] if ensure_maximal else outside[:0]
-    edges = np.empty((i.size + a.size + lonely.size, 2), dtype=np.int64)
-    mid, end = i.size, i.size + a.size
-    # mode="clip" lets take write into a column view unbuffered; every index is in range
-    np.take(outside, i, out=edges[:mid, 0], mode="clip")
-    np.take(outside, j, out=edges[:mid, 1], mode="clip")
-    np.take(outside, a, out=edges[mid:end, 0], mode="clip")
-    np.take(planted, b, out=edges[mid:end, 1], mode="clip")
+    cross = _skip_sample(r * k, p, rng)
+    lower_at = np.searchsorted(lower, np.arange(r + 1) * np.arange(-1, r) // 2)  # where each row's ranks start
+    cross_at = np.searchsorted(cross, np.arange(0, (r + 1) * k, k))
+    counts = np.diff(lower_at) + np.diff(cross_at)
     if ensure_maximal:
-        edges[end:, 0] = lonely
-        edges[end:, 1] = rng.choice(planted, size=lonely.size)
-    return edges
+        lonely = np.flatnonzero(cross_at[1:] == cross_at[:-1])
+        counts[lonely] += 1  # each wire is its row's last pick
+    ends = np.cumsum(counts)
+    picks = np.empty(int(ends[-1]), dtype=np.int32)
+    # a row's ranks fill its slots in stream order: rank t goes to the row's base + t
+    base = ends - counts - lower_at[:-1]
+    for start, stop in _top_down(lower):
+        i, j = _unrank_pairs(lower[start:stop])
+        picks[base[j] + np.arange(start, stop)] = outside[i]
+    base += lower_at[1:]  # a row's cross picks follow its lower ones
+    base -= cross_at[:-1]
+    for start, stop in _top_down(cross):
+        a, b = np.divmod(cross[start:stop], k)
+        picks[base[a] + np.arange(start, stop)] = planted[b]
+    if ensure_maximal:
+        picks[ends[lonely] - 1] = rng.choice(planted, size=lonely.size)
+    return counts, picks
 
 
 def _distinct_picks(rng: np.random.Generator, rows: int, d: int, high: int) -> np.ndarray:
@@ -200,9 +215,10 @@ def gen_planted_bounded_degree(
     picks = _distinct_picks(rng, outside.size, d, n - 1)
     picks += picks >= outside[:, None]  # skip u itself; picks stay uniform over the rest
     # the builder codes each int32 pick's in-list entry as uint32 in 4 more bytes,
-    # trimming both as the CSR fills, so no (m, 2) edge array and no int64 code exists
+    # trimming both as the CSR fills, so no (m, 2) edge array and no int64 code exists;
+    # the rows' one count is a zero-stride view, so no per-row array is built
     params = {"generator": "bounded-degree", "n": n, "alpha": alpha, "d": d, "seed": seed}
-    return PlantedInstance(_csr_from_rows(n, outside, picks), planted, params)
+    return PlantedInstance(_csr_from_rows(n, outside, np.broadcast_to(d, outside.shape), picks), planted, params)
 
 
 def write_instance(instance: PlantedInstance, path) -> None:

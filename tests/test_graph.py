@@ -157,14 +157,18 @@ def messy_edge_lists(rng):
     yield 30, np.stack([hi[pick], lo[pick]], axis=1)
 
 
-def test_build_graph_matches_reference_csr():
-    rng = np.random.default_rng(11)
-    for n, edges in messy_edge_lists(rng):
-        offsets, indices = reference_csr(n, edges)
-        for given in (edges, [tuple(e) for e in np.asarray(edges).tolist()]):
-            g = build_graph(n, given)
-            assert np.array_equal(g.offsets, offsets) and g.offsets.dtype == offsets.dtype
-            assert np.array_equal(g.indices, indices) and g.indices.dtype == indices.dtype
+def test_build_graph_matches_reference_csr(monkeypatch):
+    # small chunks cut the code fill and the narrowing between pairs, and make
+    # _csr_from_rows cross many buckets
+    for chunk in (1, 2, 3, 64, _UNIQUE_CHUNK):
+        monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
+        rng = np.random.default_rng(11)
+        for n, edges in messy_edge_lists(rng):
+            offsets, indices = reference_csr(n, edges)
+            for given in (edges, [tuple(e) for e in np.asarray(edges).tolist()]):
+                g = build_graph(n, given)
+                assert np.array_equal(g.offsets, offsets) and g.offsets.dtype == offsets.dtype
+                assert np.array_equal(g.indices, indices) and g.indices.dtype == indices.dtype
 
 
 def test_build_graph_matches_reference_at_code_width_boundaries():
@@ -293,30 +297,50 @@ def test_sorted_unique_matches_np_unique(monkeypatch, chunk):
         assert k == expected.size and np.array_equal(a[:k], expected)
 
 
-def random_picks(rng, n, count, d):
-    """``count`` ascending picking rows of ``range(n)``, each with ``d`` ascending distinct picks other than itself."""
+def random_rows(rng, n, count, d=None):
+    """``count`` ascending picking rows of ``range(n)``, their pick counts and their int32 picks.
+
+    Each row picks distinct ids other than itself, in shuffled order.  With
+    ``d``, every row picks ``d``, the counts are one zero-stride count and
+    the picks a matrix, as the bounded-degree generator passes them;
+    without, the counts cycle through 0, 1, ``n - 1`` and a random one, and
+    the picks are flat.  Either way the picks own their data, as the
+    builder requires.
+    """
     rows = np.sort(rng.choice(n, size=count, replace=False)).astype(np.int64)
-    picks = np.zeros((count, d), dtype=np.int32)  # an int32 matrix that owns its data, as the builder requires
-    for i, u in enumerate(rows.tolist()):
-        picks[i] = np.sort(rng.choice(np.delete(np.arange(n), u), size=d, replace=False))
-    return rows, picks
+    if d is None:
+        counts = np.array([(0, 1, n - 1, int(rng.integers(0, n)))[i % 4] for i in range(count)], dtype=np.int64)
+    else:
+        counts = np.broadcast_to(d, rows.shape)
+    picks = np.zeros(int(counts.sum()) if d is None else (count, d), dtype=np.int32)
+    flat = picks.reshape(-1)  # a view: the rows are written through it
+    for u, c, end in zip(rows.tolist(), counts.tolist(), np.cumsum(counts).tolist()):
+        flat[end - c : end] = rng.permutation(np.delete(np.arange(n), u))[:c]
+    return rows, counts, picks
+
+
+def check_csr_from_rows(n, rows, counts, picks):
+    """``_csr_from_rows`` against ``reference_csr`` on the same pairs; ``picks`` is consumed."""
+    offsets, indices = reference_csr(n, np.column_stack((np.repeat(rows, counts), picks.ravel())))
+    g = _csr_from_rows(n, rows, counts, picks)
+    for got, want in ((g.offsets, offsets), (g.indices, indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert buffer_bytes(g.indices) <= g.indices.nbytes + 4  # the trim left no larger buffer behind
+    return g
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
 def test_csr_from_rows_matches_build_graph(monkeypatch, chunk):
     # small chunks cut blocks between and inside pick rows and in-lists; the cases
     # hold mutual picks (a row picks a row that picks it back), no picks at all,
-    # and, with few picking rows, rows that hold only an in-list
+    # with few picking rows, rows that hold only an in-list, and ragged rows of
+    # 0, 1 and n - 1 picks
     monkeypatch.setattr("noisymis.graph._UNIQUE_CHUNK", chunk)
     rng = np.random.default_rng(37)
     cases = [(12, 6, 6), (12, 12, 6), (40, 20, 39), (40, 40, 39), (30, 15, 0), (1, 1, 0), (200, 8, 5), (300, 290, 2)]
+    cases += [(n, count, None) for n, count in ((1, 1), (12, 6), (12, 12), (40, 23), (200, 8), (300, 290))]
     for n, count, d in cases:
-        rows, picks = random_picks(rng, n, count, d)
-        expected = build_graph(n, np.column_stack((np.repeat(rows, d), picks.ravel())))
-        g = _csr_from_rows(n, rows, picks)
-        for got, want in ((g.offsets, expected.offsets), (g.indices, expected.indices)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert buffer_bytes(g.indices) <= g.indices.nbytes + 4  # the trim left no larger buffer behind
+        check_csr_from_rows(n, *random_rows(rng, n, count, d))
 
 
 @pytest.mark.parametrize("n", [2**16, 2**16 + 1, 100_003, 2**22 + 5])
@@ -336,13 +360,9 @@ def test_csr_from_rows_matches_build_graph_across_buckets(n):
         mutual = rng.choice(others, size=4, replace=False)
         # the rest are non-picking vertices next to the edges, or anywhere
         spare = np.setdiff1d([v for v in (w - 2, w + 2, 2 * w + 1) if v < n] + rng.integers(0, n, size=6).tolist(), rows)
-        picks[i] = np.sort(np.concatenate((mutual, rng.choice(spare, size=4, replace=False))))
-    expected = build_graph(n, np.column_stack((np.repeat(rows, 8), picks.ravel())))
-    g = _csr_from_rows(n, rows, picks)
-    for got, want in ((g.offsets, expected.offsets), (g.indices, expected.indices)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        picks[i] = rng.permutation(np.concatenate((mutual, rng.choice(spare, size=4, replace=False))))
+    g = check_csr_from_rows(n, rows, np.broadcast_to(8, rows.shape), picks)
     assert g.m < 8 * rows.size  # some pairs were picked from both ends
-    assert buffer_bytes(g.indices) <= g.indices.nbytes + 4
 
 
 def test_build_graph_keeps_no_duplicate_tail(tmp_path):
@@ -509,17 +529,23 @@ def test_induced_subgraph_rejects_bad_ids():
 
 
 NOT_IDS = [
-    {1.9, 2}, [1.9, 2], np.array([0.0, 1.9]), np.array([True, False, True]), np.array([False, True]), [2**70], [0, 2**63]
+    {1.9, 2}, [1.9, 2], np.array([0.0, 1.9]), np.array([True, False, True]), np.array([False, True]), [2**70], [0, 2**63],
+    # edges too: none is truncated or parsed into the pair (0, 2) or (0, 1), and an id beyond int64 is no OverflowError
+    np.array([[0.9, 2.2]]), np.array([[False, True]]), [[0, "2"]], [[0, 2**70]],
 ]
 
 
 @pytest.mark.parametrize(
-    "ids", NOT_IDS, ids=["float-set", "float-list", "float-array", "bool-mask", "ascending-bool-mask", "huge-id", "int64-max-plus-one"]
+    "ids", NOT_IDS, ids=["float-set", "float-list", "float-array", "bool-mask", "ascending-bool-mask", "huge-id", "int64-max-plus-one",
+                         "float-pair", "bool-pair", "string-pair", "huge-pair"]
 )
 def test_vertex_ids_that_are_not_integers_are_rejected(ids):
     g = build_graph(3, [(1, 2)])
     oracle = Oracle(np.array([True, False, False]), OracleConfig(epsilon=0.25, seed=0))
+    # as edges: the pairs as they are, or each id paired with itself
+    edges = ids if np.ndim(ids) == 2 else [(v, v) for v in ids]
     calls = (
+        lambda: build_graph(3, edges),
         lambda: is_independent_set(g, ids),
         lambda: induced_subgraph(g, ids),
         lambda: run_bandit(g, oracle, initial=ids),
@@ -531,6 +557,22 @@ def test_vertex_ids_that_are_not_integers_are_rejected(ids):
         with pytest.raises(ValueError, match="integers"):
             call()
     assert oracle.total_queries == 0
+
+
+def test_an_array_of_non_integers_is_rejected_without_listing_its_items():
+    # a float, bool or string array fails at its first item, so its items are never
+    # listed as Python objects
+    g = build_graph(3, [(1, 2)])
+    for arr in (np.full((50_000, 2), 1.0), np.ones(100_000, dtype=bool), np.full(100_000, "1")):
+        for call in (lambda: build_graph(3, arr.reshape(-1, 2)), lambda: is_independent_set(g, arr), lambda: greedy_mis(g, arr)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="integers"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
 
 
 # -- greedy ------------------------------------------------------------------

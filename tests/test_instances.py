@@ -1,5 +1,6 @@
 """Planted-instance generators and instance file I/O."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -86,6 +87,52 @@ def test_gnp_validation():
         gen_planted_gnp(10, 0.05, 0.5, seed=0)
 
 
+def _gnp_reference(n, alpha, p, seed, ensure_maximal):
+    """The generator's pairs as an ``(m, 2)`` edge array passed to ``build_graph``, drawn in the same ``rng`` order."""
+    rng = np.random.default_rng(seed)
+    planted, outside = instances._split_planted(n, alpha, rng)
+    k = planted.size
+    i, j = instances._unrank_pairs(instances._skip_sample(outside.size * (outside.size - 1) // 2, p, rng))
+    a, b = np.divmod(instances._skip_sample(outside.size * k, p, rng), k)
+    edges = [np.column_stack((outside[i], outside[j])), np.column_stack((outside[a], planted[b]))]
+    if ensure_maximal:
+        lonely = outside[np.bincount(a, minlength=outside.size) == 0]
+        edges.append(np.column_stack((lonely, rng.choice(planted, size=lonely.size))))
+    return build_graph(n, np.concatenate(edges)), planted
+
+
+@pytest.mark.parametrize(
+    "n, alpha, p",
+    [(2, 0.5, 0.0), (2, 0.5, 1.0), (3, 0.4, 1.0), (12, 0.5, 0.3), (40, 0.3, 0.0), (40, 0.3, 0.02), (500, 0.3, 0.05),
+     (1025, 0.5, 0.01), (3000, 0.9, 0.001)],
+)
+@pytest.mark.parametrize("ensure_maximal", [False, True])
+def test_gnp_rows_match_the_edge_array_reference(n, alpha, p, ensure_maximal):
+    # p = 0 wires every outside vertex under ensure_maximal, and p = 1 none
+    for seed in range(3):
+        inst = gen_planted_gnp(n, alpha, p, seed, ensure_maximal)
+        graph, planted = _gnp_reference(n, alpha, p, seed, ensure_maximal)
+        assert np.array_equal(inst.planted_ids, planted)
+        for got, want in ((inst.graph.offsets, graph.offsets), (inst.graph.indices, graph.indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_gnp_peak_memory_stays_near_the_csr():
+    # each outside vertex's picks go straight to the row builder: no (m, 2) edge
+    # array and no int64 code of both orientations exists, and each rank stream
+    # is trimmed as its picks fill
+    gen_planted_gnp(100, 0.3, 0.1, seed=0)  # first-call allocations are not the generator's
+    for args in ((20000, 0.3, 0.002, 0), (20000, 0.3, 0.002, 1, True), (100000, 0.3, 0.0002, 2)):
+        tracemalloc.start()
+        try:
+            g = gen_planted_gnp(*args).graph
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2 * indices.nbytes is the size of the int64 code buffer of both orientations
+        assert peak <= 1.4 * (g.offsets.nbytes + 2 * g.indices.nbytes)
+
+
 # -- bounded-degree generator --------------------------------------------------------
 
 
@@ -154,6 +201,49 @@ def test_bounded_degree_codes_match_the_edge_array_reference(n, alpha, d, seeds)
         # the grown pick matrix became indices, so no larger buffer sits behind it
         held = inst.graph.indices.base
         assert held is None or (held.flags.owndata and held.nbytes <= inst.graph.indices.nbytes + 4)
+
+
+# The first 16 hex digits of the sha256 of offsets, indices and planted_ids,
+# recorded before gnp, build_graph and bounded-degree shared one CSR builder.
+# Each instance spans many of the builder's buckets; at p = 0.0002 about a
+# third of the outside vertices get an ensure_maximal wire, at p = 0.002 none.
+MULTI_BUCKET_DIGESTS = [
+    # (generator, (n, alpha, p or d, seed[, ensure_maximal]), m, offsets, indices, planted_ids)
+    (gen_planted_gnp, (20000, 0.3, 0.0002, 0, True), 40492, "dfc0c8bd3e9dd421", "4df13d57ff2fc4f2", "810b7ef07cb36cd5"),
+    (gen_planted_gnp, (20000, 0.3, 0.0002, 1, True), 40603, "bd0c96e47803cafe", "9562fbfb8b0b4f46", "aa4d73d4d2b4bb58"),
+    (gen_planted_gnp, (20000, 0.3, 0.0002, 2, True), 40619, "f6a911903bc45256", "4a1a585fbc7aabbd", "5795d0da74509f27"),
+    (gen_planted_gnp, (20000, 0.3, 0.002, 0, False), 363603, "b910ded0762fdfab", "005e264032de8db1", "810b7ef07cb36cd5"),
+    (gen_planted_gnp, (20000, 0.3, 0.002, 0, True), 363603, "b910ded0762fdfab", "005e264032de8db1", "810b7ef07cb36cd5"),
+    (gen_planted_gnp, (20000, 0.3, 0.002, 1, False), 365251, "7befd51e2576b432", "7a3e760f9de99ed0", "aa4d73d4d2b4bb58"),
+    (gen_planted_gnp, (20000, 0.3, 0.002, 1, True), 365251, "7befd51e2576b432", "7a3e760f9de99ed0", "aa4d73d4d2b4bb58"),
+    (gen_planted_gnp, (20000, 0.3, 0.002, 2, False), 363839, "60fd0a13ecc5fa91", "c3a0e5817389f1f1", "5795d0da74509f27"),
+    (gen_planted_gnp, (20000, 0.3, 0.002, 2, True), 363839, "60fd0a13ecc5fa91", "c3a0e5817389f1f1", "5795d0da74509f27"),
+    (gen_planted_gnp, (4096, 0.8797, 0.005, 0, True), 9639, "5c96422ee780e7e2", "5ea3e88f9e74041f", "580a320db898af58"),
+    (gen_planted_gnp, (4096, 0.8797, 0.005, 1, True), 9458, "fd152dac87ece492", "5f4045c561a6d1ac", "bc60520f5ed0f99a"),
+    (gen_planted_gnp, (4096, 0.8797, 0.005, 2, True), 9559, "9546dd5ad2b7e7d3", "dcc682dc6f6fd089", "e6ff776a5693b51a"),
+    (gen_planted_bounded_degree, (100000, 0.3, 20, 0), 1399895, "e8ef8655eb316bbe", "848a31f55bb16876", "82e687e7e5452d0a"),
+    (gen_planted_bounded_degree, (100000, 0.3, 20, 1), 1399908, "8f87de08b9e3ce71", "021751de757cebb7", "df375daea7c95586"),
+    (gen_planted_bounded_degree, (100000, 0.3, 20, 2), 1399892, "28a6f1c911251f63", "18ed92e1d1f72803", "273231b6ec893f4d"),
+]
+
+
+@pytest.mark.parametrize(
+    "gen, args, m, offsets, indices, planted", MULTI_BUCKET_DIGESTS,
+    ids=["-".join(map(str, (case[0].__name__.removeprefix("gen_planted_"), *case[1]))) for case in MULTI_BUCKET_DIGESTS],
+)
+def test_instances_at_multi_bucket_sizes_keep_their_bytes(gen, args, m, offsets, indices, planted):
+    inst = gen(*args)
+    g = inst.graph
+    assert g.m == m and g.offsets.dtype == np.int64 and g.indices.dtype == np.int32
+    got = [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (g.offsets, g.indices, inst.planted_ids)]
+    assert got == [offsets, indices, planted]
+
+
+def test_read_instance_gives_back_a_written_gnp_instance(tmp_path):
+    # 20,000 vertices: build_graph crosses about 20 buckets; the wires of ensure_maximal join the rows
+    for inst in (gen_planted_gnp(20000, 0.3, 0.002, seed=0), gen_planted_gnp(20000, 0.3, 0.0002, seed=1, ensure_maximal=True)):
+        write_instance(inst, tmp_path / "inst.txt")
+        assert read_instance(tmp_path / "inst.txt") == inst
 
 
 def test_bounded_degree_peak_memory_stays_near_the_csr():
@@ -316,17 +406,19 @@ def test_bounded_degree_picks_are_distinct_and_uniform(monkeypatch):
     n, alpha, d = 7, 0.5, 2
     captured = []
 
-    def capture(count, rows, picks):
+    def capture(count, rows, counts, picks):
         # _csr_from_rows reuses and trims the pick matrix's buffer, so keep the generator's picks
-        captured.append((rows.copy(), picks.copy()))
-        return csr_from_rows(count, rows, picks)
+        captured.append((rows.copy(), counts, picks.copy()))
+        return csr_from_rows(count, rows, counts, picks)
 
     csr_from_rows = instances._csr_from_rows
     monkeypatch.setattr(instances, "_csr_from_rows", capture)
     counts = np.zeros((n, n), dtype=np.int64)
     for seed in range(2000):
         inst = gen_planted_bounded_degree(n, alpha, d, seed=seed)
-        rows, matrix = captured.pop()
+        rows, row_counts, matrix = captured.pop()
+        # one count for every row, as a zero-stride view: no per-row array
+        assert row_counts.strides == (0,) and row_counts.shape == rows.shape and np.all(row_counts == d)
         src, dst = np.repeat(rows, d), matrix.ravel()  # the picks, in generation order
         outside = np.flatnonzero(~_member_mask(inst.graph, inst.planted_ids))
         assert np.array_equal(np.unique(src), outside)

@@ -86,9 +86,10 @@ def test_tracer_counts_the_greedy_and_cover_calls():
     ``graph.induce`` is not asserted: no library path induces a subgraph,
     as the filter takes its greedy set and elimination its cover on the
     graph itself, so it reads 0 on every run.  ``graph.build`` also reads 0
-    on gen-filter, as its generator builds its graph without
-    ``build_graph``.  An event stream from inside the library (ROADMAP.md)
-    is the planned fix for both.
+    on gen-filter and on amplify, as both generators hand their rows to the
+    CSR builder without ``build_graph``; only ``read_instance`` calls it.
+    An event stream from inside the library (ROADMAP.md) is the planned fix
+    for both.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(noisymis.__file__).resolve().parents[1])}
     proc = subprocess.run(
